@@ -24,7 +24,8 @@ import tracemalloc
 
 from repro.core.config import RewardScheme, ScalingAlgorithm
 from repro.sim.parallel import collect_cache_stats, run_sweep_parallel
-from repro.sim.results import ResultRecord, SweepAggregator, make_result_store
+from repro.core.ledger import open_ledger
+from repro.sim.results import ResultRecord, ResultStore, SweepAggregator
 from repro.sim.sweep import SweepSpec, row_from_runs, run_sweep
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -119,7 +120,7 @@ def test_streaming_sink_equivalence_and_overhead(tmp_path, print_header):
     reference = run_sweep(base, SPEC, base_seed=42)
     plain_s = time.perf_counter() - t0
 
-    store = make_result_store(str(tmp_path / "bench_results.jsonl"))
+    store = ResultStore(open_ledger(str(tmp_path / "bench_results.jsonl")))
     t0 = time.perf_counter()
     try:
         streamed = run_sweep(base, SPEC, base_seed=42, results=store)

@@ -24,7 +24,8 @@ from repro.core.config import (
     ScalingAlgorithm,
 )
 from repro.sim.report import render_table
-from repro.sim.results import MemoryResultStore, make_result_store
+from repro.core.ledger import open_ledger
+from repro.sim.results import ResultStore
 from repro.sim.sweep import SweepSpec, run_sweep
 
 from .conftest import FIG4_UNIT_GB, bench_config
@@ -48,7 +49,7 @@ def run_grid():
     # FULLGRID_RESULTS_OUT to a ledger path to keep a durable, resumable
     # record of this long run instead of the in-memory sink.
     spec = os.environ.get("FULLGRID_RESULTS_OUT")
-    store = make_result_store(spec) if spec else MemoryResultStore()
+    store = ResultStore(open_ledger(spec or "memory"))
     try:
         # resume is a no-op on a fresh ledger; on an interrupted one it
         # picks up the remaining cells instead of refusing to start.

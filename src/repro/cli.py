@@ -491,9 +491,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     store = None
     if store_spec is not None:
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
-        store = make_result_store(store_spec, fsync=base.results.fsync)
+        store = ResultStore(
+            open_ledger(store_spec, fsync=base.results.fsync)
+        )
     try:
         if args.jobs == 1:
             rows = run_sweep(

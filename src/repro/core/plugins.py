@@ -155,13 +155,12 @@ def all_registries() -> Dict[str, "Registry[Any]"]:
         "repro.scheduler.scaling",
         "repro.scheduler.rewards",
         "repro.cloud.tiers",
+        "repro.core.ledger",
         "repro.broker.sharders",
         "repro.apps.registry",
         "repro.core.presets",
         "repro.knowledge.plane",
         "repro.service.queue",
-        "repro.service.store",
-        "repro.sim.results",
         "repro.workload.arrivals",
         "repro.workflows.library",
     ):

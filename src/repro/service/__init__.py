@@ -17,8 +17,8 @@ Layers
     ``JobQueue`` -- per-tenant bounded priority queues, the
     ``PRIORITY_STRATEGIES`` registry, admission control.
 :mod:`repro.service.store`
-    ``QueueStore`` backends (``memory``, ``jsonl``, ``sqlite``) in the
-    ``QUEUE_STORES`` registry; write-ahead records, crash-tolerant replay.
+    ``QueueStore`` -- write-ahead queue records over one
+    :mod:`repro.core.ledger` ledger, replayed after a restart.
 :mod:`repro.service.plane`
     ``ServicePlane`` -- pumps popped jobs into a ``SCANPlatform``, makes
     the circuit breaker and dead-letter queue per-tenant, publishes
@@ -38,7 +38,7 @@ from repro.service.queue import (
     QueuedJob,
     ServiceJobState,
 )
-from repro.service.store import QUEUE_STORES, QueueStore, make_store
+from repro.service.store import QueueStore
 from repro.service.plane import ServicePlane
 
 __all__ = [
@@ -48,8 +48,6 @@ __all__ = [
     "JobQueue",
     "QueuedJob",
     "ServiceJobState",
-    "QUEUE_STORES",
     "QueueStore",
-    "make_store",
     "ServicePlane",
 ]

@@ -35,10 +35,11 @@ from repro.core.bus import (
     ServiceJobRejected,
 )
 from repro.core.errors import SCANError
+from repro.core.ledger import open_ledger
 from repro.scheduler.resilience import CircuitBreaker, DeadLetterQueue
 from repro.service.config import ServiceConfig
 from repro.service.queue import AdmissionDecision, JobQueue, QueuedJob
-from repro.service.store import QueueStore, RecoveredState, make_store
+from repro.service.store import QueueStore, RecoveredState
 from repro.telemetry.metrics import (
     POP_LATENCY_BUCKETS_S,
     MetricsRegistry,
@@ -83,7 +84,8 @@ class ServicePlane:
         if store is None:
             store = self.config.store
         self.store: QueueStore = (
-            make_store(store) if isinstance(store, str) else store
+            QueueStore(open_ledger(store)) if isinstance(store, str)
+            else store
         )
         self.bus = bus if bus is not None else (
             platform.bus if platform is not None else EventBus()

@@ -17,37 +17,22 @@ priority (pop without finish proves the work's fate is unknown, so it
 must run again; at-least-once semantics, never lost).  Finished jobs are
 remembered by uid so a replayed push cannot duplicate them.
 
-Backends (``QUEUE_STORES`` registry):
-
-``memory``  no persistence (tests, benchmarks).
-``jsonl``   one JSON object per line, append-only; a torn final line
-            (crash mid-write) is tolerated and dropped.
-``sqlite``  one row per job, WAL journal; state transitions are updates.
+The ledger itself -- memory, JSONL or SQLite, torn-tail repair, the
+spec grammar -- is :mod:`repro.core.ledger`; this module only builds the
+op records and folds them back.  Open one with
+``QueueStore(open_ledger(spec))``.
 """
 
 from __future__ import annotations
 
-import io
-import json
-import os
-import sqlite3
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.core.errors import ConfigurationError, SCANError
-from repro.core.plugins import Registry
+from repro.core.errors import SCANError
+from repro.core.ledger import JsonlLedger, Ledger
 from repro.service.queue import QueuedJob
 
-__all__ = [
-    "RecoveredState",
-    "QueueStore",
-    "MemoryQueueStore",
-    "JsonlQueueStore",
-    "SqliteQueueStore",
-    "QUEUE_STORES",
-    "make_store",
-]
+__all__ = ["RecoveredState", "QueueStore", "JsonlQueueStore"]
 
 
 @dataclass
@@ -63,7 +48,7 @@ class RecoveredState:
     shed: List[str] = field(default_factory=list)
     #: Of the re-queued jobs, the uids that were in flight at the crash.
     interrupted: List[str] = field(default_factory=list)
-    #: Ledger lines dropped as unreadable (jsonl torn tail).
+    #: Torn final fragments the ledger read skipped (JSONL only).
     corrupt_records: int = 0
 
     @property
@@ -73,28 +58,35 @@ class RecoveredState:
 
 
 class QueueStore:
-    """Interface every queue-persistence backend implements."""
+    """The queue's write-ahead log: op records in, :class:`RecoveredState`
+    out, over any :class:`~repro.core.ledger.Ledger` medium."""
+
+    def __init__(self, ledger: Ledger) -> None:
+        self.ledger = ledger
 
     def record_push(self, job: QueuedJob) -> None:
-        raise NotImplementedError
+        self.ledger.append({"op": "push", "job": job.to_dict()})
 
     def record_pop(self, job: QueuedJob) -> None:
-        raise NotImplementedError
+        self.ledger.append({"op": "pop", "uid": job.uid})
 
     def record_finish(self, job: QueuedJob, outcome: str) -> None:
-        raise NotImplementedError
+        self.ledger.append(
+            {"op": "finish", "uid": job.uid, "outcome": outcome}
+        )
 
     def record_shed(self, job: QueuedJob) -> None:
-        raise NotImplementedError
+        self.ledger.append({"op": "shed", "uid": job.uid})
 
     def load(self) -> RecoveredState:
-        raise NotImplementedError
-
-    def compact(self) -> None:
-        """Drop resolved history, keeping only live state (optional)."""
+        records, torn = self.ledger.read()
+        state = _replay(records)
+        state.corrupt_records = torn
+        return state
 
     def close(self) -> None:
-        """Release file handles; the store must be reopenable."""
+        """Release the ledger; reopening its spec resumes the queue."""
+        self.ledger.close()
 
     def __enter__(self) -> "QueueStore":
         return self
@@ -103,282 +95,16 @@ class QueueStore:
         self.close()
 
 
-#: Registry of persistence backends, sibling to ``PRIORITY_STRATEGIES``.
-QUEUE_STORES: "Registry[QueueStore]" = Registry("queue_store")
-
-
-@QUEUE_STORES.register("memory")
-class MemoryQueueStore(QueueStore):
-    """Ledger in a list; survives nothing (tests, pure-ingest benchmarks).
-
-    It still *replays* correctly, which is what the equivalence property
-    test exploits: push -> persist -> restore -> pop must equal
-    push -> pop even when "persist" never touches a disk.
-    """
-
-    def __init__(self) -> None:
-        self._records: List[dict] = []
-        self._lock = threading.Lock()
-
-    def record_push(self, job: QueuedJob) -> None:
-        with self._lock:
-            self._records.append({"op": "push", "job": job.to_dict()})
-
-    def record_pop(self, job: QueuedJob) -> None:
-        with self._lock:
-            self._records.append({"op": "pop", "uid": job.uid})
-
-    def record_finish(self, job: QueuedJob, outcome: str) -> None:
-        with self._lock:
-            self._records.append(
-                {"op": "finish", "uid": job.uid, "outcome": outcome}
-            )
-
-    def record_shed(self, job: QueuedJob) -> None:
-        with self._lock:
-            self._records.append({"op": "shed", "uid": job.uid})
-
-    def load(self) -> RecoveredState:
-        with self._lock:
-            records = list(self._records)
-        return _replay(records)
-
-    def compact(self) -> None:
-        state = self.load()
-        with self._lock:
-            self._records = [
-                {"op": "push", "job": job.to_dict()} for job in state.queued
-            ]
-
-
-@QUEUE_STORES.register("jsonl")
 class JsonlQueueStore(QueueStore):
-    """Append-only JSONL ledger; the crash-friendliest format there is.
-
-    Every record is one line, flushed on write (``fsync`` optional for
-    the paranoid).  Replay stops at the first unparseable line *only if*
-    it is the last one (a torn write); corruption mid-file raises, since
-    silently skipping acknowledged records would fake job loss.
-    """
+    """A :class:`QueueStore` on a :class:`~repro.core.ledger.JsonlLedger`
+    at *path*."""
 
     def __init__(self, path: str, fsync: bool = False) -> None:
-        self.path = path
-        self.fsync = fsync
-        self._lock = threading.Lock()
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._repair_torn_tail()
-        self._fh: Optional[io.TextIOWrapper] = open(  # noqa: SIM115
-            path, "a", encoding="utf-8"
-        )
-
-    def _repair_torn_tail(self) -> None:
-        """Truncate a partial final line left by a crash mid-write.
-
-        :meth:`load` tolerates a torn tail by dropping it, but appending
-        onto one would weld the next record to the fragment -- corrupting
-        the ledger *mid-file*, where replay refuses to skip.  Cutting the
-        file back to the last newline restores the invariant that the
-        ledger always ends at a record boundary before any append.
-        """
-        try:
-            fh = open(self.path, "rb+")  # noqa: SIM115
-        except FileNotFoundError:
-            return
-        with fh:
-            fh.seek(0, os.SEEK_END)
-            pos = fh.tell()
-            if pos == 0:
-                return
-            fh.seek(pos - 1)
-            if fh.read(1) == b"\n":
-                return
-            last_nl = -1
-            while pos > 0 and last_nl < 0:
-                start = max(0, pos - 4096)
-                fh.seek(start)
-                idx = fh.read(pos - start).rfind(b"\n")
-                if idx >= 0:
-                    last_nl = start + idx
-                pos = start
-            fh.truncate(last_nl + 1)
-
-    def _append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True)
-        with self._lock:
-            if self._fh is None:
-                raise SCANError(f"queue store {self.path!r} is closed")
-            self._fh.write(line + "\n")
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-
-    def record_push(self, job: QueuedJob) -> None:
-        self._append({"op": "push", "job": job.to_dict()})
-
-    def record_pop(self, job: QueuedJob) -> None:
-        self._append({"op": "pop", "uid": job.uid})
-
-    def record_finish(self, job: QueuedJob, outcome: str) -> None:
-        self._append({"op": "finish", "uid": job.uid, "outcome": outcome})
-
-    def record_shed(self, job: QueuedJob) -> None:
-        self._append({"op": "shed", "uid": job.uid})
-
-    def load(self) -> RecoveredState:
-        records: List[dict] = []
-        corrupt = 0
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except FileNotFoundError:
-            return RecoveredState()
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                if i == len(lines) - 1:
-                    corrupt += 1  # torn tail from the crash: tolerated
-                    break
-                raise SCANError(
-                    f"corrupt queue ledger {self.path!r} at line {i + 1}: "
-                    f"{exc}"
-                ) from exc
-        state = _replay(records)
-        state.corrupt_records = corrupt
-        return state
-
-    def compact(self) -> None:
-        """Rewrite the ledger as just the live pushes (atomic replace)."""
-        state = self.load()
-        tmp = f"{self.path}.compact"
-        with self._lock:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for job in state.queued:
-                    fh.write(
-                        json.dumps(
-                            {"op": "push", "job": job.to_dict()},
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = open(self.path, "a", encoding="utf-8")  # noqa: SIM115
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-
-@QUEUE_STORES.register("sqlite")
-class SqliteQueueStore(QueueStore):
-    """One row per job in SQLite (WAL journal, synchronous=NORMAL).
-
-    State transitions are row updates, so ``load`` is a plain SELECT --
-    no replay cost at boot, which is what you want once the ledger has
-    absorbed 10^5+ jobs.  ``leased`` rows (popped, unresolved) recover as
-    queued, exactly like the JSONL replay.
-    """
-
-    _SCHEMA = """
-    CREATE TABLE IF NOT EXISTS jobs (
-        uid      TEXT PRIMARY KEY,
-        tenant   TEXT NOT NULL,
-        seq      INTEGER NOT NULL,
-        state    TEXT NOT NULL,
-        outcome  TEXT,
-        payload  TEXT NOT NULL
-    );
-    CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state);
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._lock = threading.Lock()
-        if path != ":memory:":
-            directory = os.path.dirname(os.path.abspath(path))
-            os.makedirs(directory, exist_ok=True)
-        self._conn: Optional[sqlite3.Connection] = sqlite3.connect(
-            path, check_same_thread=False
-        )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.executescript(self._SCHEMA)
-        self._conn.commit()
-
-    def _execute(self, sql: str, params: tuple) -> None:
-        with self._lock:
-            if self._conn is None:
-                raise SCANError(f"queue store {self.path!r} is closed")
-            self._conn.execute(sql, params)
-            self._conn.commit()
-
-    def record_push(self, job: QueuedJob) -> None:
-        self._execute(
-            "INSERT OR REPLACE INTO jobs (uid, tenant, seq, state, outcome, "
-            "payload) VALUES (?, ?, ?, 'queued', NULL, ?)",
-            (job.uid, job.tenant, job.seq, json.dumps(job.to_dict())),
-        )
-
-    def record_pop(self, job: QueuedJob) -> None:
-        self._execute(
-            "UPDATE jobs SET state='leased' WHERE uid=?", (job.uid,)
-        )
-
-    def record_finish(self, job: QueuedJob, outcome: str) -> None:
-        self._execute(
-            "UPDATE jobs SET state='finished', outcome=? WHERE uid=?",
-            (outcome, job.uid),
-        )
-
-    def record_shed(self, job: QueuedJob) -> None:
-        self._execute(
-            "UPDATE jobs SET state='shed' WHERE uid=?", (job.uid,)
-        )
-
-    def load(self) -> RecoveredState:
-        with self._lock:
-            if self._conn is None:
-                raise SCANError(f"queue store {self.path!r} is closed")
-            rows = self._conn.execute(
-                "SELECT state, outcome, payload FROM jobs ORDER BY seq"
-            ).fetchall()
-        state = RecoveredState()
-        for row_state, outcome, payload in rows:
-            job = QueuedJob.from_dict(json.loads(payload))
-            if row_state in ("queued", "leased"):
-                state.queued.append(job)
-                if row_state == "leased":
-                    state.interrupted.append(job.uid)
-            elif row_state == "finished":
-                state.finished[job.uid] = outcome or "completed"
-            elif row_state == "shed":
-                state.shed.append(job.uid)
-        return state
-
-    def compact(self) -> None:
-        self._execute(
-            "DELETE FROM jobs WHERE state IN ('finished', 'shed')", ()
-        )
-
-    def close(self) -> None:
-        with self._lock:
-            if self._conn is not None:
-                self._conn.commit()
-                self._conn.close()
-                self._conn = None
+        super().__init__(JsonlLedger(path, fsync))
 
 
 def _replay(records: List[dict]) -> RecoveredState:
-    """Fold a ledger into live state (shared by memory/jsonl backends)."""
+    """Fold queue-ledger records into live state."""
     jobs: Dict[str, QueuedJob] = {}
     queued: Dict[str, QueuedJob] = {}
     leased: Dict[str, QueuedJob] = {}
@@ -413,24 +139,3 @@ def _replay(records: List[dict]) -> RecoveredState:
     state.queued = live
     state.interrupted = sorted(leased, key=lambda uid: leased[uid].seq)
     return state
-
-
-def make_store(spec: str) -> QueueStore:
-    """Build a store from a short spec string.
-
-    - ``memory``                    -> :class:`MemoryQueueStore`
-    - ``sqlite:PATH`` / ``*.db`` / ``*.sqlite`` -> :class:`SqliteQueueStore`
-    - ``jsonl:PATH`` / any other path            -> :class:`JsonlQueueStore`
-    """
-    if not spec:
-        raise ConfigurationError("queue store spec must be non-empty")
-    if spec == "memory":
-        return QUEUE_STORES.create("memory")
-    if ":" in spec and spec.split(":", 1)[0] in QUEUE_STORES:
-        kind, path = spec.split(":", 1)
-        if not path:
-            raise ConfigurationError(f"store spec {spec!r} needs a path")
-        return QUEUE_STORES.create(kind, path)
-    if spec.endswith((".db", ".sqlite", ".sqlite3")):
-        return QUEUE_STORES.create("sqlite", spec)
-    return QUEUE_STORES.create("jsonl", spec)

@@ -32,12 +32,10 @@ from repro.sim.parallel import (
     run_sweep_parallel,
 )
 from repro.sim.results import (
-    RESULT_STORES,
     ResultRecord,
     ResultStore,
     SweepAggregator,
     SweepMeta,
-    make_result_store,
     open_result_stream,
 )
 from repro.sim.report import (
@@ -62,12 +60,10 @@ __all__ = [
     "derive_cell_seeds",
     "resolve_jobs",
     "run_sweep_parallel",
-    "RESULT_STORES",
     "ResultRecord",
     "ResultStore",
     "SweepAggregator",
     "SweepMeta",
-    "make_result_store",
     "open_result_stream",
     "render_table",
     "render_series",

@@ -9,10 +9,10 @@ over it, and resume-by-skipping-completed.
 
 - :class:`ResultRecord` -- one completed (or dead-lettered) repetition of
   one grid cell: the atomic unit of sweep progress.
-- :class:`ResultStore` -- the sink interface behind the ``RESULT_STORES``
-  registry (``memory`` / ``jsonl`` / ``sqlite``), mirroring the service
-  plane's ``QUEUE_STORES``.  JSONL is append-only with torn-tail repair;
-  SQLite upserts one row per (cell, repetition).
+- :class:`ResultStore` -- the sink: a replay function over one
+  :mod:`repro.core.ledger` ledger (``memory`` / ``jsonl`` / ``sqlite``),
+  the same substrate as the service plane's queue store.  Open one with
+  ``ResultStore(open_ledger(spec, fsync))``.
 - :class:`SweepAggregator` -- folds per-repetition records into
   :class:`~repro.sim.sweep.SweepRow` summaries cell by cell, holding only
   in-flight cells' run values; a finished cell collapses to its summary
@@ -35,16 +35,12 @@ equivalence suite enforces this).
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import os
-import sqlite3
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.errors import ConfigurationError, SCANError
-from repro.core.plugins import Registry
+from repro.core.ledger import Ledger
 
 __all__ = [
     "RESULT_SCHEMA",
@@ -52,11 +48,6 @@ __all__ = [
     "SweepMeta",
     "RecoveredResults",
     "ResultStore",
-    "MemoryResultStore",
-    "JsonlResultStore",
-    "SqliteResultStore",
-    "RESULT_STORES",
-    "make_result_store",
     "grid_fingerprint",
     "sweep_meta",
     "open_result_stream",
@@ -210,7 +201,7 @@ class RecoveredResults:
     #: (cell, rep) -> latest failed record with no completed successor.
     #: NOT skipped on resume: these are the dead-lettered retry candidates.
     failed: Dict[tuple[int, int], ResultRecord] = field(default_factory=dict)
-    #: Ledger lines dropped as unreadable (jsonl torn tail).
+    #: Torn final fragments the ledger read skipped (JSONL only).
     corrupt_records: int = 0
     #: Completed records for an already-completed key (ignored, first wins).
     duplicate_records: int = 0
@@ -220,23 +211,32 @@ class RecoveredResults:
 
 
 class ResultStore:
-    """Interface every result-sink backend implements.
+    """The sweep's result log: sweep header and per-repetition records in,
+    :class:`RecoveredResults` out, over any
+    :class:`~repro.core.ledger.Ledger` medium.
 
     Writers are driver-side only (one process, possibly many threads);
     worker processes return their runs to the driver, which appends.
     """
 
+    def __init__(self, ledger: Ledger) -> None:
+        self.ledger = ledger
+
     def write_meta(self, meta: SweepMeta) -> None:
-        raise NotImplementedError
+        self.ledger.append({"op": "meta", "meta": meta.to_dict()})
 
     def record(self, record: ResultRecord) -> None:
-        raise NotImplementedError
+        self.ledger.append({"op": "result", "record": record.to_dict()})
 
     def load(self) -> RecoveredResults:
-        raise NotImplementedError
+        records, torn = self.ledger.read()
+        state = _replay(records)
+        state.corrupt_records = torn
+        return state
 
     def close(self) -> None:
-        """Release file handles; the store must be reopenable."""
+        """Release the ledger; reopening its spec resumes the sweep."""
+        self.ledger.close()
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -245,12 +245,8 @@ class ResultStore:
         self.close()
 
 
-#: Registry of result-sink backends, sibling to ``QUEUE_STORES``.
-RESULT_STORES: "Registry[ResultStore]" = Registry("result_store")
-
-
 def _replay(records: Iterable[dict]) -> RecoveredResults:
-    """Fold ledger records into live state (memory/jsonl backends)."""
+    """Fold result-ledger records into live state."""
     state = RecoveredResults()
     for raw in records:
         op = raw.get("op")
@@ -275,259 +271,6 @@ def _replay(records: Iterable[dict]) -> RecoveredResults:
         else:
             raise SCANError(f"unknown result-ledger op {op!r}")
     return state
-
-
-@RESULT_STORES.register("memory")
-class MemoryResultStore(ResultStore):
-    """Ledger in a list; survives nothing (tests, single-run streaming).
-
-    Still replays correctly, which the round-trip property exploits:
-    record -> load -> resume-set must behave exactly like the persistent
-    backends even though "persist" never touches a disk.
-    """
-
-    def __init__(self) -> None:
-        self._records: List[dict] = []
-        self._lock = threading.Lock()
-
-    def write_meta(self, meta: SweepMeta) -> None:
-        with self._lock:
-            self._records.append({"op": "meta", "meta": meta.to_dict()})
-
-    def record(self, record: ResultRecord) -> None:
-        with self._lock:
-            self._records.append({"op": "result", "record": record.to_dict()})
-
-    def load(self) -> RecoveredResults:
-        with self._lock:
-            records = list(self._records)
-        return _replay(records)
-
-
-@RESULT_STORES.register("jsonl")
-class JsonlResultStore(ResultStore):
-    """Append-only JSONL ledger: one record per line, flushed per write.
-
-    A crash mid-write leaves a torn final line; :meth:`load` tolerates and
-    counts it, and reopening truncates the fragment back to the last
-    newline so a post-crash append can never weld onto it (the same
-    repair the service plane's queue ledger performs).  Corruption
-    *mid-file* raises -- silently skipping acknowledged results would
-    fake completed work.
-    """
-
-    def __init__(self, path: str, fsync: bool = False) -> None:
-        self.path = path
-        self.fsync = fsync
-        self._lock = threading.Lock()
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._repair_torn_tail()
-        self._fh: Optional[io.TextIOWrapper] = open(  # noqa: SIM115
-            path, "a", encoding="utf-8"
-        )
-
-    def _repair_torn_tail(self) -> None:
-        try:
-            fh = open(self.path, "rb+")  # noqa: SIM115
-        except FileNotFoundError:
-            return
-        with fh:
-            fh.seek(0, os.SEEK_END)
-            pos = fh.tell()
-            if pos == 0:
-                return
-            fh.seek(pos - 1)
-            if fh.read(1) == b"\n":
-                return
-            last_nl = -1
-            while pos > 0 and last_nl < 0:
-                start = max(0, pos - 4096)
-                fh.seek(start)
-                idx = fh.read(pos - start).rfind(b"\n")
-                if idx >= 0:
-                    last_nl = start + idx
-                pos = start
-            fh.truncate(last_nl + 1)
-
-    def _append(self, raw: dict) -> None:
-        line = json.dumps(raw, sort_keys=True)
-        with self._lock:
-            if self._fh is None:
-                raise SCANError(f"result store {self.path!r} is closed")
-            self._fh.write(line + "\n")
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-
-    def write_meta(self, meta: SweepMeta) -> None:
-        self._append({"op": "meta", "meta": meta.to_dict()})
-
-    def record(self, record: ResultRecord) -> None:
-        self._append({"op": "result", "record": record.to_dict()})
-
-    def load(self) -> RecoveredResults:
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except FileNotFoundError:
-            return RecoveredResults()
-        records: List[dict] = []
-        corrupt = 0
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                if i == len(lines) - 1:
-                    corrupt += 1  # torn tail from the crash: tolerated
-                    break
-                raise SCANError(
-                    f"corrupt result ledger {self.path!r} at line {i + 1}: "
-                    f"{exc}"
-                ) from exc
-        state = _replay(records)
-        state.corrupt_records = corrupt
-        return state
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-
-@RESULT_STORES.register("sqlite")
-class SqliteResultStore(ResultStore):
-    """One row per (cell, repetition) in SQLite (WAL, synchronous=NORMAL).
-
-    ``record`` is an upsert that only overwrites a ``failed`` row -- a
-    completed result can never be clobbered, so replaying a retry is
-    idempotent.  ``load`` is a plain SELECT: no replay cost at boot once
-    the ledger has absorbed 10^6 repetitions.
-    """
-
-    _SCHEMA = """
-    CREATE TABLE IF NOT EXISTS sweep_meta (
-        id      INTEGER PRIMARY KEY CHECK (id = 0),
-        payload TEXT NOT NULL
-    );
-    CREATE TABLE IF NOT EXISTS results (
-        cell    INTEGER NOT NULL,
-        rep     INTEGER NOT NULL,
-        seed    INTEGER NOT NULL,
-        status  TEXT NOT NULL,
-        error   TEXT NOT NULL DEFAULT '',
-        metrics TEXT NOT NULL,
-        PRIMARY KEY (cell, rep)
-    );
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._lock = threading.Lock()
-        if path != ":memory:":
-            directory = os.path.dirname(os.path.abspath(path))
-            os.makedirs(directory, exist_ok=True)
-        self._conn: Optional[sqlite3.Connection] = sqlite3.connect(
-            path, check_same_thread=False
-        )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.executescript(self._SCHEMA)
-        self._conn.commit()
-
-    def _execute(self, sql: str, params: tuple) -> None:
-        with self._lock:
-            if self._conn is None:
-                raise SCANError(f"result store {self.path!r} is closed")
-            self._conn.execute(sql, params)
-            self._conn.commit()
-
-    def write_meta(self, meta: SweepMeta) -> None:
-        self._execute(
-            "INSERT OR IGNORE INTO sweep_meta (id, payload) VALUES (0, ?)",
-            (json.dumps(meta.to_dict(), sort_keys=True),),
-        )
-
-    def record(self, record: ResultRecord) -> None:
-        # Completed wins and sticks: only a 'failed' row may be replaced.
-        self._execute(
-            "INSERT INTO results (cell, rep, seed, status, error, metrics) "
-            "VALUES (?, ?, ?, ?, ?, ?) "
-            "ON CONFLICT (cell, rep) DO UPDATE SET "
-            "seed=excluded.seed, status=excluded.status, "
-            "error=excluded.error, metrics=excluded.metrics "
-            "WHERE results.status = 'failed'",
-            (
-                record.cell_index,
-                record.rep_index,
-                record.seed,
-                record.status,
-                record.error,
-                json.dumps(record.metrics, sort_keys=True),
-            ),
-        )
-
-    def load(self) -> RecoveredResults:
-        with self._lock:
-            if self._conn is None:
-                raise SCANError(f"result store {self.path!r} is closed")
-            meta_rows = self._conn.execute(
-                "SELECT payload FROM sweep_meta WHERE id = 0"
-            ).fetchall()
-            rows = self._conn.execute(
-                "SELECT cell, rep, seed, status, error, metrics "
-                "FROM results ORDER BY cell, rep"
-            ).fetchall()
-        state = RecoveredResults()
-        if meta_rows:
-            state.meta = SweepMeta.from_dict(json.loads(meta_rows[0][0]))
-        for cell, rep, seed, status, error, metrics in rows:
-            rec = ResultRecord(
-                cell_index=cell,
-                rep_index=rep,
-                seed=seed,
-                status=status,
-                metrics=json.loads(metrics),
-                error=error,
-            )
-            if status == "completed":
-                state.completed[rec.key] = rec
-            else:
-                state.failed[rec.key] = rec
-        return state
-
-    def close(self) -> None:
-        with self._lock:
-            if self._conn is not None:
-                self._conn.commit()
-                self._conn.close()
-                self._conn = None
-
-
-def make_result_store(spec: str, fsync: bool = False) -> ResultStore:
-    """Build a result sink from a short spec string.
-
-    - ``memory``                                 -> :class:`MemoryResultStore`
-    - ``sqlite:PATH`` / ``*.db`` / ``*.sqlite``  -> :class:`SqliteResultStore`
-    - ``jsonl:PATH`` / any other path            -> :class:`JsonlResultStore`
-    """
-    if not spec:
-        raise ConfigurationError("result store spec must be non-empty")
-    if spec == "memory":
-        return RESULT_STORES.create("memory")
-    if ":" in spec and spec.split(":", 1)[0] in RESULT_STORES:
-        kind, path = spec.split(":", 1)
-        if not path:
-            raise ConfigurationError(f"store spec {spec!r} needs a path")
-        if kind == "jsonl":
-            return RESULT_STORES.create(kind, path, fsync)
-        return RESULT_STORES.create(kind, path)
-    if spec.endswith((".db", ".sqlite", ".sqlite3")):
-        return RESULT_STORES.create("sqlite", spec)
-    return RESULT_STORES.create("jsonl", spec, fsync)
 
 
 def open_result_stream(

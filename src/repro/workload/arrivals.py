@@ -7,7 +7,7 @@ truncation keeps counts >= 1 and sizes > 0, preserving the paper's
 "significant short-term workload variation" while staying physical.
 
 Arrival generators are pluggable through :data:`ARRIVAL_PROCESSES`, the
-same registry shape as ``RESULT_STORES``/``QUEUE_STORES``: the Poisson
+same registry shape as ``LEDGERS``/``PRIORITY_STRATEGIES``: the Poisson
 generator is the ``"batch_poisson"`` default, and ``"trace"`` replays a
 recorded JSONL arrival log (:mod:`repro.workload.traces`) for
 reproducible cross-policy comparisons on identical workloads.

@@ -226,9 +226,10 @@ class TestSweepResults:
         ledger = tmp_path / "r.jsonl"
         assert main(self.SWEEP_ARGS + ["--results-out", str(ledger)]) == 0
         assert capsys.readouterr().out == plain
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
-        state = make_result_store(str(ledger)).load()
+        state = ResultStore(open_ledger(str(ledger))).load()
         assert state.meta is not None
         assert len(state.completed) == 3  # 3 scaling policies x 1 rep
 

@@ -26,12 +26,8 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.results import (
-    JsonlResultStore,
-    ResultRecord,
-    SqliteResultStore,
-    fold_records,
-)
+from repro.core.ledger import JsonlLedger, SqliteLedger
+from repro.sim.results import ResultRecord, ResultStore, fold_records
 
 CELLS = [{"cell": i} for i in range(4)]
 REPS = 3
@@ -141,16 +137,14 @@ class TestRoundTrip:
     def test_persist_reopen_restores_state(self, tmp_path_factory, records,
                                            backend):
         tmp = tmp_path_factory.mktemp("store")
-        if backend == "jsonl":
-            make = lambda: JsonlResultStore(str(tmp / "r.jsonl"))  # noqa: E731
-        else:
-            make = lambda: SqliteResultStore(str(tmp / "r.db"))  # noqa: E731
-        store = make()
+        medium = {"jsonl": JsonlLedger, "sqlite": SqliteLedger}[backend]
+        path = str(tmp / f"r.{backend}")
+        store = ResultStore(medium(path))
         for rec in records:
             store.record(rec)
         live = store.load()
         store.close()
-        reopened = make()
+        reopened = ResultStore(medium(path))
         state = reopened.load()
         reopened.close()
         want_completed = {
@@ -177,14 +171,14 @@ class TestTornTail:
                                                    records, cut_back):
         tmp = tmp_path_factory.mktemp("torn")
         path = tmp / "r.jsonl"
-        store = JsonlResultStore(str(path))
+        store = ResultStore(JsonlLedger(str(path)))
         for rec in records:
             store.record(rec)
         store.close()
         raw = path.read_bytes()
         cut = max(0, len(raw) - cut_back)
         path.write_bytes(raw[:cut])
-        state = JsonlResultStore(str(path)).load()
+        state = ResultStore(JsonlLedger(str(path))).load()
         committed = {r.key: r for r in records}
         # Every surviving key is genuine, with exact metrics...
         for key, rec in state.completed.items():

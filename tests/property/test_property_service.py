@@ -23,7 +23,8 @@ from repro.service.queue import (
     QueuedJob,
     make_strategy,
 )
-from repro.service.store import MemoryQueueStore
+from repro.core.ledger import MemoryLedger
+from repro.service.store import QueueStore
 
 STRATEGY_NAMES = sorted(PRIORITY_STRATEGIES.names())
 
@@ -128,7 +129,7 @@ def test_capacity_is_never_exceeded(jobs, capacity, admission, strategy_name):
 def test_persist_restore_pop_equals_push_pop(ops, strategy_name):
     """The mula recreate-from-storage contract, as a property."""
     queue = JobQueue(capacity=8, strategy=strategy_name)
-    store = MemoryQueueStore()
+    store = QueueStore(MemoryLedger())
     for op in ops:
         if op is None:
             job = queue.pop()

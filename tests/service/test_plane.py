@@ -15,7 +15,8 @@ from repro.core.bus import (
 from repro.core.errors import SCANError
 from repro.service import ServiceConfig, ServicePlane
 from repro.service.plane import PumpedJob
-from repro.service.store import MemoryQueueStore
+from repro.core.ledger import MemoryLedger
+from repro.service.store import QueueStore
 
 
 class FakeClock:
@@ -163,11 +164,11 @@ class TestResilience:
             plane.drain()
 
 
-class FailingStore(MemoryQueueStore):
+class FailingStore(QueueStore):
     """A store whose push writes can be made to fail (disk-full stand-in)."""
 
     def __init__(self):
-        super().__init__()
+        super().__init__(MemoryLedger())
         self.fail_pushes = False
 
     def record_push(self, job):
@@ -197,7 +198,7 @@ class TestWriteAhead:
         # A worker blocked in pop() must not write a pop ledger record
         # that precedes the push record it resolves: on replay the late
         # push would supersede the finish and resurrect completed work.
-        store = MemoryQueueStore()
+        store = QueueStore(MemoryLedger())
         plane = ServicePlane(
             config=ServiceConfig(), store=store, bus=EventBus()
         )
@@ -210,12 +211,13 @@ class TestWriteAhead:
         plane.submit("alice", name="a", size_gb=1.0)
         worker.join(timeout=10.0)
         assert leased and leased[0] is not None
-        assert [r["op"] for r in store._records] == ["push", "pop"]
+        records, _torn = store.ledger.read()
+        assert [r["op"] for r in records] == ["push", "pop"]
 
 
 class TestRecoveryWiring:
     def test_second_plane_recovers_from_shared_store(self):
-        store = MemoryQueueStore()
+        store = QueueStore(MemoryLedger())
         plane, _clock = _plane()
         plane.store = store
         a = plane.submit("alice", name="a", size_gb=1.0)[1]
@@ -231,7 +233,7 @@ class TestRecoveryWiring:
         assert rebuilt.pop().uid == b.uid
 
     def test_recovered_finished_jobs_stay_deduplicated(self):
-        store = MemoryQueueStore()
+        store = QueueStore(MemoryLedger())
         plane, _clock = _plane()
         plane.store = store
         _, job = plane.submit("alice", name="a", size_gb=1.0)

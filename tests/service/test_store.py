@@ -1,18 +1,22 @@
-"""Persistence-backend tests: ledger replay, crash tolerance, compaction."""
+"""Queue-store tests: op replay, crash tolerance seen through the store.
+
+The ledger media themselves are covered in ``tests/core/test_ledger.py``.
+"""
 
 import json
 
 import pytest
 
-from repro.core.errors import ConfigurationError, SCANError
-from repro.service.queue import QueuedJob
-from repro.service.store import (
-    QUEUE_STORES,
-    JsonlQueueStore,
-    MemoryQueueStore,
-    SqliteQueueStore,
-    make_store,
+from repro.core.errors import SCANError
+from repro.core.ledger import (
+    LEDGERS,
+    JsonlLedger,
+    MemoryLedger,
+    SqliteLedger,
+    open_ledger,
 )
+from repro.service.queue import QueuedJob
+from repro.service.store import JsonlQueueStore, QueueStore
 
 
 def _job(uid, tenant="t0", seq=0, **kw):
@@ -22,9 +26,9 @@ def _job(uid, tenant="t0", seq=0, **kw):
 
 def _stores(tmp_path):
     return [
-        MemoryQueueStore(),
+        QueueStore(MemoryLedger()),
         JsonlQueueStore(str(tmp_path / "ledger.jsonl")),
-        SqliteQueueStore(str(tmp_path / "ledger.db")),
+        QueueStore(SqliteLedger(str(tmp_path / "ledger.db"))),
     ]
 
 
@@ -82,18 +86,6 @@ class TestReplaySemantics:
             assert [j.uid for j in state.queued] == ["a"]
             assert "a" not in state.finished
             assert state.accepted == 1
-            store.close()
-
-    def test_compact_keeps_only_live_jobs(self, tmp_path):
-        for store in _stores(tmp_path):
-            store.record_push(_job("live", seq=1))
-            done = _job("done", seq=2)
-            store.record_push(done)
-            store.record_pop(done)
-            store.record_finish(done, "completed")
-            store.compact()
-            state = store.load()
-            assert [j.uid for j in state.queued] == ["live"]
             store.close()
 
 
@@ -186,45 +178,40 @@ class TestJsonlCrashTolerance:
 class TestSqliteReopen:
     def test_state_survives_close_and_reopen(self, tmp_path):
         path = str(tmp_path / "ledger.db")
-        store = SqliteQueueStore(path)
+        store = QueueStore(SqliteLedger(path))
         store.record_push(_job("a", seq=1))
         store.record_push(_job("b", seq=2))
         store.record_pop(_job("a", seq=1))
         store.close()
-        reopened = SqliteQueueStore(path)
+        reopened = QueueStore(SqliteLedger(path))
         state = reopened.load()
         assert [j.uid for j in state.queued] == ["a", "b"]
         assert state.interrupted == ["a"]
         reopened.close()
 
     def test_load_after_close_raises(self, tmp_path):
-        store = SqliteQueueStore(str(tmp_path / "ledger.db"))
+        store = QueueStore(SqliteLedger(str(tmp_path / "ledger.db")))
         store.close()
         with pytest.raises(SCANError):
             store.load()
 
 
 class TestMakeStore:
+    """Spec strings as ``ServiceConfig.store`` hands them to the plane."""
+
     def test_registry_has_all_backends(self):
-        assert {"memory", "jsonl", "sqlite"} <= set(QUEUE_STORES.names())
+        assert {"memory", "jsonl", "sqlite"} <= set(LEDGERS.names())
 
     def test_spec_dispatch(self, tmp_path):
-        assert isinstance(make_store("memory"), MemoryQueueStore)
-        jsonl = make_store(str(tmp_path / "x.jsonl"))
-        assert isinstance(jsonl, JsonlQueueStore)
-        jsonl.close()
-        db = make_store(str(tmp_path / "x.db"))
-        assert isinstance(db, SqliteQueueStore)
-        db.close()
-        explicit = make_store(f"jsonl:{tmp_path / 'y.ledger'}")
-        assert isinstance(explicit, JsonlQueueStore)
-        explicit.close()
-        mem_db = make_store("sqlite::memory:")
-        assert isinstance(mem_db, SqliteQueueStore)
-        mem_db.close()
-
-    def test_bad_specs_raise(self):
-        with pytest.raises(ConfigurationError):
-            make_store("")
-        with pytest.raises(ConfigurationError):
-            make_store("sqlite:")
+        for spec, medium in (
+            ("memory", MemoryLedger),
+            (str(tmp_path / "x.jsonl"), JsonlLedger),
+            (str(tmp_path / "x.db"), SqliteLedger),
+            (f"jsonl:{tmp_path / 'y.ledger'}", JsonlLedger),
+            ("sqlite::memory:", SqliteLedger),
+        ):
+            store = QueueStore(open_ledger(spec))
+            assert isinstance(store.ledger, medium)
+            store.record_push(_job("a", seq=1))
+            assert [j.uid for j in store.load().queued] == ["a"]
+            store.close()

@@ -76,12 +76,13 @@ class TestDagSweepStreaming:
     SPEC = SweepSpec(mean_interarrival=(2.4, 2.8))
 
     def test_streaming_rows_match_in_memory(self, tmp_path):
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
         reference = run_sweep(
             self.fanout_base(), self.SPEC, repetitions=2, base_seed=9
         )
-        store = make_result_store(str(tmp_path / "r.jsonl"))
+        store = ResultStore(open_ledger(str(tmp_path / "r.jsonl")))
         try:
             rows = run_sweep(
                 self.fanout_base(), self.SPEC, repetitions=2, base_seed=9,
@@ -95,10 +96,11 @@ class TestDagSweepStreaming:
         """A fan-out DAG sweep killed mid-flight resumes to rows
         bit-identical to an uninterrupted run, with no duplicated work --
         the PR-8 crash-resume contract, unchanged by DAG workloads."""
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
         path = tmp_path / "r.jsonl"
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         reference = run_sweep(
             self.fanout_base(), self.SPEC, repetitions=2, base_seed=9,
             results=store,
@@ -108,7 +110,7 @@ class TestDagSweepStreaming:
         total_records = len(lines) - 1
         # Simulate a kill after the first completed repetition.
         path.write_text("\n".join(lines[:2]) + "\n")
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         try:
             rows = run_sweep(
                 self.fanout_base(), self.SPEC, repetitions=2, base_seed=9,

@@ -90,11 +90,12 @@ class TestStreamingSinkEquivalence:
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_streamed_rows_byte_identical(self, tmp_path, variant, jobs):
         from repro.sim.parallel import run_sweep_parallel
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
         golden = json.loads(FIXTURE.read_text())[variant]
         config = _variants()[variant]
-        store = make_result_store(str(tmp_path / "ledger.jsonl"))
+        store = ResultStore(open_ledger(str(tmp_path / "ledger.jsonl")))
         try:
             if jobs == 1:
                 rows = run_sweep(config, SPEC, base_seed=0, results=store)

@@ -232,9 +232,10 @@ class TestStreamingResults:
     """
 
     def _store(self, tmp_path, name="r.jsonl"):
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
-        return make_result_store(str(tmp_path / name))
+        return ResultStore(open_ledger(str(tmp_path / name)))
 
     def test_streamed_rows_identical(self, tmp_path):
         serial = run_sweep(small_base(), SPEC, base_seed=42)
@@ -266,7 +267,8 @@ class TestStreamingResults:
         """Regression: the SweepExecutionError path must write ``failed``
         records, so the next ``--resume`` retries those repetitions
         instead of silently treating the sweep as unschedulable."""
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
         cfg = ParallelSweepConfig(
             jobs=2,
@@ -275,7 +277,7 @@ class TestStreamingResults:
             ),
         )
         path = tmp_path / "r.jsonl"
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         with pytest.raises(SweepExecutionError):
             run_sweep_parallel(
                 small_base(),
@@ -286,7 +288,7 @@ class TestStreamingResults:
                 results=store,
             )
         store.close()
-        state = make_result_store(str(path)).load()
+        state = ResultStore(open_ledger(str(path))).load()
         # Every repetition of every cell is dead-lettered in the ledger.
         reps = small_base().simulation.repetitions
         assert len(state.failed) == SPEC.size() * reps
@@ -294,7 +296,7 @@ class TestStreamingResults:
         assert all("poison" in r.error for r in state.failed.values())
         # A resume with a healthy runner retries exactly those and
         # converges on the serial rows.
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         try:
             rows = run_sweep_parallel(
                 small_base(),
@@ -308,17 +310,18 @@ class TestStreamingResults:
             store.close()
         serial = run_sweep(small_base(), SPEC, base_seed=42)
         assert rows_as_bytes(rows) == rows_as_bytes(serial)
-        final = make_result_store(str(path)).load()
+        final = ResultStore(open_ledger(str(path))).load()
         assert len(final.completed) == SPEC.size() * reps
         assert final.failed == {}
 
     @pytest.mark.parametrize("granularity", ["cell", "repetition"])
     def test_resume_partial_cell_runs_only_missing(self, tmp_path,
                                                    granularity):
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
         path = tmp_path / "r.jsonl"
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         run_sweep_parallel(
             small_base(), SPEC, base_seed=42, jobs=2, results=store
         )
@@ -328,7 +331,7 @@ class TestStreamingResults:
         # Drop the last three records: one cell loses both reps, another
         # loses one -- partial-cell resume across task granularities.
         path.write_text("\n".join(lines[:-3]) + "\n")
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         try:
             rows = run_sweep_parallel(
                 small_base(),
@@ -346,16 +349,17 @@ class TestStreamingResults:
         assert len(final) - 1 == total_records  # no duplicates
 
     def test_resume_complete_store_schedules_nothing(self, tmp_path):
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
         path = tmp_path / "r.jsonl"
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         run_sweep_parallel(
             small_base(), SPEC, base_seed=42, jobs=2, results=store
         )
         store.close()
         before = path.read_text()
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         calls = []
         try:
             rows = run_sweep_parallel(
@@ -376,15 +380,16 @@ class TestStreamingResults:
 
     def test_nonempty_store_without_resume_refused(self, tmp_path):
         from repro.core.errors import ConfigurationError
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
         path = tmp_path / "r.jsonl"
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         run_sweep_parallel(
             small_base(), SPEC, base_seed=42, jobs=2, results=store
         )
         store.close()
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         try:
             with pytest.raises(ConfigurationError, match="--resume"):
                 run_sweep_parallel(

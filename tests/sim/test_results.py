@@ -1,7 +1,8 @@
 """Unit suite for the streaming result sink (:mod:`repro.sim.results`).
 
-Backends (memory / JSONL / SQLite), replay semantics (completed wins,
-failed is retryable, duplicates counted), torn-tail repair, the resume
+Stores on each ledger medium (memory / JSONL / SQLite), replay semantics
+(completed wins, failed is retryable, duplicates counted), torn tails as
+the store sees them, the resume
 protocol's header checks, and the incremental aggregator's fold/merge
 behaviour -- all on synthetic records, no simulator in the loop.
 """
@@ -13,23 +14,34 @@ import json
 import pytest
 
 from repro.core.errors import ConfigurationError, SCANError
+from repro.core.ledger import (
+    LEDGERS,
+    JsonlLedger,
+    MemoryLedger,
+    SqliteLedger,
+    open_ledger,
+)
 from repro.sim.results import (
-    RESULT_STORES,
-    JsonlResultStore,
-    MemoryResultStore,
     ResultRecord,
-    SqliteResultStore,
+    ResultStore,
     SweepAggregator,
     SweepMeta,
     failed_records,
     fold_records,
     grid_fingerprint,
-    make_result_store,
     open_result_stream,
     records_from_runs,
 )
 
 CELLS = [{"alpha": 1, "beta": "x"}, {"alpha": 2, "beta": "y"}]
+
+
+def jsonl_store(path) -> ResultStore:
+    return ResultStore(JsonlLedger(str(path)))
+
+
+def memory_store() -> ResultStore:
+    return ResultStore(MemoryLedger())
 
 
 def meta_for(cells=CELLS, repetitions=2, base_seed=0) -> SweepMeta:
@@ -101,16 +113,16 @@ def store_factory(request, tmp_path):
     """Build-or-reopen factory per backend: calling it again reopens."""
     kind = request.param
     if kind == "memory":
-        instance = MemoryResultStore()
+        instance = memory_store()
         return lambda: instance
     if kind == "jsonl":
-        return lambda: JsonlResultStore(str(tmp_path / "r.jsonl"))
-    return lambda: SqliteResultStore(str(tmp_path / "r.db"))
+        return lambda: jsonl_store(tmp_path / "r.jsonl")
+    return lambda: ResultStore(SqliteLedger(str(tmp_path / "r.db")))
 
 
 class TestStores:
     def test_registry_has_all_backends(self):
-        assert {"memory", "jsonl", "sqlite"} <= set(RESULT_STORES.names())
+        assert {"memory", "jsonl", "sqlite"} <= set(LEDGERS.names())
 
     def test_empty_load(self, store_factory):
         store = store_factory()
@@ -168,27 +180,27 @@ class TestStores:
 class TestJsonlTornTail:
     def test_torn_tail_tolerated_and_counted(self, tmp_path):
         path = tmp_path / "r.jsonl"
-        store = JsonlResultStore(str(path))
+        store = jsonl_store(path)
         store.write_meta(meta_for())
         store.record(completed(0, 0))
         store.close()
         with open(path, "a") as fh:
             fh.write('{"op": "result", "record": {"cell_in')
-        state = JsonlResultStore(str(path)).load()
+        state = jsonl_store(path).load()
         assert state.corrupt_records in (0, 1)  # repaired on open
         assert set(state.completed) == {(0, 0)}
 
     def test_reopen_truncates_fragment(self, tmp_path):
         path = tmp_path / "r.jsonl"
-        store = JsonlResultStore(str(path))
+        store = jsonl_store(path)
         store.record(completed(0, 0))
         store.close()
         with open(path, "a") as fh:
             fh.write('{"torn')
-        store = JsonlResultStore(str(path))
+        store = jsonl_store(path)
         store.record(completed(0, 1))
         store.close()
-        state = JsonlResultStore(str(path)).load()
+        state = jsonl_store(path).load()
         assert set(state.completed) == {(0, 0), (0, 1)}
 
     def test_mid_file_corruption_raises(self, tmp_path):
@@ -198,11 +210,11 @@ class TestJsonlTornTail:
         )
         path.write_text(f"not json\n{good}\n")
         with pytest.raises(SCANError, match="corrupt"):
-            JsonlResultStore(str(path)).load()
+            jsonl_store(path).load()
 
     def test_duplicate_completed_counted(self, tmp_path):
         path = tmp_path / "r.jsonl"
-        store = JsonlResultStore(str(path))
+        store = jsonl_store(path)
         store.record(completed(0, 0, value=1.0))
         store.record(completed(0, 0, value=2.0))
         state = store.load()
@@ -212,60 +224,57 @@ class TestJsonlTornTail:
 
 
 class TestMakeResultStore:
+    """Spec strings as ``ResultsConfig.store`` hands them to the CLI."""
+
     def test_memory(self):
-        assert isinstance(make_result_store("memory"), MemoryResultStore)
+        store = ResultStore(open_ledger("memory"))
+        assert isinstance(store.ledger, MemoryLedger)
 
     def test_jsonl_by_suffix(self, tmp_path):
-        store = make_result_store(str(tmp_path / "a.jsonl"))
-        assert isinstance(store, JsonlResultStore)
+        store = ResultStore(open_ledger(str(tmp_path / "a.jsonl")))
+        assert isinstance(store.ledger, JsonlLedger)
         store.close()
 
     @pytest.mark.parametrize("suffix", [".db", ".sqlite", ".sqlite3"])
     def test_sqlite_by_suffix(self, tmp_path, suffix):
-        store = make_result_store(str(tmp_path / f"a{suffix}"))
-        assert isinstance(store, SqliteResultStore)
+        store = ResultStore(open_ledger(str(tmp_path / f"a{suffix}")))
+        assert isinstance(store.ledger, SqliteLedger)
         store.close()
 
     def test_explicit_kind_prefix(self, tmp_path):
-        store = make_result_store(f"sqlite:{tmp_path}/weird.out")
-        assert isinstance(store, SqliteResultStore)
+        store = ResultStore(open_ledger(f"sqlite:{tmp_path}/weird.out"))
+        assert isinstance(store.ledger, SqliteLedger)
         store.close()
 
     def test_fsync_flag_reaches_jsonl(self, tmp_path):
-        store = make_result_store(str(tmp_path / "a.jsonl"), fsync=True)
-        assert store.fsync is True
+        store = ResultStore(open_ledger(str(tmp_path / "a.jsonl"), fsync=True))
+        assert store.ledger.fsync is True
+        store.record(completed(0, 0))
+        assert set(store.load().completed) == {(0, 0)}
         store.close()
-
-    def test_empty_spec_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_result_store("")
-
-    def test_kind_without_path_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_result_store("jsonl:")
 
 
 class TestOpenResultStream:
     def test_fresh_store_writes_header(self):
-        store = MemoryResultStore()
+        store = memory_store()
         state = open_result_stream(store, meta_for())
         assert state.completed == {}
         assert store.load().meta == meta_for()
 
     def test_fresh_store_with_resume_is_fresh_start(self):
-        state = open_result_stream(MemoryResultStore(), meta_for(),
+        state = open_result_stream(memory_store(), meta_for(),
                                    resume=True)
         assert state.meta == meta_for()
 
     def test_nonempty_without_resume_refused(self):
-        store = MemoryResultStore()
+        store = memory_store()
         open_result_stream(store, meta_for())
         store.record(completed(0, 0))
         with pytest.raises(ConfigurationError, match="--resume"):
             open_result_stream(store, meta_for())
 
     def test_resume_reports_completed_keys(self):
-        store = MemoryResultStore()
+        store = memory_store()
         open_result_stream(store, meta_for())
         store.record(completed(0, 0))
         store.record(failed(0, 1))
@@ -274,14 +283,14 @@ class TestOpenResultStream:
         assert set(state.failed) == {(0, 1)}
 
     def test_mismatched_meta_refused(self):
-        store = MemoryResultStore()
+        store = memory_store()
         open_result_stream(store, meta_for())
         other = meta_for(base_seed=99)
         with pytest.raises(ConfigurationError, match="base_seed"):
             open_result_stream(store, other, resume=True)
 
     def test_headerless_records_refused(self):
-        store = MemoryResultStore()
+        store = memory_store()
         store.record(completed(0, 0))
         with pytest.raises(SCANError, match="header"):
             open_result_stream(store, meta_for())

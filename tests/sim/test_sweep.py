@@ -108,10 +108,11 @@ class TestSweepEdgePaths:
         assert run_sweep(tiny_base(), spec, repetitions=1) == []
 
     def test_empty_grid_streaming(self, tmp_path):
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
         spec = SweepSpec(mean_interarrival=())
-        store = make_result_store(str(tmp_path / "r.jsonl"))
+        store = ResultStore(open_ledger(str(tmp_path / "r.jsonl")))
         try:
             assert run_sweep(tiny_base(), spec, results=store) == []
         finally:
@@ -145,9 +146,10 @@ class TestStreamingSerial:
         )
 
     def test_streaming_rows_identical_to_in_memory(self, tmp_path):
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
-        store = make_result_store(str(tmp_path / "r.jsonl"))
+        store = ResultStore(open_ledger(str(tmp_path / "r.jsonl")))
         try:
             rows = run_sweep(
                 tiny_base(), self.SPEC, repetitions=2, base_seed=5,
@@ -158,15 +160,16 @@ class TestStreamingSerial:
         assert rows_canon(rows) == rows_canon(self._reference())
 
     def test_resume_complete_store_runs_nothing(self, tmp_path):
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
         path = tmp_path / "r.jsonl"
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         run_sweep(tiny_base(), self.SPEC, repetitions=2, base_seed=5,
                   results=store)
         store.close()
         before = path.read_text()
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         try:
             rows = run_sweep(
                 tiny_base(), self.SPEC, repetitions=2, base_seed=5,
@@ -179,10 +182,11 @@ class TestStreamingSerial:
         assert rows_canon(rows) == rows_canon(self._reference())
 
     def test_resume_partial_store_runs_only_remainder(self, tmp_path):
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
         path = tmp_path / "r.jsonl"
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         run_sweep(tiny_base(), self.SPEC, repetitions=2, base_seed=5,
                   results=store)
         store.close()
@@ -190,7 +194,7 @@ class TestStreamingSerial:
         total_records = len(lines) - 1  # minus the header
         # Keep the header and the first completed repetition only.
         path.write_text("\n".join(lines[:2]) + "\n")
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         try:
             rows = run_sweep(
                 tiny_base(), self.SPEC, repetitions=2, base_seed=5,
@@ -204,10 +208,11 @@ class TestStreamingSerial:
         assert len(final) - 1 == total_records
 
     def test_progress_fires_per_cell_in_grid_order(self, tmp_path):
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
         seen = []
-        store = make_result_store(str(tmp_path / "r.jsonl"))
+        store = ResultStore(open_ledger(str(tmp_path / "r.jsonl")))
         try:
             run_sweep(
                 tiny_base(), self.SPEC, repetitions=1, base_seed=5,
@@ -222,14 +227,15 @@ class TestStreamingSerial:
 
     def test_nonempty_store_without_resume_refused(self, tmp_path):
         from repro.core.errors import ConfigurationError
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
         path = tmp_path / "r.jsonl"
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         run_sweep(tiny_base(), self.SPEC, repetitions=1, base_seed=5,
                   results=store)
         store.close()
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         try:
             with pytest.raises(ConfigurationError, match="--resume"):
                 run_sweep(
@@ -241,14 +247,15 @@ class TestStreamingSerial:
 
     def test_different_sweep_cannot_resume(self, tmp_path):
         from repro.core.errors import ConfigurationError
-        from repro.sim.results import make_result_store
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
 
         path = tmp_path / "r.jsonl"
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         run_sweep(tiny_base(), self.SPEC, repetitions=1, base_seed=5,
                   results=store)
         store.close()
-        store = make_result_store(str(path))
+        store = ResultStore(open_ledger(str(path)))
         try:
             with pytest.raises(ConfigurationError, match="different sweep"):
                 run_sweep(
