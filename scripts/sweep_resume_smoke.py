@@ -5,8 +5,9 @@ The CI ``sweep-resume-smoke`` job runs this against *real* subprocesses:
 
 1. run the sweep uninterrupted, capturing its table as the reference;
 2. start the identical sweep against a fresh JSONL result ledger, poll
-   the ledger, and SIGKILL the process mid-grid (after some repetitions
-   have committed but before the sweep can finish);
+   the ledger, and SIGKILL its whole process group (driver and pool
+   workers) mid-grid, after some repetitions have committed but before
+   the sweep can finish;
 3. resume with ``--resume`` on the same ledger and let it complete;
 4. assert the conformance contract:
    - **no repetition lost**: the ledger holds every (cell, repetition)
@@ -61,6 +62,11 @@ def _run(extra: list[str]) -> subprocess.CompletedProcess:
 
 
 def _start(extra: list[str]) -> subprocess.Popen:
+    """Start the sweep as the leader of its own process group.
+
+    The ``--jobs`` pool workers join that group, so one ``killpg`` takes
+    down the driver and every worker together.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
     return subprocess.Popen(
@@ -68,7 +74,17 @@ def _start(extra: list[str]) -> subprocess.Popen:
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
+        start_new_session=True,
     )
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL the sweep's whole process group and reap the driver."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # every member already exited
+    proc.wait(timeout=30)
 
 
 def _completed_keys(ledger: str) -> dict[tuple[int, int], int]:
@@ -136,12 +152,8 @@ def main() -> int:
             time.sleep(0.05)
         else:
             raise AssertionError("ledger never accumulated enough records")
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=30)
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10)
+        _kill_group(proc)
 
     survived = _completed_keys(ledger)
     assert len(survived) < total_reps, (

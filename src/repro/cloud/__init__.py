@@ -18,12 +18,7 @@ pluggable backends, plus the pieces the prototype ran on:
   replicated key-value store (Cassandra stand-in) models.
 """
 
-from repro.cloud.infrastructure import (
-    CloudTier,
-    Infrastructure,
-    TierName,
-    tier_name,
-)
+from repro.cloud.infrastructure import CloudTier, Infrastructure
 from repro.cloud.tiers import (
     TIER_BACKENDS,
     TIER_PLACEMENT,
@@ -33,7 +28,6 @@ from repro.cloud.tiers import (
 )
 from repro.cloud.vm import VirtualMachine, VMState
 from repro.cloud.pricing import PricingModel, CostMeter, Invoice
-from repro.cloud.failures import FailureModel
 from repro.cloud.faults import FaultPlan, FaultInjector
 from repro.cloud.celar import CelarManager, CelarDecisionModule, ScalingCommand
 from repro.cloud.storage import SharedFilesystem, ReplicatedKVStore, TransferError
@@ -41,8 +35,6 @@ from repro.cloud.storage import SharedFilesystem, ReplicatedKVStore, TransferErr
 __all__ = [
     "CloudTier",
     "Infrastructure",
-    "TierName",
-    "tier_name",
     "TIER_BACKENDS",
     "TIER_PLACEMENT",
     "OnDemandTier",
@@ -53,7 +45,6 @@ __all__ = [
     "PricingModel",
     "CostMeter",
     "Invoice",
-    "FailureModel",
     "FaultPlan",
     "FaultInjector",
     "CelarManager",

@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.cloud.infrastructure import Infrastructure, tier_name
+from repro.cloud.infrastructure import Infrastructure
 from repro.cloud.vm import VirtualMachine, VMState
 from repro.core.errors import CloudError, TransientDeployError
 from repro.desim.engine import Environment
@@ -104,7 +104,6 @@ class CelarManager:
         :meth:`fit_size` to round up).  Tiers with per-allocation latency
         (a serverless cold start) add it to the boot penalty.
         """
-        tier = tier_name(tier)
         if cores not in self.allowed_sizes:
             raise CloudError(
                 f"{cores} is not an allowed instance size {self.allowed_sizes}"

@@ -1,11 +1,11 @@
 """The fault-injection chaos layer: named, seeded fault streams.
 
-The seed's :class:`~repro.cloud.failures.FailureModel` covers exactly one
-fault class -- exponential VM crashes.  Real elastic clouds fail in many
-more ways: transient provisioning errors, instances that die while
-booting, heavy-tailed stragglers that dominate tail latency, and staging
-corruption that silently invalidates completed work (the FaaS
-variant-calling and GATK-Spark studies in PAPERS.md report all four).
+VM crashes are exponential lifetimes (memoryless, the standard
+availability model).  Real elastic clouds fail in more ways: transient
+provisioning errors, instances that die while booting, heavy-tailed
+stragglers that dominate tail latency, and staging corruption that
+silently invalidates completed work (the FaaS variant-calling and
+GATK-Spark studies in PAPERS.md report all four).
 
 :class:`FaultPlan` is the declarative description of a fault mix;
 :class:`FaultInjector` samples it at runtime.  Every fault class draws
@@ -14,7 +14,7 @@ from its *own* named RNG stream (via
 perturbs another's draws -- and a plan with every knob at zero is
 bit-identical to running without the chaos layer at all.  VM crash
 lifetimes keep the seed's ``"failures"`` stream name so crash-only runs
-reproduce the legacy :class:`FailureModel` draws exactly.
+reproduce the seed's crash draws exactly.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.cloud.failures import FailureModel
-from repro.cloud.infrastructure import tier_name
 from repro.core.errors import CloudError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -92,7 +90,7 @@ class FaultPlan:
         one literally named ``private`` -- elastic tiers (public, spot,
         serverless) share the elastic provisioning failure profile.
         """
-        if tier_name(tier) != "private" and self.p_deploy_fail_public is not None:
+        if tier != "private" and self.p_deploy_fail_public is not None:
             return self.p_deploy_fail_public
         return self.p_deploy_fail
 
@@ -142,30 +140,21 @@ class FaultInjector:
         The fault mix to inject.
     streams:
         The session's named random streams.  Required whenever any
-        probabilistic stream is active (a pre-built ``crash_model`` covers
-        crashes without streams, for legacy callers).
-    crash_model:
-        An existing :class:`FailureModel` to reuse for crash lifetimes;
-        built from ``plan.mtbf_tu`` and *streams* when omitted.
+        stream is active.
     """
 
     def __init__(
         self,
         plan: FaultPlan,
         streams: "RandomStreams | None" = None,
-        crash_model: Optional[FailureModel] = None,
     ) -> None:
         self.plan = plan
         self._streams = streams
-        if crash_model is None and plan.mtbf_tu is not None:
+        self._crash_rng = None
+        if plan.mtbf_tu is not None:
             if streams is None:
                 raise CloudError("crash injection needs RandomStreams")
-            crash_model = FailureModel(
-                plan.mtbf_tu,
-                streams.stream(CRASH_STREAM),
-                public_mtbf_tu=plan.public_mtbf_tu,
-            )
-        self.crash_model = crash_model
+            self._crash_rng = streams.stream(CRASH_STREAM)
         needs_streams = (
             plan.p_boot_fail > 0
             or plan.p_deploy_fail > 0
@@ -182,24 +171,28 @@ class FaultInjector:
         self.corruptions_injected = 0
         self.evictions_drawn = 0
 
-    @staticmethod
-    def from_failure_model(model: FailureModel) -> "FaultInjector":
-        """Wrap a legacy crash-only :class:`FailureModel`."""
-        plan = FaultPlan(
-            mtbf_tu=model.mtbf_tu, public_mtbf_tu=model.public_mtbf_tu
-        )
-        return FaultInjector(plan, crash_model=model)
-
     # -- crashes ---------------------------------------------------------------
     @property
     def crashes_enabled(self) -> bool:
-        return self.crash_model is not None
+        return self._crash_rng is not None
+
+    def mtbf_for(self, tier: str) -> float:
+        """The tier's mean time between crashes (TU).
+
+        The tier literally named ``private`` gets ``mtbf_tu``; every other
+        tier (public, spot, serverless, ...) shares the elastic failure
+        profile, ``public_mtbf_tu`` (``mtbf_tu`` when unset).
+        """
+        plan = self.plan
+        if tier == "private" or plan.public_mtbf_tu is None:
+            return plan.mtbf_tu
+        return plan.public_mtbf_tu
 
     def draw_lifetime(self, tier: str) -> float:
-        """One VM's time-to-failure from boot (TU)."""
-        if self.crash_model is None:
+        """One VM's time-to-failure from boot (TU): exponential, memoryless."""
+        if self._crash_rng is None:
             raise CloudError("crash injection is not enabled")
-        return self.crash_model.draw_lifetime(tier)
+        return float(self._crash_rng.exponential(self.mtbf_for(tier)))
 
     # -- spot evictions --------------------------------------------------------
     def draw_eviction(self, mtbf_tu: float) -> float:

@@ -11,39 +11,20 @@ named :class:`CloudTier` backends (see :mod:`repro.cloud.tiers` for the
 ``TIER_BACKENDS`` registry of ``reserved`` / ``on_demand`` /
 ``serverless`` / ``spot`` implementations) plus a pluggable placement
 policy (``TIER_PLACEMENT``; ``cheapest_first`` reproduces the paper's
-private-first placement).  This module is the *only* place the legacy
-``TierName`` enum and the ``private``/``public`` pair survive -- every
-consumer speaks plain tier-name strings.
+private-first placement).  Tiers are identified by plain name strings;
+this module is the only place the default ``private``/``public`` pair is
+spelled out.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core.errors import CloudError
 from repro.desim.engine import Environment
 from repro.desim.monitor import TimeWeightedMonitor
 
-__all__ = ["TierName", "CloudTier", "Infrastructure", "tier_name"]
-
-
-class TierName(str, enum.Enum):
-    """The two tiers of the paper's hybrid cloud (Section IV-A).
-
-    Kept as a compatibility alias for the default configuration; the
-    N-tier stack identifies tiers by plain strings.  ``TierName`` is a
-    ``str`` subclass, so members compare equal to their names and pass
-    through :func:`tier_name` unchanged.
-    """
-    PRIVATE = "private"
-    PUBLIC = "public"
-
-
-def tier_name(tier: Any) -> str:
-    """Normalise a tier handle (enum member or string) to its name."""
-    value = getattr(tier, "value", tier)
-    return value if isinstance(value, str) else str(value)
+__all__ = ["CloudTier", "Infrastructure"]
 
 
 class CloudTier:
@@ -76,7 +57,6 @@ class CloudTier:
         capacity_cores: int,
         core_cost_per_tu: float,
     ) -> None:
-        name = tier_name(name)
         if not name:
             raise CloudError("tier name must be non-empty")
         if capacity_cores < 0:
@@ -234,8 +214,8 @@ class Infrastructure:
             from repro.cloud.tiers import OnDemandTier
 
             tiers = (
-                CloudTier(env, TierName.PRIVATE, private_cores, private_cost),
-                OnDemandTier(env, TierName.PUBLIC, public_cores, public_cost),
+                CloudTier(env, "private", private_cores, private_cost),
+                OnDemandTier(env, "public", public_cores, public_cost),
             )
         self._tiers: tuple[CloudTier, ...] = tuple(tiers)
         if not self._tiers:
@@ -247,7 +227,7 @@ class Infrastructure:
             self._by_name[t.name] = t
         from repro.cloud.tiers import TIER_PLACEMENT
 
-        self.placement = tier_name(placement)
+        self.placement = placement
         self._place = TIER_PLACEMENT.create(self.placement)
 
     # -- tier access ------------------------------------------------------------
@@ -259,14 +239,13 @@ class Infrastructure:
     def tier_names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self._tiers)
 
-    def tier(self, name) -> CloudTier:
-        """The tier object for *name* (string or legacy enum member)."""
-        key = tier_name(name)
+    def tier(self, name: str) -> CloudTier:
+        """The tier object named *name*."""
         try:
-            return self._by_name[key]
+            return self._by_name[name]
         except KeyError:
             raise CloudError(
-                f"unknown tier {key!r}; configured: {list(self._by_name)}"
+                f"unknown tier {name!r}; configured: {list(self._by_name)}"
             ) from None
 
     @property
@@ -296,12 +275,12 @@ class Infrastructure:
     @property
     def private(self) -> CloudTier:
         """Legacy accessor: the tier named ``private`` (default stack)."""
-        return self.tier(TierName.PRIVATE)
+        return self.tier("private")
 
     @property
     def public(self) -> CloudTier:
         """Legacy accessor: the tier named ``public`` (default stack)."""
-        return self.tier(TierName.PUBLIC)
+        return self.tier("public")
 
     # -- placement --------------------------------------------------------------
     def place(

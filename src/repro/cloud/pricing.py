@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from repro.cloud.infrastructure import tier_name
 from repro.core.errors import CloudError
 
 __all__ = ["PricingModel", "CostMeter", "Invoice"]
@@ -44,10 +43,9 @@ class PricingModel:
         Unlisted tiers quote the public price: overflow capacity prices
         at the elastic rate.
         """
-        name = tier_name(tier)
-        if name in self.tier_costs:
-            return self.tier_costs[name]
-        if name == "private":
+        if tier in self.tier_costs:
+            return self.tier_costs[tier]
+        if tier == "private":
             return self.private_core_cost
         return self.public_core_cost
 
@@ -91,15 +89,14 @@ class Invoice:
 
     def tier_cu(self, tier: str) -> float:
         """Spend charged against one tier so far."""
-        return self.by_tier.get(tier_name(tier), 0.0)
+        return self.by_tier.get(tier, 0.0)
 
     def add(
         self, time: float, tier: str, cores: int, duration: float, cost: float
     ) -> None:
         """Append one charge line and update the tier subtotal."""
-        name = tier_name(tier)
-        self.items.append((time, name, cores, duration, cost))
-        self.by_tier[name] = self.by_tier.get(name, 0.0) + cost
+        self.items.append((time, tier, cores, duration, cost))
+        self.by_tier[tier] = self.by_tier.get(tier, 0.0) + cost
 
 
 class CostMeter:

@@ -14,7 +14,7 @@ import itertools
 from typing import Optional
 
 from repro.core.errors import CloudError
-from repro.cloud.infrastructure import Infrastructure, tier_name
+from repro.cloud.infrastructure import Infrastructure
 from repro.desim.engine import Environment
 
 __all__ = ["VMState", "VirtualMachine"]
@@ -53,7 +53,7 @@ class VirtualMachine:
         self.infrastructure = infrastructure
         self.uid = next(_vm_ids)
         self.cores = cores
-        self.tier = tier_name(tier)
+        self.tier = tier
         self.startup_penalty_tu = startup_penalty_tu
         self.state = VMState.BOOTING
         self.hired_at = env.now

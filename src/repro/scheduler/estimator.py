@@ -112,9 +112,12 @@ class PipelineEstimator:
         self.eqt_alpha = eqt_alpha
         if estimates is not None:
             self.estimates: EstimateProvider = estimates
-        elif workflow is not None and not workflow.is_chain:
-            # A DAG has more (and differently scoped) nodes than the entry
-            # app; the app-shaped default would mis-size every index.
+        elif workflow is not None and (
+            not workflow.is_chain or workflow.n_nodes != app.n_stages
+        ):
+            # A DAG (or a multi-app chain) has more, differently scoped
+            # nodes than the entry app; the app-shaped default would
+            # mis-size every index.
             from repro.knowledge.plane import WorkflowStaticProvider
 
             self.estimates = WorkflowStaticProvider(workflow)

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.apps.base import ApplicationModel
 from repro.cloud.celar import CelarManager
-from repro.cloud.failures import FailureModel
 from repro.cloud.faults import FaultInjector
 from repro.cloud.infrastructure import Infrastructure
 from repro.desim.process import Interrupt
@@ -109,7 +108,6 @@ class SCANScheduler:
         config: Optional[SchedulerConfig] = None,
         event_log: Optional[EventLog] = None,
         actual_app: Optional[ApplicationModel] = None,
-        failure_model: Optional[FailureModel] = None,
         faults: Optional[FaultInjector] = None,
         resilience: Optional[ResilienceConfig] = None,
         telemetry: "Optional[TelemetryHub]" = None,
@@ -149,9 +147,6 @@ class SCANScheduler:
         self.config = config if config is not None else SchedulerConfig()
         self.log = event_log if event_log is not None else EventLog()
 
-        if faults is None and failure_model is not None:
-            # Legacy crash-only construction path.
-            faults = FaultInjector.from_failure_model(failure_model)
         #: The chaos layer (None = fault-free run).
         self.faults = faults
         self.resilience = (

@@ -22,7 +22,6 @@ from collections import Counter
 from typing import Callable, Optional
 
 from repro.cloud.celar import CelarManager
-from repro.cloud.failures import FailureModel
 from repro.cloud.faults import FaultInjector
 from repro.cloud.vm import VirtualMachine, VMState
 from repro.core.errors import SchedulingError
@@ -81,15 +80,11 @@ class WorkerPools:
         celar: CelarManager,
         idle_timeout_tu: float = 2.0,
         reap_interval_tu: float = 1.0,
-        failure_model: Optional[FailureModel] = None,
         injector: Optional[FaultInjector] = None,
         tracer=None,
     ) -> None:
         if idle_timeout_tu < 0 or reap_interval_tu <= 0:
             raise SchedulingError("invalid reaper configuration")
-        if injector is None and failure_model is not None:
-            # Legacy crash-only callers hand us a bare FailureModel.
-            injector = FaultInjector.from_failure_model(failure_model)
         self.env = env
         self.celar = celar
         self.idle_timeout_tu = idle_timeout_tu
@@ -126,13 +121,6 @@ class WorkerPools:
         self.boot_failures = 0
         self.evicted = 0
         self._reaper_started = False
-
-    @property
-    def failure_model(self) -> Optional[FailureModel]:
-        """The crash lifetime model, if crashes are enabled (legacy view)."""
-        if self.injector is None:
-            return None
-        return self.injector.crash_model
 
     @property
     def _crashes_enabled(self) -> bool:

@@ -10,11 +10,11 @@ network analysis.
   applications, with format-compatibility and acyclicity validation.
 - :mod:`repro.workflows.compiled` -- specs lowered into topologically
   indexed node graphs the scheduler/estimator/knowledge plane execute
-  natively (chains are the degenerate case, kept byte-identical).
-- :mod:`repro.workflows.engine` -- executes a workflow on the simulated
-  cloud: one SCAN scheduler per application class, all sharing the
-  infrastructure; a step is submitted the moment its upstream outputs
-  exist.
+  natively (chains are the degenerate case, kept byte-identical).  A
+  workflow runs as one ``Job(..., workflow=wf)`` on one
+  :class:`~repro.scheduler.scheduler.SCANScheduler`, which releases a
+  step when its last parent completes and routes each node to its
+  application's worker class.
 - :mod:`repro.workflows.library` -- ready-made workflows: the Figure 1
   integrative flow, variant-detection and miRNA-fusion chains (the
   ontology's workflow individuals, made executable), plus the
@@ -43,8 +43,6 @@ __all__ = [
     "WorkflowNode",
     "chain_of",
     "compile_spec",
-    "WorkflowEngine",
-    "WorkflowRun",
     "WORKFLOWS",
     "make_workflow",
     "workflow_names",
@@ -54,14 +52,3 @@ __all__ = [
     "gatk_chain_workflow",
     "star_fanout_workflow",
 ]
-
-
-def __getattr__(name: str):
-    # The engine pulls in the scheduler stack; importing it lazily keeps
-    # `repro.workflows.compiled` importable from inside that stack
-    # (tasks/estimator) without a circular import.
-    if name in ("WorkflowEngine", "WorkflowRun"):
-        from repro.workflows import engine
-
-        return getattr(engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

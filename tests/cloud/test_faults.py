@@ -1,9 +1,7 @@
 """Tests for the chaos layer: FaultPlan validation + FaultInjector streams."""
 
-import numpy as np
 import pytest
 
-from repro.cloud.failures import FailureModel
 from repro.cloud.faults import FaultInjector, FaultPlan
 from repro.core.config import CloudConfig, FaultConfig
 from repro.core.errors import CloudError
@@ -66,20 +64,14 @@ class TestFaultInjector:
         with pytest.raises(CloudError):
             FaultInjector(FaultPlan(mtbf_tu=50.0))
 
-    def test_from_failure_model_preserves_crash_draws(self):
-        model = FailureModel(40.0, np.random.default_rng(3))
-        injector = FaultInjector.from_failure_model(model)
-        assert injector.crashes_enabled
-        assert injector.crash_model is model
-        assert injector.draw_lifetime("private") > 0
-
-    def test_crash_stream_matches_legacy_failure_model(self):
-        """Crash-only plans must replay the seed's ``"failures"`` stream."""
-        legacy = FailureModel(40.0, RandomStreams(7).stream("failures"))
+    def test_crash_stream_is_the_seed_failures_stream(self):
+        """Crash lifetimes are exponential draws on the ``"failures"`` stream."""
+        reference = RandomStreams(7).stream("failures")
         injector = FaultInjector(FaultPlan(mtbf_tu=40.0), RandomStreams(7))
+        assert injector.crashes_enabled
         for _ in range(50):
-            assert injector.draw_lifetime("public") == pytest.approx(
-                legacy.draw_lifetime("public")
+            assert injector.draw_lifetime("public") == float(
+                reference.exponential(40.0)
             )
 
     def test_draw_lifetime_requires_crashes(self):

@@ -5,6 +5,7 @@ suite (same code paths) and skipped here for time; the rest run end to end
 as subprocesses, exactly as a user would invoke them.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,7 +65,16 @@ class TestExamples:
         out = run_example("integrative_workflow.py")
         assert "workflow complete" in out
         assert "bwa, cellprofiler, cytoscape, gatk, maxquant" in out
-        assert "shards=" in out
+        # The step timeline: all three entry branches start, and the
+        # integration step starts only after the slowest branch finished.
+        events = re.findall(r"^\s*t=\s*[\d.]+\s+(start|finish)\s+(\w+)$", out, re.M)
+        for entry in ("align", "peptides", "phenotypes"):
+            assert ("start", entry) in events
+        assert events.index(("start", "integrate")) > max(
+            events.index(("finish", tail))
+            for tail in ("variants", "peptides", "phenotypes")
+        )
+        assert events[-1] == ("finish", "integrate")
 
     def test_custom_policy_demo(self):
         out = run_example("custom_policy_demo.py")

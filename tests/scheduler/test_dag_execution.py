@@ -22,8 +22,17 @@ from repro.scheduler.scaling import AlwaysScale
 from repro.scheduler.scheduler import SCANScheduler
 from repro.scheduler.tasks import Job
 from repro.workflows.compiled import chain_of, compile_spec
-from repro.workflows.library import star_fanout_workflow
+from repro.workflows.library import make_workflow, star_fanout_workflow
 from repro.workflows.spec import WorkflowSpec, WorkflowStep
+
+
+#: Worker classes each library DAG's nodes must run on.
+WORKER_CLASSES = {
+    "star_fanout": {"star", "gatk", "mutect", "cytoscape"},
+    "integrative_figure1": {
+        "bwa", "gatk", "maxquant", "cellprofiler", "cytoscape",
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -184,27 +193,49 @@ class TestSchedulerRunsDags:
         scheduler.start()
         return scheduler
 
-    def test_dag_job_completes_every_node(self, fanout):
+    def _run(self, name):
+        """Run one job of library workflow *name* to completion."""
+        spec = make_workflow(name)
+        wf = compile_spec(spec)
+        app = spec.registry.get(wf.node(wf.entries[0]).app_name)
         env = Environment()
-        app = star_fanout_workflow().registry.get("star")
-        scheduler = self._build(env, fanout, app)
-        job = Job(app=app, size=5.0, submit_time=0.0, workflow=fanout)
+        scheduler = self._build(env, wf, app)
+        job = Job(app=app, size=5.0, submit_time=0.0, workflow=wf)
         scheduler.submit(job)
         env.run(until=1000.0)
         assert job.is_complete
-        assert len(job.history) == fanout.n_nodes
-        assert job.completed_steps == frozenset(range(fanout.n_nodes))
+        return scheduler, wf, job
 
-    def test_branch_nodes_run_on_their_own_worker_classes(self, fanout):
-        env = Environment()
-        app = star_fanout_workflow().registry.get("star")
-        scheduler = self._build(env, fanout, app)
-        job = Job(app=app, size=5.0, submit_time=0.0, workflow=fanout)
-        scheduler.submit(job)
-        env.run(until=1000.0)
-        assert job.is_complete
-        classes = {scheduler._worker_class(i) for i in range(fanout.n_nodes)}
-        assert classes == {"star", "gatk", "mutect", "cytoscape"}
+    @pytest.mark.parametrize("name", sorted(WORKER_CLASSES))
+    def test_dag_job_completes_every_node(self, name):
+        _, wf, job = self._run(name)
+        assert len(job.history) == wf.n_nodes
+        assert job.completed_steps == frozenset(range(wf.n_nodes))
+
+    @pytest.mark.parametrize("name", sorted(WORKER_CLASSES))
+    def test_branch_nodes_run_on_their_own_worker_classes(self, name):
+        scheduler, wf, job = self._run(name)
+        classes = {scheduler._worker_class(r.stage) for r in job.history}
+        assert classes == WORKER_CLASSES[name]
+
+    def test_figure1_fan_in_waits_for_all_three_branches(self):
+        """Integration starts after the last node of every omics branch,
+        and the three entry branches run at the same time."""
+        _, wf, job = self._run("integrative_figure1")
+        spans = {}
+        for r in job.history:
+            step = wf.node(r.stage).scope.rsplit("/", 1)[-1]
+            start, finish = spans.get(step, (r.started_at, r.finished_at))
+            spans[step] = (min(start, r.started_at), max(finish, r.finished_at))
+        branches = {
+            "ngs": ("align", "variants"),
+            "proteomics": ("peptides",),
+            "imaging": ("phenotypes",),
+        }
+        ends = {b: max(spans[s][1] for s in steps) for b, steps in branches.items()}
+        starts = {b: spans[steps[0]][0] for b, steps in branches.items()}
+        assert spans["integrate"][0] >= max(ends.values())
+        assert max(starts.values()) < min(ends.values())
 
     def test_mismatched_job_workflow_rejected(self, fanout, gatk_model):
         env = Environment()

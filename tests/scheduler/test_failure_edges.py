@@ -2,20 +2,16 @@
 booting, the reaper racing the doom timer, and the force-free stall-breaker
 with nothing to free."""
 
-import numpy as np
-
 from repro.cloud.celar import CelarManager
-from repro.cloud.failures import FailureModel
-from repro.cloud.faults import FaultInjector
+from repro.cloud.faults import FaultInjector, FaultPlan
 from repro.cloud.infrastructure import Infrastructure
+from repro.desim.rng import RandomStreams
 from repro.scheduler.workers import WorkerPools
 
 
 def fixed_lifetime_injector(lifetime: float) -> FaultInjector:
     """A crash injector whose every VM lives exactly *lifetime* TU."""
-    injector = FaultInjector.from_failure_model(
-        FailureModel(50.0, np.random.default_rng(0))
-    )
+    injector = FaultInjector(FaultPlan(mtbf_tu=50.0), RandomStreams(0))
     injector.draw_lifetime = lambda tier: lifetime  # type: ignore[method-assign]
     return injector
 

@@ -5,12 +5,13 @@ import pytest
 
 from repro.apps.base import ExecutionPlan
 from repro.cloud.celar import CelarManager
-from repro.cloud.failures import FailureModel
+from repro.cloud.faults import FaultInjector, FaultPlan
 from repro.cloud.infrastructure import Infrastructure
 from repro.core.config import PlatformConfig
 from repro.core.errors import CloudError
 from repro.core.events import EventKind
 from repro.desim.engine import Environment
+from repro.desim.rng import RandomStreams
 from repro.scheduler.allocation import BestConstantAllocation
 from repro.scheduler.rewards import TimeReward
 from repro.scheduler.scaling import AlwaysScale
@@ -19,25 +20,33 @@ from repro.scheduler.tasks import Job
 from repro.sim.session import SimulationSession
 
 
-class TestFailureModel:
+def crash_injector(mtbf, seed, public_mtbf=None):
+    plan = FaultPlan(mtbf_tu=mtbf, public_mtbf_tu=public_mtbf)
+    return FaultInjector(plan, RandomStreams(seed))
+
+
+class TestCrashLifetimes:
     def test_lifetime_mean_matches_mtbf(self):
-        rng = np.random.default_rng(1)
-        model = FailureModel(50.0, rng)
-        draws = [model.draw_lifetime("private") for _ in range(20_000)]
+        injector = crash_injector(50.0, seed=1)
+        draws = [injector.draw_lifetime("private") for _ in range(20_000)]
         assert np.mean(draws) == pytest.approx(50.0, rel=0.05)
 
     def test_separate_public_mtbf(self):
-        rng = np.random.default_rng(2)
-        model = FailureModel(100.0, rng, public_mtbf_tu=10.0)
-        assert model.mtbf_for("private") == 100.0
-        assert model.mtbf_for("public") == 10.0
+        injector = crash_injector(100.0, seed=2, public_mtbf=10.0)
+        assert injector.mtbf_for("private") == 100.0
+        assert injector.mtbf_for("public") == 10.0
+        # Every non-private tier shares the elastic profile.
+        assert injector.mtbf_for("spot") == 10.0
+        draws = [injector.draw_lifetime("public") for _ in range(20_000)]
+        assert np.mean(draws) == pytest.approx(10.0, rel=0.05)
+        # Without an override the public tier inherits the private MTBF.
+        assert crash_injector(100.0, seed=2).mtbf_for("public") == 100.0
 
     def test_validation(self):
-        rng = np.random.default_rng(3)
         with pytest.raises(CloudError):
-            FailureModel(0.0, rng)
+            crash_injector(0.0, seed=3)
         with pytest.raises(CloudError):
-            FailureModel(10.0, rng, public_mtbf_tu=-1.0)
+            crash_injector(10.0, seed=3, public_mtbf=-1.0)
 
 
 def build_failing_scheduler(env, gatk_model, mtbf):
@@ -47,7 +56,7 @@ def build_failing_scheduler(env, gatk_model, mtbf):
         env, gatk_model, infra, celar, TimeReward(),
         BestConstantAllocation(ExecutionPlan.uniform(7, 1)),
         AlwaysScale(),
-        failure_model=FailureModel(mtbf, np.random.default_rng(7)),
+        faults=crash_injector(mtbf, seed=7),
     )
     scheduler.start()
     return scheduler

@@ -1,211 +1,185 @@
-"""Tests for the workflow execution engine."""
+"""Library workflows run end to end on the scheduler's native DAG path.
+
+A workflow spec compiles to one node graph and runs as one
+``Job(..., workflow=wf)`` on one :class:`SCANScheduler`; these tests pin
+step ordering, fan-in barriers, branch concurrency, per-application
+fleets and billing for whole flows.  A node's step is the tail of its
+scope (``"IntegrativeNetworkAnalysis/align"`` -> ``"align"``).
+"""
 
 import pytest
 
 from repro.cloud.celar import CelarManager
 from repro.cloud.infrastructure import Infrastructure
-from repro.core.config import SchedulerConfig, AllocationAlgorithm
-from repro.core.errors import SCANError
+from repro.core.config import SchedulerConfig
+from repro.core.errors import SchedulingError
 from repro.desim.engine import Environment
+from repro.scheduler.allocation import (
+    BestConstantAllocation,
+    find_best_constant_plan,
+    make_allocation_policy,
+)
 from repro.scheduler.rewards import ThroughputReward
-from repro.workflows.engine import WorkflowEngine
+from repro.scheduler.scaling import make_scaling_policy
+from repro.scheduler.scheduler import SCANScheduler
+from repro.scheduler.tasks import Job
+from repro.workflows.compiled import compile_spec
 from repro.workflows.library import (
     integrative_figure1_workflow,
     mirna_fusion_workflow,
     variation_detection_workflow,
 )
-from repro.workflows.spec import WorkflowError
 
 
-@pytest.fixture
-def engine():
-    env = Environment()
-    infra = Infrastructure(env)
-    celar = CelarManager(env, infra)
-    return WorkflowEngine(env, infra, celar, ThroughputReward())
+class Run:
+    """One workflow spec on a fresh cloud with the default policies."""
 
+    def __init__(self, spec, allocation=None):
+        self.spec = spec
+        self.wf = compile_spec(spec)
+        self.env = Environment()
+        self.infra = Infrastructure(self.env)
+        config = SchedulerConfig()
+        self.app = spec.registry.get(self.wf.node(self.wf.entries[0]).app_name)
+        self.scheduler = SCANScheduler(
+            self.env, self.app, self.infra,
+            CelarManager(self.env, self.infra), ThroughputReward(),
+            allocation or make_allocation_policy(config.allocation),
+            make_scaling_policy(
+                config.scaling, horizon_tu=config.predictive_horizon
+            ),
+            config=config,
+            workflow=self.wf,
+        )
+        self.scheduler.start()
 
-class TestSubmission:
-    def test_missing_entry_size_rejected(self, engine):
-        with pytest.raises(WorkflowError, match="missing"):
-            engine.submit(variation_detection_workflow(), {})
+    def submit(self, size):
+        job = Job(app=self.app, size=size, submit_time=self.env.now,
+                  workflow=self.wf)
+        return self.scheduler.submit(job)
 
-    def test_unknown_step_size_rejected(self, engine):
-        with pytest.raises(WorkflowError, match="unknown"):
-            engine.submit(
-                variation_detection_workflow(),
-                {"align": 1.0, "ghost": 2.0},
-            )
+    def step(self, index):
+        return self.wf.node(index).scope.rsplit("/", 1)[-1]
 
-    def test_size_for_non_entry_rejected(self, engine):
-        with pytest.raises(WorkflowError, match="not an entry"):
-            engine.submit(
-                variation_detection_workflow(),
-                {"align": 1.0, "call": 2.0},
-            )
+    def span(self, job, step):
+        """(first start, last finish) of *step*'s nodes in *job*."""
+        records = [r for r in job.history if self.step(r.stage) == step]
+        assert records, f"step {step!r} never ran"
+        return (min(r.started_at for r in records),
+                max(r.finished_at for r in records))
 
-    def test_nonpositive_size_rejected(self, engine):
-        with pytest.raises(WorkflowError, match="positive"):
-            engine.submit(variation_detection_workflow(), {"align": 0.0})
+    def steps_done(self, job):
+        """Steps whose every node has completed."""
+        return {
+            step for step in self.spec.steps
+            if all(job.step_done(n.index) for n in self.wf
+                   if self.step(n.index) == step)
+        }
 
 
 class TestExecution:
-    def test_linear_chain_runs_in_order(self, engine):
-        spec = variation_detection_workflow()
-        run = engine.submit(spec, {"align": 5.0})
-        engine.env.run(until=2000.0)
-        assert run.is_complete
-        align, call = run.jobs["align"][0], run.jobs["call"][0]
+    def test_linear_chain_runs_in_order(self):
+        run = Run(variation_detection_workflow())
+        job = run.submit(5.0)
+        run.env.run(until=2000.0)
+        assert job.is_complete
         # The GATK step cannot start before the alignment finished.
-        assert call.submit_time >= align.completed_at
-        assert run.latency() > 0
+        assert run.span(job, "call")[0] >= run.span(job, "align")[1]
+        assert job.latency() > 0
 
-    def test_fan_in_waits_for_all_parents(self, engine):
+    def test_fan_in_waits_for_all_parents(self):
         spec = mirna_fusion_workflow()
-        run = engine.submit(spec, {"align_tumour": 8.0, "align_normal": 2.0})
-        engine.env.run(until=3000.0)
-        assert run.is_complete
-        somatic = run.jobs["somatic"][0]
+        run = Run(spec)
+        job = run.submit(5.0)
+        run.env.run(until=3000.0)
+        assert job.is_complete
+        somatic_start = run.span(job, "somatic")[0]
         for parent in ("align_tumour", "align_normal"):
-            assert somatic.submit_time >= run.step_completed_at(parent)
-        # Fan-in input size: sum of both alignments' outputs.
-        assert somatic.input_gb == pytest.approx(10.0)
-
-    def test_figure1_full_dag(self, engine):
-        spec = integrative_figure1_workflow()
-        run = engine.submit(
-            spec, {"align": 10.0, "peptides": 3.0, "phenotypes": 8.0}
+            assert somatic_start >= run.span(job, parent)[1]
+        # Fan-in input size: the sum of both alignments' outputs.
+        head = min(n.index for n in run.wf if run.step(n.index) == "somatic")
+        outputs = sum(
+            spec.steps[p].output_ratio for p in ("align_tumour", "align_normal")
         )
-        engine.env.run(until=3000.0)
-        assert run.is_complete
-        assert run.step_state() == {
-            name: "completed" for name in spec.topological_order
-        }
-        # One scheduler per application, all sharing the infrastructure.
-        assert set(engine.schedulers) == {
+        assert run.wf.node_input_gb(head, 5.0) == pytest.approx(5.0 * outputs)
+
+    def test_figure1_full_dag(self):
+        spec = integrative_figure1_workflow()
+        run = Run(spec)
+        job = run.submit(10.0)
+        run.env.run(until=3000.0)
+        assert job.is_complete
+        assert run.steps_done(job) == set(spec.topological_order)
+        # One fleet per application, all on one scheduler.
+        fleets = {run.wf.node(r.stage).worker_class for r in job.history}
+        assert fleets == {
             "bwa", "gatk", "maxquant", "cellprofiler", "cytoscape",
         }
 
-    def test_branches_run_concurrently(self, engine):
+    def test_branches_run_concurrently(self):
         """Independent branches must overlap in time."""
-        spec = integrative_figure1_workflow()
-        run = engine.submit(
-            spec, {"align": 10.0, "peptides": 10.0, "phenotypes": 10.0}
-        )
-        engine.env.run(until=3000.0)
-        align = run.jobs["align"][0]
-        peptides = run.jobs["peptides"][0]
-        # Both entry jobs started at t=0-ish and overlapped.
-        assert align.history[0].started_at < peptides.completed_at
-        assert peptides.history[0].started_at < align.completed_at
+        run = Run(integrative_figure1_workflow())
+        job = run.submit(10.0)
+        run.env.run(until=3000.0)
+        align = run.span(job, "align")
+        peptides = run.span(job, "peptides")
+        assert align[0] < peptides[1]
+        assert peptides[0] < align[1]
 
-    def test_step_state_progression(self, engine):
-        spec = variation_detection_workflow()
-        run = engine.submit(spec, {"align": 5.0})
-        assert run.step_state()["align"] == "running"
-        assert run.step_state()["call"] == "pending"
-        engine.env.run(until=2000.0)
-        assert run.step_state()["call"] == "completed"
+    def test_step_state_progression(self):
+        run = Run(variation_detection_workflow())
+        job = run.submit(5.0)
+        seen = [run.steps_done(job)]
+        while not job.is_complete and run.env.now < 2000.0:
+            run.env.run(until=run.env.now + 1.0)
+            if run.steps_done(job) != seen[-1]:
+                seen.append(run.steps_done(job))
+        assert seen == [set(), {"align"}, {"align", "call"}]
 
-    def test_latency_before_completion_raises(self, engine):
-        run = engine.submit(variation_detection_workflow(), {"align": 5.0})
-        with pytest.raises(SCANError):
-            run.latency()
+    def test_latency_before_completion_raises(self):
+        run = Run(variation_detection_workflow())
+        job = run.submit(5.0)
+        with pytest.raises(SchedulingError):
+            job.latency()
 
 
 class TestSharedResources:
-    def test_all_fleets_bill_one_infrastructure(self, engine):
-        spec = integrative_figure1_workflow()
-        engine.submit(spec, {"align": 10.0, "peptides": 3.0, "phenotypes": 8.0})
-        engine.env.run(until=3000.0)
-        total = engine.total_cost()
+    def test_all_fleets_bill_one_infrastructure(self):
+        run = Run(integrative_figure1_workflow())
+        run.submit(10.0)
+        run.env.run(until=3000.0)
+        total = run.infra.accumulated_cost()
         assert total > 0
-        # Cost equals the infrastructure integral, not a per-scheduler sum.
+        # Every fleet's core-time lands on the one tier stack.
         assert total == pytest.approx(
-            engine.infrastructure.accumulated_cost()
+            sum(t.accumulated_cost() for t in run.infra.tiers)
         )
 
-    def test_workflow_reward_uses_total_input(self, engine):
-        spec = variation_detection_workflow()
-        run = engine.submit(spec, {"align": 5.0})
-        engine.env.run(until=2000.0)
-        expected = ThroughputReward()(run.latency(), 5.0)
-        assert engine.workflow_reward(run) == pytest.approx(expected)
+    def test_workflow_reward_uses_total_input(self):
+        run = Run(variation_detection_workflow())
+        job = run.submit(5.0)
+        run.env.run(until=2000.0)
+        expected = ThroughputReward()(job.latency(), 5.0)
+        assert job.reward_paid == pytest.approx(expected)
 
     def test_best_constant_config_supported(self):
-        env = Environment()
-        infra = Infrastructure(env)
-        celar = CelarManager(env, infra)
-        engine = WorkflowEngine(
-            env, infra, celar, ThroughputReward(),
-            scheduler_config=SchedulerConfig(
-                allocation=AllocationAlgorithm.BEST_CONSTANT
-            ),
+        spec = variation_detection_workflow()
+        plan = find_best_constant_plan(
+            compile_spec(spec).as_app(), ThroughputReward(),
+            core_cost=5.0, job_size=5.0,
         )
-        run = engine.submit(variation_detection_workflow(), {"align": 5.0})
-        env.run(until=2000.0)
-        assert run.is_complete
+        run = Run(spec, allocation=BestConstantAllocation(plan))
+        job = run.submit(5.0)
+        run.env.run(until=2000.0)
+        assert job.is_complete
 
-    def test_multiple_runs_share_schedulers(self, engine):
-        spec = variation_detection_workflow()
-        r1 = engine.submit(spec, {"align": 4.0})
-        r2 = engine.submit(spec, {"align": 6.0})
-        engine.env.run(until=3000.0)
-        assert r1.is_complete and r2.is_complete
-        assert len(engine.schedulers) == 2  # bwa + gatk, not 4
-        gatk = engine.schedulers["gatk"]
-        assert len(gatk.completed_jobs) == 2
-
-
-class TestStepSharding:
-    def make_sharded_engine(self, shard_gb):
-        env = Environment()
-        infra = Infrastructure(env)
-        celar = CelarManager(env, infra)
-        return WorkflowEngine(
-            env, infra, celar, ThroughputReward(), shard_gb=shard_gb
-        )
-
-    def test_large_step_split_into_shards(self):
-        engine = self.make_sharded_engine(shard_gb=2.0)
-        spec = variation_detection_workflow()
-        run = engine.submit(spec, {"align": 10.0})
-        engine.env.run(until=3000.0)
-        assert run.is_complete
-        align_jobs = run.step_jobs("align")
-        assert len(align_jobs) == 5
-        assert sum(j.input_gb for j in align_jobs) == pytest.approx(10.0)
-        # The downstream GATK step still sees the FULL upstream output.
-        call_jobs = run.step_jobs("call")
-        assert sum(j.input_gb for j in call_jobs) == pytest.approx(10.0)
-
-    def test_sharding_reduces_step_latency(self):
-        whole = self.make_sharded_engine(shard_gb=None)
-        spec = variation_detection_workflow()
-        run_whole = whole.submit(spec, {"align": 20.0})
-        whole.env.run(until=5000.0)
-
-        sharded = self.make_sharded_engine(shard_gb=2.0)
-        run_sharded = sharded.submit(spec, {"align": 20.0})
-        sharded.env.run(until=5000.0)
-
-        assert run_whole.is_complete and run_sharded.is_complete
-        assert run_sharded.latency() < 0.6 * run_whole.latency()
-
-    def test_small_input_not_sharded(self):
-        engine = self.make_sharded_engine(shard_gb=8.0)
-        run = engine.submit(variation_detection_workflow(), {"align": 3.0})
-        engine.env.run(until=2000.0)
-        assert len(run.step_jobs("align")) == 1
-
-    def test_downstream_waits_for_every_shard(self):
-        engine = self.make_sharded_engine(shard_gb=1.0)
-        spec = variation_detection_workflow()
-        run = engine.submit(spec, {"align": 4.0})
-        engine.env.run(until=3000.0)
-        call_submit = min(j.submit_time for j in run.step_jobs("call"))
-        assert call_submit >= run.step_completed_at("align")
-
-    def test_bad_shard_gb_rejected(self):
-        with pytest.raises(WorkflowError):
-            self.make_sharded_engine(shard_gb=0.0)
+    def test_multiple_runs_share_schedulers(self):
+        run = Run(variation_detection_workflow())
+        jobs = [run.submit(4.0), run.submit(6.0)]
+        run.env.run(until=3000.0)
+        assert all(j.is_complete for j in jobs)
+        assert len(run.scheduler.completed_jobs) == 2
+        fleets = {
+            run.wf.node(r.stage).worker_class for j in jobs for r in j.history
+        }
+        assert fleets == {"bwa", "gatk"}  # one fleet per app, not per run
