@@ -1,7 +1,7 @@
 """Parallel sweep benchmark: wall-clock speedup, cache hit rates, memory.
 
-Runs the same scaled-down Table I grid through the serial executor and the
-process pool, checks they agree bit-for-bit, and writes ``BENCH_sweep.json``
+Runs the same scaled-down Table I grid through the sweep executor in
+process (``jobs=1``) and on the process pool, checks they agree bit-for-bit, and writes ``BENCH_sweep.json``
 (schema ``scan-sim-bench-sweep/1``) with the wall times, the speedup and
 the worker hot-path cache hit rates exported through telemetry.  A second
 benchmark pins the streaming result layer's memory claim: folding a large
@@ -23,10 +23,14 @@ import time
 import tracemalloc
 
 from repro.core.config import RewardScheme, ScalingAlgorithm
-from repro.sim.parallel import collect_cache_stats, run_sweep_parallel
 from repro.core.ledger import open_ledger
 from repro.sim.results import ResultRecord, ResultStore, SweepAggregator
-from repro.sim.sweep import SweepSpec, row_from_runs, run_sweep
+from repro.sim.sweep import (
+    SweepSpec,
+    collect_cache_stats,
+    row_from_runs,
+    run_sweep,
+)
 from repro.telemetry.metrics import MetricsRegistry
 
 from .conftest import bench_config
@@ -70,12 +74,12 @@ def test_parallel_sweep_speedup_and_equivalence(print_header):
     registry = MetricsRegistry()
 
     t0 = time.perf_counter()
-    serial_rows = run_sweep(base, SPEC, base_seed=42)
+    serial_rows = run_sweep(base, SPEC, base_seed=42, jobs=1)
     serial_s = time.perf_counter() - t0
     serial_cache = collect_cache_stats()
 
     t0 = time.perf_counter()
-    parallel_rows = run_sweep_parallel(
+    parallel_rows = run_sweep(
         base, SPEC, base_seed=42, jobs=BENCH_JOBS, metrics=registry
     )
     parallel_s = time.perf_counter() - t0

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Crash-resume conformance smoke for ``scan-sim sweep --results-out``.
 
-The CI ``sweep-resume-smoke`` job runs this against *real* subprocesses:
+The CI ``sweep-smoke`` job runs this against *real* subprocesses:
 
 1. run the sweep uninterrupted, capturing its table as the reference;
 2. start the identical sweep against a fresh JSONL result ledger, poll

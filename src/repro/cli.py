@@ -454,20 +454,30 @@ def _write_telemetry_artifacts(session, args: argparse.Namespace) -> None:
         print(f"profile written to {args.profile_out}", file=sys.stderr)
 
 
+def _interval(token: str) -> float:
+    """One ``--intervals`` entry as a float; a bad token is a config error."""
+    try:
+        return float(token)
+    except ValueError:
+        raise ConfigurationError(
+            f"--intervals: {token.strip()!r} is not a number"
+        ) from None
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Sweep intervals x scaling policies and print the series.
 
     ``--jobs N`` fans the grid across a process pool; the printed table is
-    identical to the serial run (deterministic per-cell seeds, ordered
-    collection -- see :mod:`repro.sim.parallel`).  ``--results-out``
-    streams every completed repetition to an append-only ledger and makes
-    the sweep resumable with ``--resume`` after a crash or kill -- again
-    with a byte-identical final table (see :mod:`repro.sim.results`).
+    identical to the in-process run (see :func:`repro.sim.sweep.run_sweep`).
+    ``--results-out`` streams every completed repetition to an append-only
+    ledger and makes the sweep resumable with ``--resume`` after a crash
+    or kill -- again with a byte-identical final table (see
+    :mod:`repro.sim.results`).
     """
     from repro.sim.report import render_series, rows_to_series
     from repro.sim.sweep import SweepSpec, run_sweep
 
-    intervals = [float(x) for x in args.intervals.split(",") if x.strip()]
+    intervals = [_interval(x) for x in args.intervals.split(",") if x.strip()]
     if not intervals:
         print("no intervals given", file=sys.stderr)
         return 2
@@ -498,27 +508,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             open_ledger(store_spec, fsync=base.results.fsync)
         )
     try:
-        if args.jobs == 1:
-            rows = run_sweep(
-                base,
-                spec,
-                repetitions=args.repetitions,
-                base_seed=args.seed,
-                results=store,
-                resume=args.resume,
-            )
-        else:
-            from repro.sim.parallel import run_sweep_parallel
-
-            rows = run_sweep_parallel(
-                base,
-                spec,
-                repetitions=args.repetitions,
-                base_seed=args.seed,
-                jobs=args.jobs,
-                results=store,
-                resume=args.resume,
-            )
+        rows = run_sweep(
+            base,
+            spec,
+            repetitions=args.repetitions,
+            base_seed=args.seed,
+            jobs=args.jobs,
+            results=store,
+            resume=args.resume,
+        )
     finally:
         if store is not None:
             store.close()

@@ -54,7 +54,7 @@ __all__ = [
 _EET_CACHE_STATS = {"hits": 0, "misses": 0}
 
 #: Cell-scoped EET memo counters: zeroed at the top of every sweep cell
-#: (:func:`repro.sim.sweep.run_cell`), so a cell's reported hit rate only
+#: (:func:`repro.sim.sweep.run_cell_runs`), so a cell's reported hit rate only
 #: covers its own sessions -- earlier cells in the same worker process no
 #: longer contaminate it.
 _EET_CELL_STATS = {"hits": 0, "misses": 0}

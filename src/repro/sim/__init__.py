@@ -6,11 +6,11 @@ and plain-text reporters that regenerate each table/figure's rows.
 
 - :mod:`repro.sim.session` -- build-and-run one simulated SCAN deployment.
 - :mod:`repro.sim.metrics` -- the per-session result record.
-- :mod:`repro.sim.sweep` -- parameter grids and repetition aggregation.
-- :mod:`repro.sim.parallel` -- process-pool sweep execution, bit-identical
-  to serial.
-- :mod:`repro.sim.results` -- streaming result sinks (JSONL/SQLite) and
-  incremental aggregation; the crash-resume substrate for long sweeps.
+- :mod:`repro.sim.sweep` -- parameter grids and the one sweep executor,
+  ``run_sweep(..., jobs=N)``: in-process for ``jobs=1``, a process pool
+  otherwise, bit-identical rows either way.
+- :mod:`repro.sim.results` -- result ledgers and incremental
+  aggregation; the crash-resume substrate for long sweeps.
 - :mod:`repro.sim.report` -- ASCII table/series rendering.
 """
 
@@ -19,17 +19,11 @@ from repro.sim.session import SimulationSession, run_repetitions
 from repro.sim.sweep import (
     SweepSpec,
     SweepRow,
-    run_cell,
+    SweepExecutionError,
+    resolve_jobs,
     run_cell_runs,
     row_from_runs,
     run_sweep,
-)
-from repro.sim.parallel import (
-    ParallelSweepConfig,
-    SweepExecutionError,
-    derive_cell_seeds,
-    resolve_jobs,
-    run_sweep_parallel,
 )
 from repro.sim.results import (
     ResultRecord,
@@ -51,15 +45,11 @@ __all__ = [
     "run_repetitions",
     "SweepSpec",
     "SweepRow",
-    "run_cell",
     "run_cell_runs",
     "row_from_runs",
     "run_sweep",
-    "ParallelSweepConfig",
     "SweepExecutionError",
-    "derive_cell_seeds",
     "resolve_jobs",
-    "run_sweep_parallel",
     "ResultRecord",
     "ResultStore",
     "SweepAggregator",

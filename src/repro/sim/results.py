@@ -1,11 +1,10 @@
 """Streaming, resumable sweep results.
 
-The PR-3 executors hold every cell's repetitions in memory and assemble
-the row list at the end, which caps a study at whatever the driver's heap
-tolerates and loses *everything* when the process dies at cell 9,999 of
-10,000.  This module gives sweeps the same treatment PR-6 gave queues:
-an append-only ledger as the source of truth, incremental aggregation
-over it, and resume-by-skipping-completed.
+A sweep of the full Table I grid runs for hours, so its progress lives in
+an append-only ledger, the same substrate the service plane's queue store
+uses: :func:`~repro.sim.sweep.run_sweep` appends every repetition as it
+lands, folds it into an incremental aggregator, and on resume skips the
+repetitions the ledger already holds.
 
 - :class:`ResultRecord` -- one completed (or dead-lettered) repetition of
   one grid cell: the atomic unit of sweep progress.
@@ -25,11 +24,11 @@ over it, and resume-by-skipping-completed.
   recorded as ``failed`` and are *not* in the completed set -- a resume
   retries them instead of silently skipping.
 
-Aggregation is exact, not approximate: a cell's summary is computed by
-the same :func:`~repro.analysis.stats.aggregate_runs` call on the same
-per-run dicts in the same repetition order as the in-memory path, so a
-streamed sweep's report is byte-identical to a monolithic one (the golden
-equivalence suite enforces this).
+Aggregation is exact, not approximate: a cell's summary is one
+:func:`~repro.analysis.stats.aggregate_runs` call on its per-run dicts in
+repetition order, whatever order they landed in and whether or not they
+came back from disk, so a resumed sweep's report is byte-identical to an
+uninterrupted one (the golden equivalence suite enforces this).
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ __all__ = [
     "sweep_meta",
     "open_result_stream",
     "SweepAggregator",
-    "fold_records",
     "records_from_runs",
     "failed_records",
 ]
@@ -172,9 +170,12 @@ def sweep_meta(
     cells: Sequence[dict[str, Any]],
     repetitions: int,
     base_seed: int,
-    seed_mode: str = "crn",
 ) -> SweepMeta:
-    """The :class:`SweepMeta` of one (config, spec, seeds) sweep."""
+    """The :class:`SweepMeta` of one (config, spec, seeds) sweep.
+
+    ``seed_mode`` is always ``"crn"`` (repetition *k* uses ``base_seed +
+    k`` in every cell); it stays in the header so older ledgers resume.
+    """
     # The `results` section configures the sink, not the simulation --
     # moving the ledger or toggling fsync must not invalidate a resume.
     payload = base.to_dict()
@@ -183,7 +184,7 @@ def sweep_meta(
         cells=len(cells),
         repetitions=repetitions,
         base_seed=base_seed,
-        seed_mode=seed_mode,
+        seed_mode="crn",
         grid_fingerprint=grid_fingerprint(cells),
         config_fingerprint=hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()
@@ -328,7 +329,7 @@ class SweepAggregator:
     handed to ``on_cell`` and -- unless ``retain_rows=False`` -- kept for
     :meth:`rows`.  The fold is order-invariant (runs are sorted by
     repetition index before aggregation) and exact: the finalize step is
-    the very ``aggregate_runs`` call the in-memory path makes.
+    :func:`~repro.sim.sweep.row_from_runs` on the cell's runs.
     """
 
     def __init__(
@@ -448,47 +449,6 @@ class SweepAggregator:
                 f"(first: cell {missing[0][0]} rep {missing[0][1]})"
             )
         return [self._rows[i] for i in range(len(self._cells))]
-
-    def merge(self, other: "SweepAggregator") -> "SweepAggregator":
-        """Fold *other*'s state into this aggregator (disjoint records).
-
-        The map-reduce seam for a future multi-machine executor: each
-        worker folds its own slice, the driver merges.  Requires the same
-        grid/repetitions, both sides retaining rows, and *disjoint*
-        record sets -- a cell finalized on both sides (or finalized on
-        one and partial on the other) proves an overlap, and merging
-        overlapping folds cannot be exact, so it raises.
-        """
-        if other._cells != self._cells or other._reps != self._reps:
-            raise SCANError("cannot merge aggregators of different sweeps")
-        if not (self._retain and other._retain):
-            raise SCANError("merge requires retain_rows=True on both sides")
-        for cell_index in sorted(other._finalized):
-            if cell_index in self._finalized or cell_index in self._partial:
-                raise SCANError(
-                    f"merge overlap: cell {cell_index} present on both sides"
-                )
-            self._finalized.add(cell_index)
-            row = other._rows[cell_index]
-            self._rows[cell_index] = row
-            if self._on_cell is not None:
-                self._on_cell(cell_index, row)
-        for cell_index, runs in sorted(other._partial.items()):
-            for rep_index in sorted(runs):
-                self._add_run(cell_index, rep_index, dict(runs[rep_index]))
-        self.duplicates += other.duplicates
-        return self
-
-
-def fold_records(
-    cells: Sequence[dict[str, Any]],
-    repetitions: int,
-    records: Iterable[ResultRecord],
-) -> SweepAggregator:
-    """Convenience: a fresh aggregator with *records* folded in."""
-    agg = SweepAggregator(cells, repetitions)
-    agg.add_all(records)
-    return agg
 
 
 def records_from_runs(

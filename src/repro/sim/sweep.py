@@ -6,14 +6,23 @@ horizontal scaling algorithm, reward scheme and workload" (Section IV).
 
 :func:`run_sweep` executes a :class:`SweepSpec` -- any subset of the Table I
 axes -- with N repetitions per cell, aggregating each metric into the
-paper's mean +/- 1 sigma form.
+paper's mean +/- 1 sigma form.  It is the only sweep executor: every
+repetition becomes a :class:`~repro.sim.results.ResultRecord`, optionally
+appended to a result ledger, and folded into one
+:class:`~repro.sim.results.SweepAggregator`.  ``jobs`` only chooses who
+runs the tasks -- this process in grid order, or a process pool with
+retries, a round timeout and dead-lettering -- so the rows are
+bit-identical for every ``jobs`` value.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Sequence
+import os
+import time
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from dataclasses import dataclass
+from typing import Any, Callable, Container, Iterator, Optional, Sequence
 
 from repro.analysis.stats import SummaryStats, aggregate_runs
 from repro.apps.registry import ApplicationRegistry
@@ -23,17 +32,36 @@ from repro.core.config import (
     RewardScheme,
     ScalingAlgorithm,
 )
+from repro.core.errors import ConfigurationError
+from repro.scheduler.resilience import RetryPolicy
+from repro.sim.results import (
+    SweepAggregator,
+    failed_records,
+    open_result_stream,
+    records_from_runs,
+    sweep_meta,
+)
 from repro.sim.session import run_repetitions
 
 __all__ = [
     "SweepSpec",
     "SweepRow",
-    "run_cell",
     "run_cell_runs",
     "row_from_runs",
     "run_sweep",
+    "resolve_jobs",
+    "TaskFailure",
+    "SweepExecutionError",
+    "collect_cache_stats",
+    "TASK_RETRY",
     "TABLE1_FULL",
 ]
+
+#: Retry budget and backoff for crashed or timed-out pool tasks.  Delays
+#: are wall-clock seconds (the policy's TU fields reinterpreted).
+TASK_RETRY = RetryPolicy(
+    max_attempts=3, base_delay_tu=0.05, backoff_factor=2.0, max_delay_tu=1.0
+)
 
 
 @dataclass(frozen=True)
@@ -142,10 +170,9 @@ def run_cell_runs(
 ) -> list[dict[str, float]]:
     """Run one grid cell's repetitions; per-run metric dicts, in seed order.
 
-    The pre-aggregation half of :func:`run_cell`, split out so the
-    streaming result sink (:mod:`repro.sim.results`) can persist each
-    repetition individually and aggregate incrementally -- the records it
-    writes are exactly the dicts the in-memory path would have folded.
+    Every sweep task runs its slice of a cell through this function, in
+    this process or in a pool worker; the records it yields are folded by
+    :func:`row_from_runs`.
 
     The estimator's cell-scoped EET-memo counters are zeroed on entry, so
     after this returns :func:`repro.scheduler.estimator.eet_cell_stats`
@@ -171,10 +198,9 @@ def row_from_runs(
 ) -> SweepRow:
     """Aggregate per-run metric dicts (in repetition order) into a row.
 
-    The post-aggregation half of :func:`run_cell`; the streaming
-    aggregator calls this with persisted run dicts, and because JSON
-    round-trips Python floats exactly, the resulting row is bit-identical
-    to one computed without ever touching disk.
+    The aggregator calls this with the runs of a completed cell, and
+    because JSON round-trips Python floats exactly, a row rebuilt from
+    ledger records is bit-identical to one that never touched disk.
     """
     return SweepRow(
         params=dict(cell),
@@ -183,31 +209,156 @@ def row_from_runs(
     )
 
 
-def run_cell(
-    base: PlatformConfig,
-    cell: dict[str, Any],
-    repetitions: Optional[int] = None,
-    base_seed: Optional[int] = None,
-    registry: Optional[ApplicationRegistry] = None,
-    seeds: Optional[Sequence[int]] = None,
-) -> SweepRow:
-    """Run one grid cell's repetitions and aggregate them into a row.
+def resolve_jobs(jobs: int) -> int:
+    """Worker count for a ``--jobs`` value: 0 means one per CPU core."""
+    if jobs < 0:
+        raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
+    if jobs == 0:
+        return os.cpu_count() or 1
+    return jobs
 
-    This is the shared unit of work between :func:`run_sweep` and the
-    process-pool executor in :mod:`repro.sim.parallel`: both produce rows
-    through this exact code path, which is what makes serial and parallel
-    sweeps bit-identical.  Composes :func:`run_cell_runs` and
-    :func:`row_from_runs`, the halves the streaming sink uses separately.
+
+@dataclass(frozen=True)
+class TaskFailure:
+    """Post-mortem of one task that exhausted its retry budget."""
+
+    cell_index: int
+    cell: dict[str, Any]
+    rep_start: int
+    attempts: int
+    reason: str
+
+
+class SweepExecutionError(RuntimeError):
+    """Raised when one or more sweep tasks were dead-lettered."""
+
+    def __init__(self, failures: Sequence[TaskFailure]) -> None:
+        self.failures = tuple(failures)
+        lines = ", ".join(
+            f"cell {f.cell_index} reps {f.rep_start}+ "
+            f"({f.attempts} attempts: {f.reason})"
+            for f in self.failures
+        )
+        super().__init__(f"{len(self.failures)} sweep task(s) failed: {lines}")
+
+
+# -- tasks --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _TaskPayload:
+    """One cell's missing repetitions; picklable unless ``registry`` is set."""
+
+    cell_index: int
+    cell: dict[str, Any]
+    base: PlatformConfig
+    #: The repetition indices this task covers, aligned with ``seeds``.
+    #: All of them on a fresh sweep; the ones the ledger lacks on resume.
+    rep_indices: tuple[int, ...]
+    seeds: tuple[int, ...]
+    registry: Optional[ApplicationRegistry] = None
+
+    @property
+    def rep_start(self) -> int:
+        return self.rep_indices[0]
+
+
+@dataclass(frozen=True)
+class _TaskResult:
+    #: Per-repetition metric dicts, aligned with the payload's seeds.
+    per_run: tuple[dict[str, float], ...]
+    cache_stats: dict[str, dict[str, int]]
+
+
+def collect_cache_stats() -> dict[str, dict[str, int]]:
+    """Snapshot of this process's hot-path cache counters.
+
+    Covers the SPARQL plan/result caches and the estimator's EET memo
+    (process aggregate -- see :func:`_sparql_stats` / the cell-scoped
+    counters in :mod:`repro.scheduler.estimator` for the per-task path).
     """
+    from repro.scheduler.estimator import eet_cache_stats
+
+    out = _sparql_stats()
+    out["estimator_eet"] = eet_cache_stats()
+    return out
+
+
+def _sparql_stats() -> dict[str, dict[str, int]]:
+    """The SPARQL plan/result cache counters alone."""
+    from repro.ontology.sparql import cache_stats as sparql_stats
+
+    sparql = sparql_stats()
+    return {
+        "sparql_plan": {
+            "hits": sparql["plan_hits"],
+            "misses": sparql["plan_misses"],
+        },
+        "sparql_result": {
+            "hits": sparql["result_hits"],
+            "misses": sparql["result_misses"],
+        },
+    }
+
+
+def _run_task(payload: _TaskPayload) -> _TaskResult:
+    """Run one task's repetitions and measure its cache traffic.
+
+    SPARQL counters are process-wide (never reset), so this task's share
+    is a before/after delta.  The estimator's EET counters are read from
+    the cell-scoped tier, which ``run_cell_runs`` zeroes on entry -- a
+    reused pool process cannot leak earlier cells' hits into this task.
+    """
+    from repro.scheduler.estimator import eet_cell_stats
+
+    before = _sparql_stats()
     per_run = run_cell_runs(
-        base,
-        cell,
-        repetitions=repetitions,
-        base_seed=base_seed,
-        registry=registry,
-        seeds=seeds,
+        payload.base,
+        payload.cell,
+        registry=payload.registry,
+        seeds=payload.seeds,
     )
-    return row_from_runs(cell, per_run)
+    after = _sparql_stats()
+    stats = {
+        cache: {key: after[cache][key] - before[cache][key] for key in after[cache]}
+        for cache in after
+    }
+    stats["estimator_eet"] = eet_cell_stats()
+    return _TaskResult(per_run=tuple(per_run), cache_stats=stats)
+
+
+def _build_tasks(
+    base: PlatformConfig,
+    cells: Sequence[dict[str, Any]],
+    repetitions: int,
+    base_seed: int,
+    registry: Optional[ApplicationRegistry],
+    skip: Container[tuple[int, int]],
+) -> dict[int, _TaskPayload]:
+    """One task per cell over the (cell, rep) keys not in ``skip``.
+
+    Repetition *k* gets seed ``base_seed + k`` in every cell: the common
+    random numbers of :func:`~repro.sim.session.run_repetitions`, so cells
+    compared under one base seed see identical arrival processes.
+    """
+    tasks: dict[int, _TaskPayload] = {}
+    for cell_index, cell in enumerate(cells):
+        missing = tuple(
+            k for k in range(repetitions) if (cell_index, k) not in skip
+        )
+        if missing:
+            tasks[cell_index] = _TaskPayload(
+                cell_index=cell_index,
+                cell=dict(cell),
+                base=base,
+                rep_indices=missing,
+                seeds=tuple(base_seed + k for k in missing),
+                registry=registry,
+            )
+    return tasks
+
+
+# -- the executor -------------------------------------------------------------
 
 
 def run_sweep(
@@ -217,98 +368,231 @@ def run_sweep(
     base_seed: Optional[int] = None,
     registry: Optional[ApplicationRegistry] = None,
     progress: Optional[Any] = None,
+    jobs: int = 1,
     results: Optional[Any] = None,
     resume: bool = False,
+    metrics: Optional[Any] = None,
+    task_runner: Callable[[_TaskPayload], _TaskResult] = _run_task,
+    task_timeout_s: Optional[float] = None,
 ) -> list[SweepRow]:
     """Run every cell of *spec*; returns one aggregated row per cell.
 
-    ``progress``, if given, is called with ``(done, total, cell)`` after
-    each cell -- handy for long sweeps.
+    ``jobs == 1`` runs the tasks in this process, in grid order: a custom
+    ``registry`` is allowed and a task exception propagates unchanged.
+    Any other value runs them on a process pool of
+    :func:`resolve_jobs` workers: crashed tasks, and tasks still running
+    ``task_timeout_s`` wall-clock seconds into their round, are retried in
+    a fresh pool with :data:`TASK_RETRY` backoff; a task that exhausts the
+    budget is dead-lettered and reported in one
+    :class:`SweepExecutionError` once the rest of the grid has finished.
+    The rows are bit-identical for every ``jobs`` value.
 
-    ``results``, if given, is a :class:`~repro.sim.results.ResultStore`:
-    every completed repetition is appended to it as the sweep advances,
-    and with ``resume=True`` repetitions the store already holds are *not*
-    re-run -- their persisted metrics are folded back in, yielding rows
-    bit-identical to an uninterrupted sweep.  Without a store the
-    historical in-memory path runs untouched.
+    ``progress(done, total, cell)`` fires once per cell this call
+    completes; ``done`` counts the cells a resumed ledger already held.
+    ``metrics``, a telemetry
+    :class:`~repro.telemetry.metrics.MetricsRegistry`, receives task
+    counters and the tasks' cache hit rates.  ``task_runner`` exists for
+    fault injection in tests; the pool needs it picklable.
+
+    ``results``, a :class:`~repro.sim.results.ResultStore`, receives every
+    repetition as its task lands (this process is the only writer), and
+    dead-lettered repetitions as ``failed``.  With ``resume=True`` the
+    repetitions the store already holds are not run again; the rows still
+    equal an uninterrupted sweep's.
     """
-    if results is None:
-        rows: list[SweepRow] = []
-        total = spec.size()
-        for done, cell in enumerate(spec.cells(), start=1):
-            rows.append(
-                run_cell(
-                    base,
-                    cell,
-                    repetitions=repetitions,
-                    base_seed=base_seed,
-                    registry=registry,
-                )
-            )
-            if progress is not None:
-                progress(done, total, cell)
-        return rows
-    return _run_sweep_streaming(
-        base,
-        spec,
-        repetitions=repetitions,
-        base_seed=base_seed,
-        registry=registry,
-        progress=progress,
-        results=results,
-        resume=resume,
-    )
-
-
-def _run_sweep_streaming(
-    base: PlatformConfig,
-    spec: SweepSpec,
-    repetitions: Optional[int],
-    base_seed: Optional[int],
-    registry: Optional[ApplicationRegistry],
-    progress: Optional[Any],
-    results: Any,
-    resume: bool,
-) -> list[SweepRow]:
-    """The serial executor against a result sink (see :func:`run_sweep`)."""
-    from repro.sim.results import (
-        SweepAggregator,
-        open_result_stream,
-        records_from_runs,
-        sweep_meta,
-    )
-
     base.validate()
-    cells = list(spec.cells())
+    n_workers = resolve_jobs(jobs)
     n_reps = base.simulation.repetitions if repetitions is None else repetitions
     if n_reps < 1:
-        raise ValueError("repetitions must be >= 1")
+        raise ConfigurationError(f"repetitions must be >= 1, got {n_reps}")
+    if task_timeout_s is not None and task_timeout_s <= 0:
+        raise ConfigurationError("task_timeout_s must be positive when given")
+    if registry is not None and jobs != 1:
+        # Pool workers rebuild the default registry per process; shipping
+        # a custom one through pickle is not supported -- fail loudly
+        # instead of silently computing different rows.
+        raise ValueError(
+            "a custom registry needs jobs=1; pool workers only see "
+            "default_registry"
+        )
     seed0 = base.simulation.seed if base_seed is None else base_seed
-    meta = sweep_meta(base, cells, n_reps, seed0, seed_mode="crn")
-    state = open_result_stream(results, meta, resume=resume)
+    cells = list(spec.cells())
     agg = SweepAggregator(cells, n_reps)
-    agg.add_all(state.completed.values())
-    total = len(cells)
-    for cell_index, cell in enumerate(cells):
-        # The serial crn convention: every cell reuses seed0 + k.
-        missing = [
-            k
-            for k in range(n_reps)
-            if (cell_index, k) not in state.completed
-        ]
-        if missing:
-            per_run = run_cell_runs(
-                base,
-                cell,
-                registry=registry,
-                seeds=[seed0 + k for k in missing],
-            )
-            fresh = records_from_runs(
-                cell_index, missing, [seed0 + k for k in missing], per_run
-            )
-            for record in fresh:
+    skip: Container[tuple[int, int]] = ()
+    if results is not None:
+        meta = sweep_meta(base, cells, n_reps, seed0)
+        state = open_result_stream(results, meta, resume=resume)
+        agg.add_all(state.completed.values())
+        skip = state.completed
+    tasks = _build_tasks(base, cells, n_reps, seed0, registry, skip)
+    cache_totals: dict[str, dict[str, int]] = {}
+
+    def land(payload: _TaskPayload, result: _TaskResult) -> None:
+        """Persist and fold one task's repetitions as soon as it lands."""
+        for cache, counters in result.cache_stats.items():
+            slot = cache_totals.setdefault(cache, {})
+            for key, value in counters.items():
+                slot[key] = slot.get(key, 0) + value
+        for record in records_from_runs(
+            payload.cell_index, payload.rep_indices, payload.seeds,
+            result.per_run,
+        ):
+            if results is not None:
                 results.record(record)
-                agg.add(record)
-        if progress is not None:
-            progress(cell_index + 1, total, cell)
+            if agg.add(record) is not None and progress is not None:
+                progress(agg.done_cells, len(cells), cells[record.cell_index])
+
+    retried, failures = 0, []
+    if jobs == 1:
+        for payload in tasks.values():
+            land(payload, task_runner(payload))
+    else:
+        retried, failures = _run_pool(
+            tasks, n_workers, task_runner, task_timeout_s, land, results
+        )
+    if metrics is not None:
+        _export_metrics(
+            metrics, len(tasks), retried, failures, agg.done_cells,
+            cache_totals,
+        )
+    if failures:
+        failures.sort(key=lambda f: (f.cell_index, f.rep_start))
+        raise SweepExecutionError(failures)
     return agg.rows()
+
+
+def _run_pool(
+    tasks: dict[int, _TaskPayload],
+    n_workers: int,
+    task_runner: Callable[[_TaskPayload], _TaskResult],
+    task_timeout_s: Optional[float],
+    land: Callable[[_TaskPayload, _TaskResult], None],
+    results: Optional[Any],
+) -> tuple[int, list[TaskFailure]]:
+    """Run *tasks* in rounds of fresh process pools.
+
+    Returns the number of retries and the tasks that exhausted
+    :data:`TASK_RETRY`; with a result store, those are dead-lettered into
+    it as ``failed`` records, so the next resume schedules them again.
+    """
+    pending = dict(tasks)
+    attempts = {key: 0 for key in pending}
+    retried = 0
+    failures: list[TaskFailure] = []
+    while pending:
+        round_tasks = dict(sorted(pending.items()))
+        pending = {}
+        pool = ProcessPoolExecutor(max_workers=n_workers)
+        futures = {
+            pool.submit(task_runner, payload): key
+            for key, payload in round_tasks.items()
+        }
+        round_failed: list[tuple[int, str]] = []
+        # Drain futures as they land -- NOT in one blocking wait() -- so
+        # records hit the ledger while the round is still in flight; a
+        # kill mid-round then loses at most the unpersisted tail, which
+        # is what makes ``--resume`` worth having.  One deadline bounds
+        # the whole round: stragglers past it are abandoned with their
+        # pool and retried in a fresh one.
+        deadline = (
+            time.monotonic() + task_timeout_s
+            if task_timeout_s is not None
+            else None
+        )
+        not_done = set(futures)
+        while not_done:
+            timeout = (
+                max(0.0, deadline - time.monotonic())
+                if deadline is not None
+                else None
+            )
+            finished, not_done = wait(
+                not_done, timeout=timeout, return_when=FIRST_COMPLETED
+            )
+            if not finished:
+                break  # round deadline hit with stragglers in flight
+            for future in finished:
+                key = futures[future]
+                attempts[key] += 1
+                try:
+                    result = future.result()
+                except BaseException as exc:  # worker crash / pool breakage
+                    round_failed.append((key, f"{type(exc).__name__}: {exc}"))
+                else:
+                    land(round_tasks[key], result)
+        pool.shutdown(wait=len(not_done) == 0, cancel_futures=True)
+        for future in not_done:
+            key = futures[future]
+            attempts[key] += 1
+            round_failed.append((key, f"timeout after {task_timeout_s}s"))
+        max_backoff = 0.0
+        for key, reason in round_failed:
+            payload = round_tasks[key]
+            if TASK_RETRY.exhausted(attempts[key]):
+                failures.append(
+                    TaskFailure(
+                        cell_index=payload.cell_index,
+                        cell=dict(payload.cell),
+                        rep_start=payload.rep_start,
+                        attempts=attempts[key],
+                        reason=reason,
+                    )
+                )
+                if results is not None:
+                    for record in failed_records(
+                        payload.cell_index,
+                        payload.rep_indices,
+                        payload.seeds,
+                        reason,
+                    ):
+                        results.record(record)
+            else:
+                retried += 1
+                pending[key] = payload
+                max_backoff = max(max_backoff, TASK_RETRY.delay_for(attempts[key]))
+        if pending and max_backoff > 0:
+            time.sleep(max_backoff)
+    return retried, failures
+
+
+def _export_metrics(
+    registry: Any,
+    n_tasks: int,
+    retried_tasks: int,
+    failures: Sequence[TaskFailure],
+    done_cells: int,
+    cache_totals: dict[str, dict[str, int]],
+) -> None:
+    """Fold executor counters and task cache stats into *registry*."""
+    tasks = registry.counter(
+        "sweep_tasks", "parallel sweep task outcomes", labelnames=("outcome",)
+    )
+    completed = n_tasks - len(failures)
+    if completed:
+        tasks.inc(completed, outcome="completed")
+    if retried_tasks:
+        tasks.inc(retried_tasks, outcome="retried")
+    if failures:
+        tasks.inc(len(failures), outcome="dead_lettered")
+    cells_done = registry.gauge("sweep_cells_done", "grid cells completed")
+    cells_done.set(float(done_cells))
+    if cache_totals:
+        hits = registry.counter(
+            "sweep_cache_events",
+            "worker hot-path cache hits/misses",
+            labelnames=("cache", "kind"),
+        )
+        rate = registry.gauge(
+            "sweep_cache_hit_rate",
+            "worker hot-path cache hit rate",
+            labelnames=("cache",),
+        )
+        for cache, counters in sorted(cache_totals.items()):
+            n_hits = counters.get("hits", 0)
+            n_misses = counters.get("misses", 0)
+            if n_hits:
+                hits.inc(n_hits, cache=cache, kind="hits")
+            if n_misses:
+                hits.inc(n_misses, cache=cache, kind="misses")
+            total = n_hits + n_misses
+            rate.set(n_hits / total if total else 0.0, cache=cache)

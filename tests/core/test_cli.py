@@ -179,6 +179,22 @@ class TestSweep:
     def test_empty_intervals_error(self, capsys):
         assert main(["sweep", "--intervals", ""]) == 2
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--intervals", "2.5,abc"], "'abc'"),
+            (["--jobs", "-1"], "jobs"),
+            (["--repetitions", "0"], "repetitions"),
+        ],
+    )
+    def test_bad_value_exits_2_without_traceback(self, capsys, flags,
+                                                 named):
+        assert main(["sweep", "--duration", "40", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("scan-sim: ") and err.count("\n") == 1
+        assert named in err
+
 
 class TestSweepJobs:
     SWEEP_ARGS = [
@@ -197,7 +213,7 @@ class TestSweepJobs:
     def test_jobs_zero_means_cpu_count(self):
         import os
 
-        from repro.sim.parallel import resolve_jobs
+        from repro.sim.sweep import resolve_jobs
 
         args = build_parser().parse_args(["sweep", "--jobs", "0"])
         assert resolve_jobs(args.jobs) == (os.cpu_count() or 1)

@@ -2,11 +2,10 @@
 
 Three load-bearing properties of :mod:`repro.sim.results`:
 
-1. **Order invariance + merge-fold law.**  The incremental aggregator
-   sorts each cell's runs by repetition index before the (serial-path)
-   ``aggregate_runs`` call, so folding any permutation of a record set --
-   or folding a partition of it on two aggregators and merging -- must
-   yield bit-identical rows.  This is what makes a resumed sweep's report
+1. **Order invariance.**  The incremental aggregator sorts each cell's
+   runs by repetition index before the ``aggregate_runs`` call, so
+   folding any permutation of a record set must yield bit-identical
+   rows.  This is what makes a resumed sweep's report
    byte-equal to an uninterrupted one regardless of completion order.
 
 2. **Round-trip.**  record -> persist -> reopen -> load must reproduce
@@ -27,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ledger import JsonlLedger, SqliteLedger
-from repro.sim.results import ResultRecord, ResultStore, fold_records
+from repro.sim.results import ResultRecord, ResultStore, SweepAggregator
 
 CELLS = [{"cell": i} for i in range(4)]
 REPS = 3
@@ -78,31 +77,11 @@ class TestOrderInvariance:
     @settings(max_examples=40, deadline=None)
     def test_any_permutation_folds_identically(self, records, data):
         shuffled = data.draw(st.permutations(records))
-        a = fold_records(CELLS, REPS, records)
-        b = fold_records(CELLS, REPS, shuffled)
+        a = SweepAggregator(CELLS, REPS)
+        a.add_all(records)
+        b = SweepAggregator(CELLS, REPS)
+        b.add_all(shuffled)
         assert rows_bytes(a) == rows_bytes(b)
-
-    @given(records=_record_sets(min_cells=2), data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_merge_of_partition_equals_whole_fold(self, records, data):
-        # Partition by whole cells: merge requires disjoint record sets.
-        cells_present = sorted({r.cell_index for r in records})
-        left_cells = set(
-            data.draw(
-                st.sets(
-                    st.sampled_from(cells_present),
-                    max_size=len(cells_present) - 1,
-                )
-            )
-        )
-        left = [r for r in records if r.cell_index in left_cells]
-        right = [r for r in records if r.cell_index not in left_cells]
-        whole = fold_records(CELLS, REPS, records)
-        merged = fold_records(CELLS, REPS, left).merge(
-            fold_records(CELLS, REPS, right)
-        )
-        assert rows_bytes(whole) == rows_bytes(merged)
-        assert whole.done_cells == merged.done_cells
 
 
 @st.composite

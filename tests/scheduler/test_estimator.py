@@ -149,7 +149,7 @@ class TestEETMemoEpochs:
             ScalingAlgorithm,
         )
         from repro.scheduler.estimator import eet_cell_stats
-        from repro.sim.sweep import run_cell
+        from repro.sim.sweep import run_cell_runs
 
         base = PlatformConfig.paper_defaults().with_overrides(
             simulation={"duration": 60.0, "repetitions": 1},
@@ -161,13 +161,13 @@ class TestEETMemoEpochs:
             "reward_scheme": RewardScheme.TIME,
             "public_core_cost": 90.0,
         }
-        run_cell(base, cell, seeds=(1,))
+        run_cell_runs(base, cell, seeds=(1,))
         reference = eet_cell_stats()
         assert reference["misses"] >= 1
         # Pollute the cell counters, then run the same cell again: the
         # entry reset must keep the pre-cell traffic out of its stats.
         PipelineEstimator(gatk_model).eet(0, 123.456)
-        run_cell(base, cell, seeds=(1,))
+        run_cell_runs(base, cell, seeds=(1,))
         assert eet_cell_stats() == reference
 
 

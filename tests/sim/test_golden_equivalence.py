@@ -89,7 +89,6 @@ class TestStreamingSinkEquivalence:
     @pytest.mark.parametrize("variant", ["plain", "telemetry_chaos"])
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_streamed_rows_byte_identical(self, tmp_path, variant, jobs):
-        from repro.sim.parallel import run_sweep_parallel
         from repro.core.ledger import open_ledger
         from repro.sim.results import ResultStore
 
@@ -97,12 +96,9 @@ class TestStreamingSinkEquivalence:
         config = _variants()[variant]
         store = ResultStore(open_ledger(str(tmp_path / "ledger.jsonl")))
         try:
-            if jobs == 1:
-                rows = run_sweep(config, SPEC, base_seed=0, results=store)
-            else:
-                rows = run_sweep_parallel(
-                    config, SPEC, base_seed=0, jobs=jobs, results=store
-                )
+            rows = run_sweep(
+                config, SPEC, base_seed=0, jobs=jobs, results=store
+            )
         finally:
             store.close()
         streamed = json.dumps(
@@ -174,14 +170,9 @@ class TestChainWorkflowGoldenEquivalence:
     @pytest.mark.parametrize("variant", ["plain", "telemetry_chaos"])
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_chain_workflow_byte_identical_to_golden(self, variant, jobs):
-        from repro.sim.parallel import run_sweep_parallel
-
         golden = json.loads(FIXTURE.read_text())[variant]
         config = _variants()[variant].with_overrides(workflow="gatk_chain")
-        if jobs == 1:
-            rows = run_sweep(config, SPEC, base_seed=0)
-        else:
-            rows = run_sweep_parallel(config, SPEC, base_seed=0, jobs=jobs)
+        rows = run_sweep(config, SPEC, base_seed=0, jobs=jobs)
         assert json.dumps(
             [r.as_flat_dict() for r in rows], sort_keys=True
         ) == golden

@@ -1,10 +1,10 @@
-"""Serial-vs-parallel equivalence suite for the process-pool sweep executor.
+"""In-process-vs-pool equivalence suite for the sweep executor.
 
-The contract under test: :func:`repro.sim.parallel.run_sweep_parallel`
-returns rows **bit-identical** to :func:`repro.sim.sweep.run_sweep` for any
-jobs count and task granularity, including under an active fault-injection
-configuration -- plus crash/timeout retries, dead-lettering and telemetry
-export around that contract.
+The contract under test: :func:`repro.sim.sweep.run_sweep` returns rows
+**bit-identical** to its in-process ``jobs=1`` run for any ``jobs`` count,
+including under an active fault-injection configuration -- plus
+crash/timeout retries, dead-lettering, resume across ``jobs`` values and
+telemetry export around that contract.
 """
 
 from __future__ import annotations
@@ -16,15 +16,17 @@ import time
 import pytest
 
 from repro.core.config import PlatformConfig, ScalingAlgorithm
-from repro.sim.parallel import (
-    ParallelSweepConfig,
+from repro.core.errors import ConfigurationError
+from repro.scheduler.resilience import RetryPolicy
+from repro.sim import sweep
+from repro.sim.sweep import (
     SweepExecutionError,
+    SweepSpec,
     TaskFailure,
     _run_task,
     resolve_jobs,
-    run_sweep_parallel,
+    run_sweep,
 )
-from repro.sim.sweep import SweepSpec, run_sweep
 from repro.telemetry.metrics import MetricsRegistry
 
 
@@ -88,21 +90,11 @@ def _slow_first_runner(payload):
 class TestEquivalence:
     @pytest.fixture(scope="class")
     def serial_rows(self):
-        return run_sweep(small_base(), SPEC, base_seed=42)
+        return run_sweep(small_base(), SPEC, base_seed=42, jobs=1)
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_rows_identical_across_jobs(self, serial_rows, jobs):
-        parallel = run_sweep_parallel(small_base(), SPEC, base_seed=42, jobs=jobs)
-        assert parallel == serial_rows
-        assert rows_as_bytes(parallel) == rows_as_bytes(serial_rows)
-
-    def test_repetition_granularity_identical(self, serial_rows):
-        parallel = run_sweep_parallel(
-            small_base(),
-            SPEC,
-            base_seed=42,
-            config=ParallelSweepConfig(jobs=2, granularity="repetition"),
-        )
+        parallel = run_sweep(small_base(), SPEC, base_seed=42, jobs=jobs)
         assert parallel == serial_rows
         assert rows_as_bytes(parallel) == rows_as_bytes(serial_rows)
 
@@ -117,7 +109,7 @@ class TestEquivalence:
             resilience={"max_attempts": 3},
         )
         serial = run_sweep(base, SPEC, base_seed=99)
-        parallel = run_sweep_parallel(base, SPEC, base_seed=99, jobs=2)
+        parallel = run_sweep(base, SPEC, base_seed=99, jobs=2)
         assert parallel == serial
         assert rows_as_bytes(parallel) == rows_as_bytes(serial)
         # The chaos config actually bit: at least one cell saw failures.
@@ -127,7 +119,7 @@ class TestEquivalence:
         )
 
     def test_row_order_is_grid_order(self, serial_rows):
-        parallel = run_sweep_parallel(small_base(), SPEC, base_seed=42, jobs=2)
+        parallel = run_sweep(small_base(), SPEC, base_seed=42, jobs=2)
         assert [r.params for r in parallel] == [r.params for r in serial_rows]
 
 
@@ -135,7 +127,7 @@ class TestResilience:
     def test_crashed_tasks_retry_to_identical_rows(self, tmp_path, monkeypatch):
         monkeypatch.setenv(_FLAKY_DIR_VAR, str(tmp_path))
         serial = run_sweep(small_base(), SPEC, base_seed=42)
-        parallel = run_sweep_parallel(
+        parallel = run_sweep(
             small_base(),
             SPEC,
             base_seed=42,
@@ -146,19 +138,16 @@ class TestResilience:
         # Every task left its first-attempt crash marker.
         assert len(list(tmp_path.iterdir())) == SPEC.size()
 
-    def test_poison_tasks_dead_letter(self):
-        cfg = ParallelSweepConfig(
-            jobs=2,
-            retry=type(ParallelSweepConfig().retry)(
-                max_attempts=2, base_delay_tu=0.0
-            ),
+    def test_poison_tasks_dead_letter(self, monkeypatch):
+        monkeypatch.setattr(
+            sweep, "TASK_RETRY", RetryPolicy(max_attempts=2, base_delay_tu=0.0)
         )
         with pytest.raises(SweepExecutionError) as excinfo:
-            run_sweep_parallel(
+            run_sweep(
                 small_base(),
                 SPEC,
                 base_seed=42,
-                config=cfg,
+                jobs=2,
                 task_runner=_poison_runner,
             )
         failures = excinfo.value.failures
@@ -171,11 +160,12 @@ class TestResilience:
         monkeypatch.setenv(_FLAKY_DIR_VAR, str(tmp_path))
         spec = SweepSpec(mean_interarrival=(2.5,))
         serial = run_sweep(small_base(), spec, base_seed=7)
-        parallel = run_sweep_parallel(
+        parallel = run_sweep(
             small_base(),
             spec,
             base_seed=7,
-            config=ParallelSweepConfig(jobs=1, task_timeout_s=0.5),
+            jobs=2,
+            task_timeout_s=0.5,
             task_runner=_slow_first_runner,
         )
         assert parallel == serial
@@ -184,7 +174,7 @@ class TestResilience:
 class TestReporting:
     def test_progress_fires_once_per_cell(self):
         calls = []
-        run_sweep_parallel(
+        run_sweep(
             small_base(),
             SPEC,
             base_seed=42,
@@ -197,7 +187,7 @@ class TestReporting:
 
     def test_metrics_registry_receives_counters(self):
         registry = MetricsRegistry()
-        run_sweep_parallel(small_base(), SPEC, base_seed=42, jobs=2, metrics=registry)
+        run_sweep(small_base(), SPEC, base_seed=42, jobs=2, metrics=registry)
         exposition = registry.expose()
         assert 'sweep_tasks{outcome="completed"} 4' in exposition
         assert "sweep_cells_done 4" in exposition
@@ -207,7 +197,7 @@ class TestReporting:
     def test_retries_counted(self, tmp_path, monkeypatch):
         monkeypatch.setenv(_FLAKY_DIR_VAR, str(tmp_path))
         registry = MetricsRegistry()
-        run_sweep_parallel(
+        run_sweep(
             small_base(),
             SPEC,
             base_seed=42,
@@ -241,49 +231,32 @@ class TestStreamingResults:
         serial = run_sweep(small_base(), SPEC, base_seed=42)
         store = self._store(tmp_path)
         try:
-            parallel = run_sweep_parallel(
+            parallel = run_sweep(
                 small_base(), SPEC, base_seed=42, jobs=2, results=store
             )
         finally:
             store.close()
         assert rows_as_bytes(parallel) == rows_as_bytes(serial)
 
-    def test_repetition_granularity_streamed_identical(self, tmp_path):
-        serial = run_sweep(small_base(), SPEC, base_seed=42)
-        store = self._store(tmp_path)
-        try:
-            parallel = run_sweep_parallel(
-                small_base(),
-                SPEC,
-                base_seed=42,
-                config=ParallelSweepConfig(jobs=2, granularity="repetition"),
-                results=store,
-            )
-        finally:
-            store.close()
-        assert rows_as_bytes(parallel) == rows_as_bytes(serial)
-
-    def test_dead_letter_recorded_as_failed_then_resumed(self, tmp_path):
+    def test_dead_letter_recorded_as_failed_then_resumed(self, tmp_path,
+                                                         monkeypatch):
         """Regression: the SweepExecutionError path must write ``failed``
         records, so the next ``--resume`` retries those repetitions
         instead of silently treating the sweep as unschedulable."""
         from repro.core.ledger import open_ledger
         from repro.sim.results import ResultStore
 
-        cfg = ParallelSweepConfig(
-            jobs=2,
-            retry=type(ParallelSweepConfig().retry)(
-                max_attempts=2, base_delay_tu=0.0
-            ),
+        monkeypatch.setattr(
+            sweep, "TASK_RETRY", RetryPolicy(max_attempts=2, base_delay_tu=0.0)
         )
         path = tmp_path / "r.jsonl"
         store = ResultStore(open_ledger(str(path)))
         with pytest.raises(SweepExecutionError):
-            run_sweep_parallel(
+            run_sweep(
                 small_base(),
                 SPEC,
                 base_seed=42,
-                config=cfg,
+                jobs=2,
                 task_runner=_poison_runner,
                 results=store,
             )
@@ -298,7 +271,7 @@ class TestStreamingResults:
         # converges on the serial rows.
         store = ResultStore(open_ledger(str(path)))
         try:
-            rows = run_sweep_parallel(
+            rows = run_sweep(
                 small_base(),
                 SPEC,
                 base_seed=42,
@@ -314,30 +287,28 @@ class TestStreamingResults:
         assert len(final.completed) == SPEC.size() * reps
         assert final.failed == {}
 
-    @pytest.mark.parametrize("granularity", ["cell", "repetition"])
-    def test_resume_partial_cell_runs_only_missing(self, tmp_path,
-                                                   granularity):
+    def test_resume_partial_cell_runs_only_missing(self, tmp_path):
         from repro.core.ledger import open_ledger
         from repro.sim.results import ResultStore
 
         path = tmp_path / "r.jsonl"
         store = ResultStore(open_ledger(str(path)))
-        run_sweep_parallel(
+        run_sweep(
             small_base(), SPEC, base_seed=42, jobs=2, results=store
         )
         store.close()
         lines = path.read_text().splitlines()
         total_records = len(lines) - 1
         # Drop the last three records: one cell loses both reps, another
-        # loses one -- partial-cell resume across task granularities.
+        # loses one -- a resume runs exactly the missing repetitions.
         path.write_text("\n".join(lines[:-3]) + "\n")
         store = ResultStore(open_ledger(str(path)))
         try:
-            rows = run_sweep_parallel(
+            rows = run_sweep(
                 small_base(),
                 SPEC,
                 base_seed=42,
-                config=ParallelSweepConfig(jobs=2, granularity=granularity),
+                jobs=2,
                 results=store,
                 resume=True,
             )
@@ -352,31 +323,69 @@ class TestStreamingResults:
         from repro.core.ledger import open_ledger
         from repro.sim.results import ResultStore
 
+        serial = run_sweep(small_base(), SPEC, base_seed=42)
         path = tmp_path / "r.jsonl"
         store = ResultStore(open_ledger(str(path)))
-        run_sweep_parallel(
+        run_sweep(
             small_base(), SPEC, base_seed=42, jobs=2, results=store
         )
         store.close()
         before = path.read_text()
+        # Both dispatchers share one progress semantics: only cells this
+        # call completes are announced.
+        for jobs in (1, 2):
+            store = ResultStore(open_ledger(str(path)))
+            calls = []
+            try:
+                rows = run_sweep(
+                    small_base(),
+                    SPEC,
+                    base_seed=42,
+                    jobs=jobs,
+                    results=store,
+                    resume=True,
+                    progress=lambda d, t, c: calls.append(d),
+                )
+            finally:
+                store.close()
+            assert path.read_text() == before
+            assert calls == []  # no cell newly completed
+            assert rows_as_bytes(rows) == rows_as_bytes(serial)
+
+    @pytest.mark.parametrize("first,then", [(1, 2), (2, 1)])
+    def test_resume_across_jobs_values(self, tmp_path, first, then):
+        """A ledger started in-process resumes on the pool, and back."""
+        from repro.core.ledger import open_ledger
+        from repro.sim.results import ResultStore
+
+        serial = run_sweep(small_base(), SPEC, base_seed=42)
+        path = tmp_path / "r.jsonl"
+        store = ResultStore(open_ledger(str(path)))
+        run_sweep(small_base(), SPEC, base_seed=42, jobs=first, results=store)
+        store.close()
+        lines = path.read_text().splitlines()
+        # Keep the header and one record, as if killed right after it.
+        path.write_text("\n".join(lines[:2]) + "\n")
         store = ResultStore(open_ledger(str(path)))
         calls = []
         try:
-            rows = run_sweep_parallel(
+            rows = run_sweep(
                 small_base(),
                 SPEC,
                 base_seed=42,
-                jobs=2,
+                jobs=then,
                 results=store,
                 resume=True,
                 progress=lambda d, t, c: calls.append(d),
             )
         finally:
             store.close()
-        assert path.read_text() == before
-        assert calls == []  # no cell newly completed
-        serial = run_sweep(small_base(), SPEC, base_seed=42)
         assert rows_as_bytes(rows) == rows_as_bytes(serial)
+        final = path.read_text().splitlines()
+        # The ledger grew by exactly the missing records, kept in front.
+        assert final[:2] == lines[:2]
+        assert len(final) == len(lines)
+        assert sorted(calls) == list(range(1, SPEC.size() + 1))
 
     def test_nonempty_store_without_resume_refused(self, tmp_path):
         from repro.core.errors import ConfigurationError
@@ -385,14 +394,14 @@ class TestStreamingResults:
 
         path = tmp_path / "r.jsonl"
         store = ResultStore(open_ledger(str(path)))
-        run_sweep_parallel(
+        run_sweep(
             small_base(), SPEC, base_seed=42, jobs=2, results=store
         )
         store.close()
         store = ResultStore(open_ledger(str(path)))
         try:
             with pytest.raises(ConfigurationError, match="--resume"):
-                run_sweep_parallel(
+                run_sweep(
                     small_base(), SPEC, base_seed=42, jobs=2, results=store
                 )
         finally:
@@ -403,21 +412,29 @@ class TestConfig:
     def test_resolve_jobs(self):
         assert resolve_jobs(0) == (os.cpu_count() or 1)
         assert resolve_jobs(3) == 3
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             resolve_jobs(-1)
 
-    def test_bad_granularity_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelSweepConfig(granularity="batch")
-
     def test_bad_seed_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelSweepConfig(seed_mode="random")
+        """A ledger written under the retired disjoint seed mode is
+        refused on resume, not continued with different seeds."""
+        import dataclasses
+
+        from repro.core.ledger import MemoryLedger
+        from repro.sim.results import ResultStore, sweep_meta
+
+        base = small_base()
+        meta = sweep_meta(base, list(SPEC.cells()), 2, 42)
+        store = ResultStore(MemoryLedger())
+        store.write_meta(dataclasses.replace(meta, seed_mode="disjoint"))
+        with pytest.raises(ConfigurationError, match="seed_mode"):
+            run_sweep(base, SPEC, base_seed=42, results=store, resume=True)
 
     def test_custom_registry_rejected(self):
         from repro.apps.registry import default_registry
 
         with pytest.raises(ValueError, match="registry"):
-            run_sweep_parallel(
-                small_base(), SPEC, base_seed=1, registry=default_registry()
+            run_sweep(
+                small_base(), SPEC, base_seed=1, jobs=2,
+                registry=default_registry(),
             )

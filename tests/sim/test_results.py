@@ -3,7 +3,7 @@
 Stores on each ledger medium (memory / JSONL / SQLite), replay semantics
 (completed wins, failed is retryable, duplicates counted), torn tails as
 the store sees them, the resume
-protocol's header checks, and the incremental aggregator's fold/merge
+protocol's header checks, and the incremental aggregator's fold
 behaviour -- all on synthetic records, no simulator in the loop.
 """
 
@@ -27,7 +27,6 @@ from repro.sim.results import (
     SweepAggregator,
     SweepMeta,
     failed_records,
-    fold_records,
     grid_fingerprint,
     open_result_stream,
     records_from_runs,
@@ -357,26 +356,6 @@ class TestSweepAggregator:
         agg.add(completed(1, 0))
         with pytest.raises(SCANError, match="retain_rows"):
             agg.rows()
-
-    def test_merge_disjoint_folds(self):
-        records = [completed(0, 0), completed(0, 1),
-                   completed(1, 0), completed(1, 1)]
-        whole = fold_records(CELLS, 2, records)
-        left = fold_records(CELLS, 2, records[:2])
-        right = fold_records(CELLS, 2, records[2:])
-        assert left.merge(right).rows() == whole.rows()
-
-    def test_merge_overlap_refused(self):
-        left = fold_records(CELLS, 1, [completed(0, 0)])
-        right = fold_records(CELLS, 1, [completed(0, 0)])
-        with pytest.raises(SCANError, match="overlap"):
-            left.merge(right)
-
-    def test_merge_different_sweeps_refused(self):
-        left = fold_records(CELLS, 1, [])
-        right = fold_records(CELLS, 2, [])
-        with pytest.raises(SCANError, match="different"):
-            left.merge(right)
 
 
 class TestRecordBuilders:

@@ -1,28 +1,28 @@
-"""Seed-derivation contract for the parallel sweep executor.
+"""Seed contract for the sweep executor.
 
-Three properties, each load-bearing for serial/parallel equivalence:
+Repetition *k* of every grid cell runs with seed ``base_seed + k`` --
+common random numbers across cells, the paper's variance-reduction
+convention -- whichever ``jobs`` value dispatches it:
 
-1. **Golden stability** -- the first 50 derived seeds match a hard-coded
-   fixture, so any change to the derivation arithmetic fails loudly.
-2. **Serial compatibility** -- ``"crn"`` mode reproduces exactly the seeds
-   the serial :func:`repro.sim.session.run_repetitions` assigns.
-3. **Process independence** -- derivation is pure arithmetic, so a child
-   interpreter derives the same seeds (no salted hashing, no global state).
+1. **Golden stability** -- the first 50 task seeds match a hard-coded
+   fixture, so any change to the seed arithmetic fails loudly.
+2. **Serial compatibility** -- the seeds the ledger records are exactly the
+   ones :func:`repro.sim.session.run_repetitions` assigns, at ``jobs`` 1
+   and 2.
+3. **Ledger compatibility** -- the header still names the ``"crn"`` seed
+   mode, so ledgers written before the executors merged still resume.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-
 import pytest
 
-import repro
-from repro.core.config import PlatformConfig
-from repro.sim.parallel import SEED_MODES, derive_cell_seeds
+from repro.core.config import PlatformConfig, ScalingAlgorithm
+from repro.core.errors import ConfigurationError
+from repro.core.ledger import MemoryLedger
+from repro.sim.results import ResultStore
 from repro.sim.session import run_repetitions
+from repro.sim.sweep import SweepSpec, _build_tasks, run_sweep
 
 # First 50 seeds in grid-major order (cell 0..4, reps 0..9) for
 # base_seed=1000.  Hard-coded on purpose: regenerating them with the same
@@ -35,104 +35,53 @@ GOLDEN_CRN = [
     1000, 1001, 1002, 1003, 1004, 1005, 1006, 1007, 1008, 1009,
     1000, 1001, 1002, 1003, 1004, 1005, 1006, 1007, 1008, 1009,
 ]
-GOLDEN_DISJOINT = [
-    # cell i owns the 2**32-wide block starting at base_seed + i * 2**32
-    1000, 1001, 1002, 1003, 1004, 1005, 1006, 1007, 1008, 1009,
-    4294968296, 4294968297, 4294968298, 4294968299, 4294968300,
-    4294968301, 4294968302, 4294968303, 4294968304, 4294968305,
-    8589935592, 8589935593, 8589935594, 8589935595, 8589935596,
-    8589935597, 8589935598, 8589935599, 8589935600, 8589935601,
-    12884902888, 12884902889, 12884902890, 12884902891, 12884902892,
-    12884902893, 12884902894, 12884902895, 12884902896, 12884902897,
-    17179870184, 17179870185, 17179870186, 17179870187, 17179870188,
-    17179870189, 17179870190, 17179870191, 17179870192, 17179870193,
-]
+
+SPEC = SweepSpec(
+    scaling=(ScalingAlgorithm.ALWAYS, ScalingAlgorithm.NEVER),
+    mean_interarrival=(2.5,),
+)
 
 
-def first_50(mode: str) -> list[int]:
-    out: list[int] = []
-    for cell_index in range(5):
-        out.extend(derive_cell_seeds(1000, cell_index, 10, mode=mode))
-    return out
+def small_base() -> PlatformConfig:
+    return PlatformConfig.paper_defaults().with_overrides(
+        simulation={"duration": 40.0}
+    )
+
+
+def ledger_state(jobs: int, repetitions: int = 3, base_seed: int = 11):
+    store = ResultStore(MemoryLedger())
+    run_sweep(
+        small_base(), SPEC, repetitions=repetitions, base_seed=base_seed,
+        jobs=jobs, results=store,
+    )
+    return store.load()
 
 
 class TestGolden:
     def test_crn_matches_fixture(self):
-        assert first_50("crn") == GOLDEN_CRN
-
-    def test_disjoint_matches_fixture(self):
-        assert first_50("disjoint") == GOLDEN_DISJOINT
+        cells = [{"cell": i} for i in range(5)]
+        tasks = _build_tasks(small_base(), cells, 10, 1000, None, ())
+        seeds = [seed for i in range(5) for seed in tasks[i].seeds]
+        assert seeds == GOLDEN_CRN
 
 
 class TestSerialCompatibility:
     def test_crn_reproduces_run_repetitions_seeds(self):
-        config = PlatformConfig.paper_defaults().with_overrides(
-            simulation={"duration": 40.0}
-        )
-        results = run_repetitions(config, repetitions=3, base_seed=11)
+        results = run_repetitions(small_base(), repetitions=3, base_seed=11)
         serial_seeds = [r.seed for r in results]
-        # Every cell, not just cell 0, must see the serial ordering.
-        for cell_index in (0, 1, 7):
-            assert (
-                list(derive_cell_seeds(11, cell_index, 3, mode="crn"))
-                == serial_seeds
-            )
+        for jobs in (1, 2):
+            state = ledger_state(jobs)
+            # Every cell, not just cell 0, sees the serial ordering.
+            for cell_index in range(SPEC.size()):
+                assert [
+                    state.completed[(cell_index, k)].seed for k in range(3)
+                ] == serial_seeds
 
     def test_crn_default_mode(self):
-        assert derive_cell_seeds(5, 3, 2) == derive_cell_seeds(5, 3, 2, mode="crn")
-
-
-class TestDisjointness:
-    def test_disjoint_blocks_never_overlap(self):
-        blocks = [
-            set(derive_cell_seeds(123, i, 50, mode="disjoint")) for i in range(20)
-        ]
-        for i, a in enumerate(blocks):
-            for b in blocks[i + 1 :]:
-                assert not (a & b)
-
-    def test_disjoint_differs_from_serial_beyond_cell_zero(self):
-        assert derive_cell_seeds(7, 0, 4, mode="disjoint") == (7, 8, 9, 10)
-        assert derive_cell_seeds(7, 1, 4, mode="disjoint") != (7, 8, 9, 10)
+        assert ledger_state(jobs=1, repetitions=1).meta.seed_mode == "crn"
 
 
 class TestValidation:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            derive_cell_seeds(1, 0, 1, mode="hashed")
-
     def test_zero_repetitions_rejected(self):
-        with pytest.raises(ValueError):
-            derive_cell_seeds(1, 0, 0)
-
-    def test_negative_cell_rejected(self):
-        with pytest.raises(ValueError):
-            derive_cell_seeds(1, -1, 1)
-
-
-class TestProcessStability:
-    def test_child_interpreter_derives_identical_seeds(self):
-        """A fresh process (fresh hash salt) derives the same seeds."""
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        script = (
-            "import json, sys\n"
-            "from repro.sim.parallel import derive_cell_seeds\n"
-            "out = {mode: [list(derive_cell_seeds(1000, i, 10, mode=mode))\n"
-            "              for i in range(5)]\n"
-            "       for mode in ('crn', 'disjoint')}\n"
-            "print(json.dumps(out))\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_dir
-        env["PYTHONHASHSEED"] = "random"
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        child = json.loads(proc.stdout)
-        for mode in SEED_MODES:
-            flat = [seed for block in child[mode] for seed in block]
-            assert flat == first_50(mode)
+        with pytest.raises(ConfigurationError, match="repetitions"):
+            run_sweep(small_base(), SPEC, repetitions=0)

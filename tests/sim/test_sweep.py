@@ -15,7 +15,6 @@ from repro.sim.sweep import (
     SweepSpec,
     apply_cell,
     row_from_runs,
-    run_cell,
     run_cell_runs,
     run_sweep,
 )
@@ -129,7 +128,9 @@ class TestSweepEdgePaths:
 
     def test_run_cell_composes_its_halves(self):
         cell = next(SweepSpec().cells())
-        whole = run_cell(tiny_base(), cell, repetitions=2, base_seed=7)
+        (whole,) = run_sweep(
+            tiny_base(), SweepSpec(), repetitions=2, base_seed=7
+        )
         per_run = run_cell_runs(
             tiny_base(), cell, repetitions=2, base_seed=7
         )
