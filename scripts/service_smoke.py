@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """End-to-end crash-recovery smoke for ``scan-sim serve --service``.
 
-The CI ``service-smoke`` job runs this against a *real* subprocess:
+The CI ``smoke`` job runs this against a *real* subprocess:
 
 1. start the server with a SQLite queue store;
 2. submit 1000 jobs across 4 tenants over HTTP;

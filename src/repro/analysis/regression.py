@@ -9,6 +9,7 @@ profiling data").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,21 +48,25 @@ def fit_linear(x: Sequence[float], y: Sequence[float]) -> LinearFit:
     n = xa.size
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    x_mean = xa.mean()
-    y_mean = ya.mean()
-    sxx = float(np.sum((xa - x_mean) ** 2))
+    # np.add.reduce(a) / n is what ndarray.mean computes, minus its Python
+    # wrapper; d * d is what d ** 2 computes.  The floats are unchanged.
+    x_mean = np.add.reduce(xa) / n
+    y_mean = np.add.reduce(ya) / n
+    dx = xa - x_mean
+    dy = ya - y_mean
+    sxx = float(np.add.reduce(dx * dx))
     if sxx == 0.0:
         raise ValueError("all x values are identical; slope is undefined")
-    sxy = float(np.sum((xa - x_mean) * (ya - y_mean)))
+    sxy = float(np.add.reduce(dx * dy))
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
 
     residuals = ya - (slope * xa + intercept)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((ya - y_mean) ** 2))
+    ss_res = float(np.add.reduce(residuals * residuals))
+    ss_tot = float(np.add.reduce(dy * dy))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     dof = max(n - 2, 1)
-    residual_std = float(np.sqrt(ss_res / dof))
+    residual_std = math.sqrt(ss_res / dof)
     return LinearFit(
         slope=slope,
         intercept=intercept,

@@ -32,8 +32,11 @@ golden sweep fixtures pin it) and ``adaptive`` (serves refit facts).
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.analysis.amdahl import amdahl_time
 from repro.analysis.regression import fit_linear
@@ -392,6 +395,90 @@ def diff_snapshots(
 _Obs = Tuple[float, int, float]
 
 
+def _single_threaded(row: _Obs, c: Optional[float]) -> float:
+    """*row*'s duration normalised to one thread through Amdahl fraction *c*."""
+    _, threads, duration = row
+    if threads == 1 or c is None:
+        return duration
+    return duration / max(c / threads + (1.0 - c), 1e-9)
+
+
+class _Window:
+    """One fact scope's retained observations, kept ready to fit.
+
+    ``rows`` stays sorted (new rows are placed with :func:`bisect.insort`
+    semantics, after any equal rows), with the fit columns ``xs``/``ys``
+    aligned to it; ``ys`` are de-Amdahled under :attr:`c`.  The columns
+    are ``array("d")`` so :func:`~repro.analysis.regression.fit_linear`
+    reads them through the buffer protocol instead of unboxing each
+    float.  ``sizes`` counts rows per distinct input size and
+    ``arrivals`` remembers arrival order, so evicting the oldest row is a
+    bisect, not a rebuild.
+
+    Because equal rows keep their arrival order, the columns are exactly
+    what sorting the retained rows (a stable sort) and de-Amdahling them
+    would give -- which is what makes the incremental fit bit-identical
+    to the batch one.
+    """
+
+    __slots__ = ("c", "rows", "xs", "ys", "sizes", "arrivals")
+
+    def __init__(self, c: Optional[float]) -> None:
+        self.c = c
+        self.rows: List[_Obs] = []
+        self.xs = array("d")
+        self.ys = array("d")
+        self.sizes: Dict[float, int] = {}
+        self.arrivals: Deque[_Obs] = deque()
+
+    def add(self, row: _Obs) -> None:
+        at = bisect_right(self.rows, row)
+        self.rows.insert(at, row)
+        self.xs.insert(at, row[0])
+        self.ys.insert(at, _single_threaded(row, self.c))
+        self.sizes[row[0]] = self.sizes.get(row[0], 0) + 1
+        self.arrivals.append(row)
+
+    def evict_oldest(self) -> None:
+        row = self.arrivals.popleft()
+        # The oldest arrival is the first of its equal rows.
+        at = bisect_left(self.rows, row)
+        del self.rows[at], self.xs[at], self.ys[at]
+        left = self.sizes[row[0]] - 1
+        if left:
+            self.sizes[row[0]] = left
+        else:
+            del self.sizes[row[0]]
+
+    def fit(
+        self, app: str, stage: int, prior: Optional[StageFact], min_samples: int
+    ) -> Optional[StageFact]:
+        """The refit fact for this window under *prior*, or None."""
+        if len(self.rows) < max(min_samples, 2):
+            return None
+        c = prior.c if prior is not None else None
+        if c != self.c:
+            self.c = c
+            self.ys = array("d", [_single_threaded(row, c) for row in self.rows])
+        if len(self.sizes) < 2:
+            return None
+        try:
+            fit = fit_linear(self.xs, self.ys)
+        except ValueError:
+            return None
+        return StageFact(
+            app=app,
+            stage=stage,
+            a=fit.slope,
+            b=fit.intercept,
+            c=c,
+            ram_gb=prior.ram_gb if prior is not None else 4.0,
+            provenance="refit",
+            samples=len(self.rows),
+            confidence=max(min(fit.r_squared, 1.0), 0.0),
+        )
+
+
 def fit_stage_fact(
     app: str,
     stage: int,
@@ -402,9 +489,11 @@ def fit_stage_fact(
     """Batch-fit one stage's fact from (input_gb, threads, duration) triples.
 
     The fit is *deterministically order-independent*: observations are
-    sorted before any floating-point accumulation, so any permutation of
-    the same multiset produces bit-identical coefficients (the Hypothesis
-    property in the test suite pins this).
+    fitted in sorted order, so any permutation of the same multiset
+    produces bit-identical coefficients (the Hypothesis property in the
+    test suite pins this).  :class:`OnlineRefitter` keeps the same sorted
+    window incrementally and fits it with the same arithmetic, so its
+    installed facts equal this function's over the retained rows.
 
     Multi-threaded durations are normalised back to single-threaded
     equivalents through the prior's Amdahl fraction ``c`` (online runs
@@ -413,37 +502,10 @@ def fit_stage_fact(
     when the data cannot support a fit (too few points, one distinct
     size) -- the caller keeps the prior fact.
     """
-    obs = sorted(observations)
-    if len(obs) < max(min_samples, 2):
-        return None
-    c = prior.c if prior is not None else None
-    ram_gb = prior.ram_gb if prior is not None else 4.0
-    xs: list[float] = []
-    ys: list[float] = []
-    for size, threads, duration in obs:
-        if threads == 1 or c is None:
-            equivalent = duration
-        else:
-            equivalent = duration / max(c / threads + (1.0 - c), 1e-9)
-        xs.append(size)
-        ys.append(equivalent)
-    if len(set(xs)) < 2:
-        return None
-    try:
-        fit = fit_linear(xs, ys)
-    except ValueError:
-        return None
-    return StageFact(
-        app=app,
-        stage=stage,
-        a=fit.slope,
-        b=fit.intercept,
-        c=c,
-        ram_gb=ram_gb,
-        provenance="refit",
-        samples=len(obs),
-        confidence=max(min(fit.r_squared, 1.0), 0.0),
-    )
+    window = _Window(prior.c if prior is not None else None)
+    for row in observations:
+        window.add(row)
+    return window.fit(app, stage, prior, min_samples)
 
 
 class OnlineRefitter:
@@ -451,9 +513,14 @@ class OnlineRefitter:
 
     Subscribe it to a bus (:meth:`attach`) and every
     :class:`~repro.core.bus.StageCompleted` event is retained; every
-    ``refit_every`` observations the affected stages are re-fit
-    (:func:`fit_stage_fact`) and the new facts installed, bumping the
-    plane epoch so EET memos and provider model tables rebuild.
+    ``refit_every`` completions the affected stages are re-fit and the
+    new facts installed, bumping the plane epoch so EET memos and
+    provider model tables rebuild.
+
+    Each fact scope keeps a sorted window of its last ``max_observations``
+    rows with the fit columns alongside, so a refit is one
+    :func:`~repro.analysis.regression.fit_linear` call per touched stage,
+    bit-identical to :func:`fit_stage_fact` over the same rows.
 
     The refitter is a passive bus subscriber: it never draws simulation
     randomness or schedules events, so attaching it cannot perturb a run's
@@ -474,6 +541,8 @@ class OnlineRefitter:
             raise ValueError("refit_every must be >= 1")
         if min_samples < 2:
             raise ValueError("min_samples must be >= 2")
+        if max_observations < min_samples:
+            raise ValueError("max_observations must be >= min_samples")
         self.plane = plane
         self.refit_every = refit_every
         self.min_samples = min_samples
@@ -481,10 +550,12 @@ class OnlineRefitter:
         #: When True, observations tagged with a tier are *also* folded
         #: into a tier-scoped fact (``app@tier``), so the plane learns
         #: per-tier coefficient sets (e.g. serverless cold environments
-        #: running systematically slower than reserved metal).
+        #: running systematically slower than reserved metal).  A scope
+        #: without a fact of its own borrows the unscoped fact's Amdahl
+        #: ``c`` and RAM, and the cadence counts completions, not scopes.
         self.per_tier = per_tier
         self._clock = clock
-        self._observations: Dict[Tuple[str, int], List[_Obs]] = {}
+        self._windows: Dict[Tuple[str, int], _Window] = {}
         self._dirty: set[Tuple[str, int]] = set()
         self._since_refit = 0
         self.observed = 0
@@ -512,33 +583,60 @@ class OnlineRefitter:
 
     def on_stage_completed(self, event: StageCompleted) -> None:
         self.observe(
-            event.app, event.stage, event.input_gb, event.threads, event.duration
+            event.app,
+            event.stage,
+            event.input_gb,
+            event.threads,
+            event.duration,
+            tier=getattr(event, "tier", ""),
         )
-        tier = getattr(event, "tier", "")
-        if self.per_tier and tier:
-            self.observe(
-                f"{event.app}@{tier}",
-                event.stage,
-                event.input_gb,
-                event.threads,
-                event.duration,
+
+    def _prior(
+        self, app: str, stage: int, own: Optional[StageFact]
+    ) -> Optional[StageFact]:
+        """The fact a scope's fit builds on: *own*, else the unscoped one."""
+        if own is None and "@" in app:
+            return self.plane.get(app.split("@", 1)[0], stage)
+        return own
+
+    def _fold(self, key: Tuple[str, int], row: _Obs) -> None:
+        window = self._windows.get(key)
+        if window is None:
+            app, stage = key
+            prior = self._prior(app, stage, self.plane.get(app, stage))
+            window = self._windows[key] = _Window(
+                prior.c if prior is not None else None
             )
+        window.add(row)
+        if len(window.rows) > self.max_observations:
+            window.evict_oldest()
+        self._dirty.add(key)
 
     def observe(
-        self, app: str, stage: int, input_gb: float, threads: int, duration: float
+        self,
+        app: str,
+        stage: int,
+        input_gb: float,
+        threads: int,
+        duration: float,
+        tier: str = "",
     ) -> None:
-        """Fold one realised duration in; refit when the cadence is due."""
-        key = (app, stage)
-        prior = self.plane.get(app, stage)
-        if self._error_hist is not None and prior is not None:
-            predicted = prior.predict(input_gb, threads)
-            if predicted > 0:
-                self._error_hist.observe(duration / predicted)
-        retained = self._observations.setdefault(key, [])
-        retained.append((float(input_gb), int(threads), float(duration)))
-        if len(retained) > self.max_observations:
-            del retained[0 : len(retained) - self.max_observations]
-        self._dirty.add(key)
+        """Fold one realised duration in; refit when the cadence is due.
+
+        With ``per_tier`` and a *tier*, the row also lands in the
+        ``app@tier`` scope; either way it is one completion towards the
+        ``refit_every`` cadence.
+        """
+        if self._error_hist is not None:
+            prior = self.plane.get(app, stage)
+            if prior is not None:
+                predicted = prior.predict(input_gb, threads)
+                if predicted > 0:
+                    self._error_hist.observe(duration / predicted)
+        row = (float(input_gb), int(threads), float(duration))
+        self._fold((app, stage), row)
+        if self.per_tier and tier:
+            self._fold((f"{app}@{tier}", stage), row)
         self.observed += 1
         self._since_refit += 1
         if self._since_refit >= self.refit_every:
@@ -548,28 +646,22 @@ class OnlineRefitter:
         """Re-fit every stage touched since the last refit; returns epoch."""
         self._since_refit = 0
         facts: list[StageFact] = []
-        fitted_keys: list[Tuple[str, int]] = []
+        priors: list[Optional[StageFact]] = []
         for key in sorted(self._dirty):
             app, stage = key
-            prior = self.plane.get(app, stage)
-            fact = fit_stage_fact(
-                app,
-                stage,
-                self._observations[key],
-                prior=prior,
-                min_samples=self.min_samples,
+            own = self.plane.get(app, stage)
+            fact = self._windows[key].fit(
+                app, stage, self._prior(app, stage, own), self.min_samples
             )
             if fact is not None:
                 facts.append(fact)
-                fitted_keys.append(key)
+                priors.append(own)
         if not facts:
             return self.plane.epoch
         now = float(self._clock()) if self._clock is not None else 0.0
-        priors = {key: self.plane.get(*key) for key in fitted_keys}
         epoch = self.plane.install(facts)
-        for key, fact in zip(fitted_keys, facts):
-            self._dirty.discard(key)
-            prior = priors[key]
+        for fact, prior in zip(facts, priors):
+            self._dirty.discard((fact.app, fact.stage))
             self.plane.history.append(
                 RefitRecord(
                     time=now,

@@ -1,9 +1,44 @@
 """Tests for OLS fitting."""
 
+from array import array
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.regression import fit_affine_multi, fit_linear
+
+
+def reference_fit(x, y):
+    """The original ``fit_linear`` arithmetic, kept literally as an oracle.
+
+    Returns ``(slope, intercept, r_squared, residual_std)``, or None where
+    the original raised (degenerate x).
+    """
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    x_mean = xa.mean()
+    y_mean = ya.mean()
+    sxx = float(np.sum((xa - x_mean) ** 2))
+    if sxx == 0.0:
+        return None
+    sxy = float(np.sum((xa - x_mean) * (ya - y_mean)))
+    slope = sxy / sxx
+    intercept = y_mean - slope * x_mean
+    residuals = ya - (slope * xa + intercept)
+    ss_res = float(np.sum(residuals**2))
+    ss_tot = float(np.sum((ya - y_mean) ** 2))
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    dof = max(len(xa) - 2, 1)
+    residual_std = float(np.sqrt(ss_res / dof))
+    return slope, intercept, r_squared, residual_std
+
+
+_finite = st.floats(
+    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
+)
+_points = st.lists(st.tuples(_finite, _finite), min_size=2, max_size=300)
 
 
 class TestFitLinear:
@@ -53,6 +88,36 @@ class TestFitLinear:
         fit = fit_linear([1, 2, 3], [5, 5, 5])
         assert fit.slope == pytest.approx(0.0)
         assert fit.r_squared == 1.0
+
+
+class TestFitLinearMatchesReference:
+    @given(points=_points)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_the_reference_formula(self, points):
+        xs = [x for x, _ in points]
+        ys = [y for _, y in points]
+        expected = reference_fit(xs, ys)
+        if expected is None:
+            with pytest.raises(ValueError):
+                fit_linear(xs, ys)
+            return
+        fit = fit_linear(xs, ys)
+        # == on raw floats (NaN-free inputs): the lean arithmetic must not
+        # move a single bit.
+        assert (fit.slope, fit.intercept, fit.r_squared, fit.residual_std) == (
+            expected
+        )
+        # The intercept keeps its numpy scalar type, so reprs match too.
+        assert type(fit.intercept) is type(expected[1])
+
+    @given(points=_points)
+    @settings(max_examples=50, deadline=None)
+    def test_array_columns_fit_like_lists(self, points):
+        xs = [x for x, _ in points]
+        ys = [y for _, y in points]
+        if reference_fit(xs, ys) is None:
+            return
+        assert fit_linear(array("d", xs), array("d", ys)) == fit_linear(xs, ys)
 
 
 class TestFitAffineMulti:

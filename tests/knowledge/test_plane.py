@@ -241,10 +241,10 @@ class TestFitStageFact:
         assert f.ram_gb == prior.ram_gb
 
 
-def completed(stage, size, duration, threads=1, app="gatk"):
+def completed(stage, size, duration, threads=1, app="gatk", tier=""):
     return StageCompleted(
         time=0.0, job="j", app=app, stage=stage,
-        input_gb=size, threads=threads, duration=duration,
+        input_gb=size, threads=threads, duration=duration, tier=tier,
     )
 
 
@@ -255,6 +255,12 @@ class TestOnlineRefitter:
             OnlineRefitter(plane, refit_every=0)
         with pytest.raises(ValueError):
             OnlineRefitter(plane, min_samples=1)
+        # A window smaller than min_samples could never fit.
+        with pytest.raises(
+            ValueError, match="max_observations must be >= min_samples"
+        ):
+            OnlineRefitter(plane, min_samples=4, max_observations=3)
+        OnlineRefitter(plane, min_samples=4, max_observations=4)
 
     def test_bus_events_refit_the_plane(self):
         plane = KnowledgePlane()
@@ -302,6 +308,53 @@ class TestOnlineRefitter:
             refitter.observe("gatk", 0, float(i + 1), 1, 2.0 * (i + 1))
         refitter.flush()
         assert plane.get("gatk", 0).samples == 4
+
+
+class TestPerTierRefit:
+    # Truth: base = 2 d + 3, run at 4 threads under c = 0.8, spread over
+    # two tiers.
+    def _events(self, tiers):
+        sizes = (1.0, 2.0, 4.0, 8.0, 3.0, 6.0)
+        return [
+            completed(
+                0, size, amdahl_time(2.0 * size + 3.0 + 0.1 * i, 4, 0.8),
+                threads=4, tier=tiers[i % len(tiers)],
+            )
+            for i, size in enumerate(sizes * 3)
+        ]
+
+    def _run(self, per_tier, tiers):
+        plane = KnowledgePlane()
+        plane.install([fact(a=1.0, b=1.0, c=0.8)])
+        bus = EventBus()
+        refitter = OnlineRefitter(
+            plane, refit_every=4, min_samples=4, per_tier=per_tier
+        ).attach(bus)
+        for event in self._events(tiers):
+            bus.publish(event)
+        return plane, refitter
+
+    def test_per_tier_counts_each_completion_once(self):
+        flat, flat_refitter = self._run(False, ("private", "spot"))
+        tiered, tiered_refitter = self._run(True, ("private", "spot"))
+        assert tiered_refitter.refits == flat_refitter.refits
+        assert tiered_refitter.observed == flat_refitter.observed == 18
+        assert tiered.epoch == flat.epoch
+        assert tiered.get("gatk", 0) == flat.get("gatk", 0)
+        assert {f.app for f in tiered.facts()} == {
+            "gatk", "gatk@private", "gatk@spot"
+        }
+
+    def test_tier_scope_borrows_the_unscoped_prior(self):
+        plane, _ = self._run(True, ("private",))
+        base = plane.get("gatk", 0)
+        scoped = plane.get("gatk@private", 0)
+        assert scoped.provenance == "refit"
+        assert (scoped.a, scoped.b, scoped.c, scoped.samples) == (
+            base.a, base.b, base.c, base.samples
+        )
+        assert scoped.ram_gb == base.ram_gb
+        assert scoped.a == pytest.approx(2.0, rel=0.05)
 
 
 class TestProviders:

@@ -8,7 +8,7 @@ from completed-stage observations and claws the lost profit back.
 
 import pytest
 
-from repro.core.config import PlatformConfig
+from repro.core.config import PlatformConfig, TierConfig
 from repro.core.presets import make_preset
 from repro.desim.engine import Environment
 from repro.desim.rng import RandomStreams
@@ -71,6 +71,43 @@ class TestKnowledgeWiring:
         assert session.refitter is not None
         assert session.refitter.refits > 0
         assert any(f.provenance == "refit" for f in session.plane.facts())
+
+
+def tiered_adaptive_config(per_tier):
+    # Small reserved and spot tiers so completions spread over three tiers.
+    return make_preset("chaos").with_overrides(
+        cloud={
+            "tiers": (
+                TierConfig(name="private", backend="reserved",
+                           capacity_cores=192, core_cost_per_tu=5.0),
+                TierConfig(name="spot", backend="spot", capacity_cores=96,
+                           core_cost_per_tu=10.0, eviction_mtbf_tu=60.0,
+                           reference_cost_per_tu=50.0),
+                TierConfig(name="public", backend="on_demand",
+                           capacity_cores=1_000_000, core_cost_per_tu=50.0),
+            ),
+        },
+        knowledge={"provider": "adaptive", "per_tier": per_tier},
+        resilience={"max_attempts": 5},
+        workload={"mean_interarrival": 3.0},
+        simulation={"duration": 150.0, "repetitions": 1},
+    )
+
+
+class TestPerTierRefit:
+    def test_per_tier_leaves_base_facts_and_cadence_alone(self):
+        runs = {}
+        for per_tier in (False, True):
+            session = SimulationSession(tiered_adaptive_config(per_tier))
+            result = session.run(seed=1)
+            runs[per_tier] = (session, result)
+        (flat, flat_result), (tiered, tiered_result) = runs[False], runs[True]
+        assert tiered.refitter.refits == flat.refitter.refits
+        assert tiered_result == flat_result
+        base = [f for f in tiered.plane.facts() if "@" not in f.app]
+        assert base == flat.plane.facts()
+        scoped = {f.app for f in tiered.plane.facts() if "@" in f.app}
+        assert len(scoped) >= 2
 
 
 class TestDriftRecovery:
