@@ -22,6 +22,7 @@ import pytest
 from repro.analysis.stats import aggregate_runs
 from repro.apps.base import ExecutionPlan
 from repro.core.config import AllocationAlgorithm, RewardScheme, ScalingAlgorithm
+from repro.sim.builder import FixedPlanBuilder
 from repro.sim.report import render_table
 from repro.sim.session import SimulationSession
 
@@ -56,8 +57,9 @@ def run_figure5():
     points = []
     for plan in PLANS:
         config = _config(allocation=AllocationAlgorithm.BEST_CONSTANT)
-        session = SimulationSession(config)
-        session._constant_plan = plan
+        session = SimulationSession(
+            config, builder=FixedPlanBuilder(config, plan)
+        )
         runs = [session.run(seed=2000 + k) for k in range(BENCH_REPS)]
         stats = aggregate_runs([r.metrics() for r in runs])
         points.append(

@@ -18,6 +18,7 @@ from repro.core.config import (
     RewardScheme,
     ScalingAlgorithm,
 )
+from repro.sim.builder import FixedPlanBuilder
 from repro.sim.report import render_table
 from repro.sim.session import SimulationSession
 
@@ -50,8 +51,10 @@ def make_config(allocation: AllocationAlgorithm) -> PlatformConfig:
 def main() -> None:
     rows = []
     for plan in PLANS:
-        session = SimulationSession(make_config(AllocationAlgorithm.BEST_CONSTANT))
-        session._constant_plan = plan
+        config = make_config(AllocationAlgorithm.BEST_CONSTANT)
+        session = SimulationSession(
+            config, builder=FixedPlanBuilder(config, plan)
+        )
         runs = [session.run(seed=2000 + k) for k in range(REPS)]
         stats = aggregate_runs([r.metrics() for r in runs])
         rows.append(

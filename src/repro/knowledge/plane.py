@@ -689,7 +689,16 @@ class OnlineRefitter:
 
 # -- providers ----------------------------------------------------------------
 class EstimateProvider(Protocol):
-    """The one read interface every estimate consumer goes through."""
+    """The one read interface every estimate consumer goes through.
+
+    ``eet(stage, ...)`` must be a pure function of the object
+    ``stage_model(stage)`` returns (plus size and threads), and that
+    object may only change when ``epoch`` moves.  Consumers rely on it:
+    after an epoch bump the estimator's EET memo keeps the entries of
+    every stage whose ``stage_model`` is the *same object* as before and
+    drops the rest.  A provider that builds a fresh model on every call
+    is therefore always correct -- it merely invalidates everything.
+    """
 
     @property
     def epoch(self) -> int:
@@ -745,9 +754,11 @@ class AdaptiveEstimateProvider:
     """Serves the knowledge plane's latest facts; re-reads after refits.
 
     Stage models are materialised once per plane epoch (a refit bumps the
-    epoch, the next read rebuilds the table).  Stages without facts fall
-    back to the application model's profiled coefficients, so a cold plane
-    behaves like the static provider.
+    epoch, the next read rebuilds the table); a stage whose fact object
+    did not change keeps its model object, so EET memos over untouched
+    stages survive the bump.  Stages without facts fall back to the
+    application model's profiled coefficients, so a cold plane behaves
+    like the static provider.
     """
 
     def __init__(self, app: ApplicationModel, plane: KnowledgePlane, **_: Any) -> None:
@@ -760,6 +771,7 @@ class AdaptiveEstimateProvider:
         if not plane.facts(app.name):
             plane.seed_from_model(app)
         self._models: Dict[int, StageModel] = {}
+        self._facts: Dict[int, Optional[StageFact]] = {}
         self._models_epoch = -1
 
     @property
@@ -773,16 +785,17 @@ class AdaptiveEstimateProvider:
     def _refresh(self) -> None:
         if self._models_epoch == self.plane.epoch:
             return
-        models: Dict[int, StageModel] = {}
         for index in range(self.app.n_stages):
             fact = self.plane.get(self.app.name, index)
+            if index in self._facts and self._facts[index] is fact:
+                continue
+            self._facts[index] = fact
             if fact is None:
-                models[index] = self.app.stage(index)
+                self._models[index] = self.app.stage(index)
             else:
-                models[index] = fact.to_stage_model(
+                self._models[index] = fact.to_stage_model(
                     name=self.app.stage(index).name
                 )
-        self._models = models
         self._models_epoch = self.plane.epoch
 
     def stage_model(self, stage: int) -> StageModel:
@@ -874,7 +887,9 @@ class WorkflowAdaptiveProvider:
     (the scheduler publishes ``StageCompleted`` events under the node
     scope, which is all the refitter keys on).  Nodes without facts fall
     back to their believed model; a cold plane is seeded from the
-    workflow's own coefficients, scope by scope.
+    workflow's own coefficients, scope by scope.  As in
+    :class:`AdaptiveEstimateProvider`, a node whose fact object survives
+    an epoch bump keeps its model object.
     """
 
     def __init__(self, workflow: Any, plane: KnowledgePlane, **_: Any) -> None:
@@ -900,6 +915,7 @@ class WorkflowAdaptiveProvider:
             if plane.get(node.scope, node.app_stage) is None
         )
         self._models: Dict[int, StageModel] = {}
+        self._facts: Dict[int, Optional[StageFact]] = {}
         self._models_epoch = -1
 
     @property
@@ -913,14 +929,16 @@ class WorkflowAdaptiveProvider:
     def _refresh(self) -> None:
         if self._models_epoch == self.plane.epoch:
             return
-        models: Dict[int, StageModel] = {}
         for node in self.workflow:
+            index = node.index
             fact = self.plane.get(node.scope, node.app_stage)
+            if index in self._facts and self._facts[index] is fact:
+                continue
+            self._facts[index] = fact
             if fact is None:
-                models[node.index] = node.model
+                self._models[index] = node.model
             else:
-                models[node.index] = fact.to_stage_model(name=node.model.name)
-        self._models = models
+                self._models[index] = fact.to_stage_model(name=node.model.name)
         self._models_epoch = self.plane.epoch
 
     def stage_model(self, stage: int) -> StageModel:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.apps.base import ApplicationModel
+from repro.apps.base import ApplicationModel, StageModel
 from repro.core.errors import SchedulingError
 from repro.knowledge.plane import EstimateProvider, StaticEstimateProvider
 from repro.scheduler.rewards import RewardFunction
@@ -94,9 +94,11 @@ class PipelineEstimator:
     (default: a :class:`~repro.knowledge.plane.StaticEstimateProvider`
     over *app*, which reproduces the profiled coefficients exactly).  The
     provider's ``epoch`` guards the EET memo: when an online refit bumps
-    the knowledge-plane epoch, the next ``eet`` call drops the memo --
-    the same invalidation contract the SPARQL result cache has with
-    ``TripleStore.epoch``.
+    the knowledge-plane epoch, the next ``eet`` call re-reads each memoised
+    stage's ``stage_model`` and drops the entries of every stage whose
+    model object changed.  A refit touches a few stages; the others keep
+    their entries, which stay exact because EET is a pure function of
+    (model, size, threads).
     """
 
     def __init__(
@@ -135,6 +137,9 @@ class PipelineEstimator:
         # scheduler re-evaluating the same jobs at every decision point.
         self._eet_cache: dict[tuple[int, float, int], float] = {}
         self._cache_epoch = self.estimates.epoch
+        #: The provider's model object each memoised stage's entries were
+        #: computed under (compared by identity on an epoch bump).
+        self._memo_models: dict[int, StageModel] = {}
         #: Per-instance memo counters (session-scoped; the module globals
         #: keep the process aggregate and per-sweep-cell views).
         self.cache_hits = 0
@@ -170,11 +175,7 @@ class PipelineEstimator:
         lookups.  Cached values are the uncached computation's exact floats.
         """
         if self._cache_epoch != self.estimates.epoch:
-            # The knowledge plane installed new facts: every memoised EET
-            # is stale.  Same move as the SPARQL result cache on a store
-            # epoch bump.
-            self._eet_cache.clear()
-            self._cache_epoch = self.estimates.epoch
+            self._drop_stale_stages()
         key = (stage, size, threads)
         value = self._eet_cache.get(key)
         if value is not None:
@@ -186,10 +187,35 @@ class PipelineEstimator:
         _EET_CACHE_STATS["misses"] += 1
         _EET_CELL_STATS["misses"] += 1
         value = self.estimates.eet(stage, size, threads)
+        if stage not in self._memo_models:
+            self._memo_models[stage] = self.estimates.stage_model(stage)
         if len(self._eet_cache) >= EET_CACHE_SIZE:
             self._eet_cache.clear()
         self._eet_cache[key] = value
         return value
+
+    def _drop_stale_stages(self) -> None:
+        """The knowledge plane installed new facts: forget the memo entries
+        of every stage whose model object changed.
+
+        A provider that builds a fresh model on every ``stage_model`` call
+        (e.g. :class:`~repro.knowledge.plane.FactProvider`) thereby drops
+        the whole memo, as the SPARQL result cache does on a store epoch
+        bump.
+        """
+        stage_model = self.estimates.stage_model
+        models = self._memo_models
+        stale = set()
+        for stage, model in models.items():
+            current = stage_model(stage)
+            if current is not model:
+                models[stage] = current
+                stale.add(stage)
+        if stale:
+            cache = self._eet_cache
+            for key in [key for key in cache if key[0] in stale]:
+                del cache[key]
+        self._cache_epoch = self.estimates.epoch
 
     # -- ETT (Eq. 2) ----------------------------------------------------------
     def ett(
@@ -233,28 +259,36 @@ class PipelineEstimator:
         loop, a currently-executing node is still counted at full cost --
         the estimate is conservative in exactly the same way.
         """
-        wf = self.workflow
-        done = job.completed_steps
-        downstream = [0.0] * wf.n_nodes
+        done = job._done
+        eqt = self._eqt
+        eet = self.eet
+        input_gb = job.input_gb
+        threads_of = (
+            job.planned_threads
+            if threads_per_stage is None
+            else threads_per_stage.__getitem__
+        )
+        downstream = [0.0] * self.workflow.n_nodes
         best = 0.0
-        for i in range(wf.n_nodes - 1, -1, -1):
+        for i, children, parents, scale in self.workflow.reverse_sweep:
             if i in done:
                 continue
-            node = wf.node(i)
-            if threads_per_stage is not None:
-                threads = threads_per_stage[i]
-            else:
-                threads = job.planned_threads(i)
-            cost = self.eqt(i) + self.eet(
-                i, wf.node_input_gb(i, job.input_gb), threads
+            cost = eqt[i] + eet(
+                i, input_gb if scale == 1.0 else input_gb * scale, threads_of(i)
             )
+            # A completed child's entry stays 0.0, so it never wins.
             tail = 0.0
-            for child in node.children:
-                if child not in done and downstream[child] > tail:
+            for child in children:
+                if downstream[child] > tail:
                     tail = downstream[child]
-            downstream[i] = cost + tail
-            if downstream[i] > best and all(p in done for p in node.parents):
-                best = downstream[i]
+            d = cost + tail
+            downstream[i] = d
+            if d > best:
+                for p in parents:
+                    if p not in done:
+                        break
+                else:
+                    best = d
         return best
 
     def remaining_time(

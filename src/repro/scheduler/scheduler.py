@@ -331,8 +331,15 @@ class SCANScheduler:
         self._dispatch(task.stage)
 
     def _on_worker_available(self) -> None:
-        for stage in range(self.n_steps):
-            self._dispatch(stage)
+        """Re-dispatch every non-empty queue, lowest stage first.
+
+        Dispatching an empty queue does nothing, so skipping it leaves
+        the simulation unchanged; emptiness is read as each stage's turn
+        comes, after the earlier stages' dispatches.
+        """
+        for stage, queue in enumerate(self.queues):
+            if not queue.empty:
+                self._dispatch(stage)
 
     def _on_worker_failed(self, worker: Worker) -> None:
         """A busy worker's VM died: interrupt its task for retry.
@@ -487,8 +494,7 @@ class SCANScheduler:
     def _schedule_redispatch_all(self, delay: float) -> None:
         def waker():
             yield self.env.timeout(max(delay, 0.0))
-            for stage in range(self.n_steps):
-                self._dispatch(stage)
+            self._on_worker_available()
 
         self.env.process(waker())
 

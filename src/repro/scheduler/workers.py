@@ -98,7 +98,11 @@ class WorkerPools:
             from repro.telemetry.tracing import lane_for_worker
 
             self._lane_for_worker = lane_for_worker
-        self._idle: list[Worker] = []
+        #: Idle workers in the order they became idle (a dict as an
+        #: ordered set), and the same workers per (class, cores) shape in
+        #: the same order, so :meth:`acquire` is one lookup.
+        self._idle: dict[Worker, None] = {}
+        self._idle_by_shape: dict[tuple[str, int], dict[Worker, None]] = {}
         self._busy: set[Worker] = set()
         #: Workers currently booting/resizing, per stage that requested
         #: them.  A Counter so absent stages read 0; zero-count entries are
@@ -135,6 +139,24 @@ class WorkerPools:
     def busy_workers(self) -> frozenset[Worker]:
         return frozenset(self._busy)
 
+    def _idle_add(self, worker: Worker) -> None:
+        self._idle[worker] = None
+        shape = (worker.worker_class, worker.cores)
+        pool = self._idle_by_shape.get(shape)
+        if pool is None:
+            pool = self._idle_by_shape[shape] = {}
+        pool[worker] = None
+
+    def _idle_remove(self, worker: Worker) -> None:
+        # A worker's shape is fixed while it idles (only repool reshapes,
+        # and it removes the worker first).
+        del self._idle[worker]
+        shape = (worker.worker_class, worker.cores)
+        pool = self._idle_by_shape[shape]
+        del pool[worker]
+        if not pool:
+            del self._idle_by_shape[shape]
+
     def total_alive(self) -> int:
         """Idle + busy workers."""
         return len(self._idle) + len(self._busy)
@@ -151,15 +173,17 @@ class WorkerPools:
         vCPU count ("a worker ... assigned to a pool that uses a different
         number of threads" must be re-pooled through a restart, paper
         Section IV-B).  Class must match too -- workers carry
-        per-application software stacks.
+        per-application software stacks.  Of several matches, the one
+        idle longest is taken.
         """
-        for idx, worker in enumerate(self._idle):
-            if worker.worker_class == worker_class and worker.cores == cores:
-                self._idle.pop(idx)
-                worker.idle_since = None
-                self._busy.add(worker)
-                return worker
-        return None
+        pool = self._idle_by_shape.get((worker_class, cores))
+        if pool is None:
+            return None
+        worker = next(iter(pool))
+        self._idle_remove(worker)
+        worker.idle_since = None
+        self._busy.add(worker)
+        return worker
 
     def repool_candidate(self, worker_class: str, cores: int) -> Optional[Worker]:
         """An idle worker that could be resized to *cores*.
@@ -193,7 +217,7 @@ class WorkerPools:
         """
         if worker not in self._idle:
             raise SchedulingError(f"{worker!r} is not idle; cannot repool")
-        self._idle.remove(worker)
+        self._idle_remove(worker)
         worker.idle_since = None
         self.celar.begin_resize(worker.vm, cores)
         self.booting_for_stage[stage] += 1
@@ -299,7 +323,7 @@ class WorkerPools:
         self.failed += 1
         was_busy = worker in self._busy
         if worker in self._idle:
-            self._idle.remove(worker)
+            self._idle_remove(worker)
         self._busy.discard(worker)
         self.celar.terminate(worker.vm)
         if was_busy and self.on_worker_failed is not None:
@@ -346,7 +370,7 @@ class WorkerPools:
         self.failed += 1
         was_busy = worker in self._busy
         if worker in self._idle:
-            self._idle.remove(worker)
+            self._idle_remove(worker)
         self._busy.discard(worker)
         self.celar.terminate(worker.vm)
         if was_busy and self.on_worker_failed is not None:
@@ -357,7 +381,7 @@ class WorkerPools:
     def _make_available(self, worker: Worker) -> None:
         worker.idle_since = self.env.now
         worker.busy_until = None
-        self._idle.append(worker)
+        self._idle_add(worker)
         if self.on_available is not None:
             self.on_available()
 
@@ -415,18 +439,16 @@ class WorkerPools:
 
     def reap(self, now: float) -> int:
         """Terminate idle-expired workers; returns how many died."""
-        survivors: list[Worker] = []
-        dead = 0
-        for worker in self._idle:
-            if (
-                worker.idle_since is not None
-                and now - worker.idle_since >= self.idle_timeout_tu
-            ):
-                self.celar.terminate(worker.vm)
-                dead += 1
-            else:
-                survivors.append(worker)
-        self._idle = survivors
+        expired = [
+            worker
+            for worker in self._idle
+            if worker.idle_since is not None
+            and now - worker.idle_since >= self.idle_timeout_tu
+        ]
+        for worker in expired:
+            self.celar.terminate(worker.vm)
+            self._idle_remove(worker)
+        dead = len(expired)
         self.reaped += dead
         if dead and self.on_available is not None:
             # Freed tier capacity may unblock a waiting hire decision.
@@ -445,7 +467,7 @@ class WorkerPools:
         for worker in victims:
             if tier_obj.can_allocate(cores):
                 break
-            self._idle.remove(worker)
+            self._idle_remove(worker)
             self.celar.terminate(worker.vm)
             self.reaped += 1
         return tier_obj.can_allocate(cores)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.apps.base import ApplicationModel
+from repro.apps.base import ApplicationModel, ExecutionPlan
 from repro.apps.registry import ApplicationRegistry, default_registry
 from repro.cloud.celar import CelarManager
 from repro.cloud.faults import FaultInjector, FaultPlan
@@ -46,6 +46,7 @@ from repro.knowledge.plane import (
 )
 from repro.scheduler.allocation import (
     AllocationPolicy,
+    BestConstantAllocation,
     find_best_constant_plan,
     make_allocation_policy,
 )
@@ -60,7 +61,7 @@ from repro.workload.jobs import JobFactory
 if TYPE_CHECKING:  # imported only when telemetry is enabled at runtime
     from repro.telemetry.hub import TelemetryHub
 
-__all__ = ["BuiltPlatform", "PlatformBuilder"]
+__all__ = ["BuiltPlatform", "FixedPlanBuilder", "PlatformBuilder"]
 
 #: An observer is any callable handed the bus and the built platform at
 #: the end of assembly; it subscribes whatever it likes.
@@ -393,3 +394,20 @@ class PlatformBuilder:
         )
         self.attach_observers(bus, platform)
         return platform
+
+
+class FixedPlanBuilder(PlatformBuilder):
+    """The stock assembly with every job run under one given plan.
+
+    Figure 5 sweeps constant execution plans of growing core-stages; only
+    the allocation stage changes, so no config field has to name a plan.
+    """
+
+    def __init__(
+        self, config: PlatformConfig, plan: ExecutionPlan, **kwargs
+    ) -> None:
+        super().__init__(config, **kwargs)
+        self.plan = plan
+
+    def build_allocation(self) -> AllocationPolicy:
+        return BestConstantAllocation(self.plan)

@@ -120,6 +120,15 @@ class CompiledWorkflow:
             and n.input_scale == 1.0
             for i, n in enumerate(nodes)
         )
+        #: ``(index, children, parents, input_scale)`` per node, highest
+        #: index first: the estimator's critical-path sweep order, built
+        #: once here instead of on every ETT call.
+        self.reverse_sweep: tuple[
+            tuple[int, tuple[int, ...], tuple[int, ...], float], ...
+        ] = tuple(
+            (n.index, n.children, n.parents, n.input_scale)
+            for n in reversed(nodes)
+        )
 
     # -- structure -----------------------------------------------------------
     @property

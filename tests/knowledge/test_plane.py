@@ -394,6 +394,42 @@ class TestProviders:
         assert provider.eet(0, 5.0, 1) == pytest.approx(500.0)
         assert provider.eet(0, 5.0, 1) != before
 
+    def test_adaptive_keeps_untouched_model_objects(self, gatk_model):
+        plane = KnowledgePlane()
+        provider = AdaptiveEstimateProvider(gatk_model, plane)
+        before = [provider.stage_model(i) for i in range(gatk_model.n_stages)]
+        plane.install([fact(app=gatk_model.name, stage=2, a=9.0, b=1.0,
+                            provenance="refit")])
+        after = [provider.stage_model(i) for i in range(gatk_model.n_stages)]
+        assert after[2] is not before[2]
+        assert after[2].a == 9.0
+        for i in range(gatk_model.n_stages):
+            if i != 2:
+                assert after[i] is before[i]
+
+    def test_workflow_adaptive_keeps_untouched_model_objects(self):
+        from repro.knowledge.plane import WorkflowAdaptiveProvider
+        from repro.workflows.compiled import compile_spec
+        from repro.workflows.library import make_workflow
+
+        wf = compile_spec(make_workflow("star_fanout"))
+        plane = KnowledgePlane()
+        provider = WorkflowAdaptiveProvider(wf, plane)
+        before = [provider.stage_model(i) for i in range(wf.n_nodes)]
+        touched = {0, wf.n_nodes - 1}
+        plane.install(
+            fact(app=wf.node(k).scope, stage=wf.node(k).app_stage,
+                 a=4.0, b=2.0, provenance="refit")
+            for k in touched
+        )
+        after = [provider.stage_model(i) for i in range(wf.n_nodes)]
+        for i in range(wf.n_nodes):
+            if i in touched:
+                assert after[i] is not before[i]
+                assert (after[i].a, after[i].b) == (4.0, 2.0)
+            else:
+                assert after[i] is before[i]
+
     def test_adaptive_requires_a_plane(self, gatk_model):
         with pytest.raises(KnowledgeBaseError):
             make_estimate_provider("adaptive", app=gatk_model, plane=None)

@@ -106,6 +106,77 @@ class TestEETMemoEpochs:
         assert after == pytest.approx(500.0)
         assert after != before
 
+    def test_bump_keeps_untouched_stages_memoised(self, gatk_model):
+        from repro.knowledge.plane import (
+            AdaptiveEstimateProvider,
+            KnowledgePlane,
+            StageFact,
+        )
+
+        plane = KnowledgePlane()
+        provider = AdaptiveEstimateProvider(gatk_model, plane)
+        estimator = PipelineEstimator(gatk_model, estimates=provider)
+        untouched = estimator.eet(1, 5.0, threads=2)
+        estimator.eet(3, 5.0, threads=2)
+        plane.install([StageFact(app=gatk_model.name, stage=3,
+                                 a=100.0, b=0.0, c=None,
+                                 provenance="refit")])
+        hits, misses = estimator.cache_hits, estimator.cache_misses
+        # Stage 1's fact did not move: its entry is still served.
+        assert estimator.eet(1, 5.0, threads=2) == untouched
+        assert (estimator.cache_hits, estimator.cache_misses) == (
+            hits + 1, misses
+        )
+        # Stage 3 was refit: its entry is gone and the new float computed.
+        assert estimator.eet(3, 5.0, threads=2) == pytest.approx(500.0)
+        assert estimator.cache_misses == misses + 1
+        assert set(estimator._eet_cache) == {(1, 5.0, 2), (3, 5.0, 2)}
+
+    def test_bump_keeps_untouched_dag_nodes_memoised(self):
+        from repro.knowledge.plane import (
+            KnowledgePlane,
+            StageFact,
+            WorkflowAdaptiveProvider,
+        )
+        from repro.workflows.compiled import compile_spec
+        from repro.workflows.library import make_workflow
+
+        wf = compile_spec(make_workflow("star_fanout"))
+        plane = KnowledgePlane()
+        provider = WorkflowAdaptiveProvider(wf, plane)
+        app = wf.as_app()
+        estimator = PipelineEstimator(app, estimates=provider, workflow=wf)
+        before = {i: estimator.eet(i, 7.5, threads=4) for i in range(wf.n_nodes)}
+        k = wf.n_nodes - 1
+        node = wf.node(k)
+        plane.install([StageFact(app=node.scope, stage=node.app_stage,
+                                 a=3.0, b=1.0, c=None,
+                                 provenance="refit")])
+        hits = estimator.cache_hits
+        for j in range(wf.n_nodes - 1):
+            assert estimator.eet(j, 7.5, threads=4) == before[j]
+        assert estimator.cache_hits == hits + wf.n_nodes - 1
+        misses = estimator.cache_misses
+        after = estimator.eet(k, 7.5, threads=4)
+        assert estimator.cache_misses == misses + 1
+        assert after == provider.eet(k, 7.5, 4) == 3.0 * 7.5 + 1.0
+        assert after != before[k]
+
+    def test_fresh_model_provider_drops_whole_memo(self, gatk_model):
+        from repro.knowledge.plane import FactProvider, KnowledgePlane
+
+        # FactProvider builds a new model on every stage_model call, so
+        # an epoch bump can prove nothing unchanged: everything misses.
+        plane = KnowledgePlane()
+        plane.seed_from_model(gatk_model)
+        provider = FactProvider(plane, gatk_model.name)
+        estimator = PipelineEstimator(gatk_model, estimates=provider)
+        estimator.eet(1, 5.0)
+        plane.seed_from_model(gatk_model)
+        misses = estimator.cache_misses
+        estimator.eet(1, 5.0)
+        assert estimator.cache_misses == misses + 1
+
     def test_static_provider_epoch_never_moves(self, estimator):
         estimator.eet(0, 5.0)
         assert estimator.estimates.epoch == 0

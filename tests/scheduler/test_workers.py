@@ -1,10 +1,13 @@
 """Tests for worker pools: matching, hiring, re-pooling, reaping."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.celar import CelarManager
 from repro.cloud.infrastructure import Infrastructure
 from repro.core.errors import SchedulingError
+from repro.desim.engine import Environment
 from repro.scheduler.workers import Worker, WorkerPools
 
 
@@ -200,3 +203,118 @@ class TestReaper:
         env.run(until=0.1)
         with pytest.raises(Exception):
             env.run(until=env.process(pools.start_reaper()))
+
+
+_classes = st.sampled_from(("gatk", "bwa"))
+_cores = st.sampled_from((2, 4, 8))
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("hire"), _classes, _cores,
+                  st.sampled_from(("private", "public"))),
+        st.tuples(st.just("acquire"), _classes, _cores),
+        st.tuples(st.just("release"), st.integers(0, 50)),
+        st.tuples(st.just("advance"), st.sampled_from((0.1, 0.6, 1.5))),
+        st.tuples(st.just("reap")),
+        st.tuples(st.just("repool"), _classes, _cores),
+        st.tuples(st.just("force_free"), st.sampled_from(("private", "public")),
+                  _cores),
+    ),
+    min_size=20,
+    max_size=80,
+)
+
+
+def _reference_repool_candidate(idle, worker_class, cores):
+    """``WorkerPools.repool_candidate`` over a plain idle list."""
+    candidates = [w for w in idle if w.worker_class == worker_class]
+    candidates.sort(key=lambda w: (w.cores < cores, abs(w.cores - cores)))
+    for worker in candidates:
+        if worker.cores == cores:
+            return worker
+        delta = cores - worker.cores
+        if delta < 0:
+            return worker
+        tier = worker.vm.infrastructure.tier(worker.tier)
+        if tier.can_allocate(delta):
+            return worker
+    return None
+
+
+class TestIdleOrderMatchesListReference:
+    """The shape-indexed idle pool against the plain idle list it replaced:
+    the same worker is picked, and the idle order stays the same, under
+    any interleaving of hires, boots, acquires, releases, reaps, repools
+    and forced frees."""
+
+    @given(ops=_ops)
+    @settings(max_examples=200, deadline=None)
+    def test_random_operation_sequences(self, ops):
+        env = Environment()
+        infra = Infrastructure(env, private_cores=16, public_cores=1000)
+        celar = CelarManager(env, infra, startup_penalty_tu=0.5)
+        pools = WorkerPools(env, celar, idle_timeout_tu=1.0)
+        ref: list = []  # the idle list, maintained the pre-index way
+        pending: list = []  # workers about to turn idle
+        busy: list = []
+
+        def on_available():
+            # One worker turns idle per notification at most.
+            idle = pools.idle_workers
+            for worker in list(pending):
+                if worker in idle:
+                    pending.remove(worker)
+                    ref.append(worker)
+
+        pools.on_available = on_available
+        for op in ops:
+            kind = op[0]
+            if kind == "hire":
+                _, cls, cores, tier = op
+                if infra.tier(tier).can_allocate(cores):
+                    pending.append(pools.hire(cls, cores, tier, stage=0))
+            elif kind == "acquire":
+                _, cls, cores = op
+                expected = next(
+                    (w for w in ref
+                     if w.worker_class == cls and w.cores == cores),
+                    None,
+                )
+                assert pools.acquire(cls, cores) is expected
+                if expected is not None:
+                    ref.remove(expected)
+                    expected.vm.mark_busy()
+                    busy.append(expected)
+            elif kind == "release" and busy:
+                worker = busy.pop(op[1] % len(busy))
+                pending.append(worker)
+                pools.release(worker)
+            elif kind == "advance":
+                env.run(until=env.now + op[1])
+            elif kind == "reap":
+                now = env.now
+                ref[:] = [
+                    w for w in ref
+                    if not (w.idle_since is not None
+                            and now - w.idle_since >= pools.idle_timeout_tu)
+                ]
+                pools.reap(now)
+            elif kind == "repool":
+                _, cls, cores = op
+                candidate = pools.repool_candidate(cls, cores)
+                assert candidate is _reference_repool_candidate(
+                    ref, cls, cores
+                )
+                if candidate is not None:
+                    pools.repool(candidate, cores, stage=0)
+                    ref.remove(candidate)
+                    pending.append(candidate)
+            elif kind == "force_free":
+                _, tier, cores = op
+                victims = sorted(
+                    (w for w in ref if w.tier == tier), key=lambda w: -w.cores
+                )
+                pools.force_free(tier, cores)
+                freed = [w for w in victims if not w.alive]
+                assert freed == victims[: len(freed)]
+                ref[:] = [w for w in ref if w.alive]
+            assert pools.idle_workers == tuple(ref)

@@ -8,9 +8,10 @@ from repro.core.bus import (
     TaskStarted,
     WorkerHired,
 )
-from repro.core.config import PlatformConfig
+from repro.apps.base import ExecutionPlan
+from repro.core.config import AllocationAlgorithm, PlatformConfig
 from repro.scheduler.scaling import AlwaysScale
-from repro.sim.builder import PlatformBuilder
+from repro.sim.builder import FixedPlanBuilder, PlatformBuilder
 from repro.sim.observers import FaultLedgerObserver, LatencyMonitorObserver
 from repro.sim.session import SimulationSession
 
@@ -72,6 +73,25 @@ class TestPlatformBuilder:
         )
         session.run(seed=2)
         assert isinstance(session.scheduler.scaling, AlwaysScale)
+
+    def test_fixed_plan_builder_runs_every_stage_on_its_plan(self):
+        # Figure 5's seam: the plan replaces the allocation stage, whatever
+        # the configured algorithm would have picked.
+        plan = ExecutionPlan((2, 1, 4, 1, 8, 1, 2))
+        config = short_config(
+            scheduler={"allocation": AllocationAlgorithm.BEST_CONSTANT}
+        )
+        builder = FixedPlanBuilder(config, plan)
+        assert builder._constant_plan != plan
+        session = SimulationSession(config, builder=builder)
+        session.run(seed=3)
+        records = [
+            record
+            for job in session.scheduler.completed_jobs
+            for record in job.history
+        ]
+        assert records
+        assert all(r.threads == plan.threads[r.stage] for r in records)
 
     def test_observers_attach_after_assembly(self):
         seen = {}
