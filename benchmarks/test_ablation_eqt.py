@@ -10,8 +10,8 @@ direct measurement of EQT tracking error against realised waits.
 from __future__ import annotations
 
 from repro.analysis.stats import aggregate_runs
+from repro.core.bus import EventRecorder, TaskStarted
 from repro.core.config import AllocationAlgorithm, ScalingAlgorithm
-from repro.core.events import EventKind
 from repro.sim.report import render_table
 from repro.sim.session import SimulationSession, run_repetitions
 
@@ -42,14 +42,18 @@ def run_ablation():
 
 def measure_tracking_error(alpha: float) -> float:
     """Mean |EQT prediction - realised wait| over one session's tasks."""
-    session = SimulationSession(_config(alpha), capture_events=True)
+    recorder = EventRecorder()
+    session = SimulationSession(
+        _config(alpha),
+        observers=[lambda bus, p: recorder.attach(bus, [TaskStarted])],
+    )
     session.run(seed=5150)
     estimator_alpha = alpha
     # Replay the observed waits through a fresh EWMA and score one-step
     # prediction error per stage.
     waits_by_stage: dict[int, list[float]] = {}
-    for event in session.event_log.of_kind(EventKind.TASK_STARTED):
-        waits_by_stage.setdefault(event["stage"], []).append(event["wait"])
+    for event in recorder.of_type(TaskStarted):
+        waits_by_stage.setdefault(event.stage, []).append(event.wait)
     total_error = 0.0
     count = 0
     for waits in waits_by_stage.values():

@@ -32,7 +32,7 @@ def run_policy(broker_config: BrokerConfig):
         broker=broker_config,
         reward={"scheme": RewardScheme.THROUGHPUT},
     )
-    platform = SCANPlatform(config, capture_events=False, kb_sample_every=10)
+    platform = SCANPlatform(config, kb_sample_every=10)
     platform.bootstrap_knowledge()
     request = platform.submit_analysis(
         synthesize_dataset("wgs-ablation", INPUT_GB, DataFormat.FASTQ)

@@ -1,17 +1,20 @@
 #!/usr/bin/env python
 """Gate the benchmark's deterministic counters against a committed baseline.
 
-For each simulation workload this runs::
+For each workload this runs::
 
     python3 perfbench/run.py --workload W --seed 1 --seconds 1 --trace 1
 
-and compares every counter in ``perfbench.sims.DETERMINISTIC_COUNTERS``
-(event counts, EET memo hits, provider calls, placements, bus publishes,
-scaling decisions, pool acquires) exactly against
-``benchmarks/perf_counters.json``.  The counters depend only on the seed
-and the code, never on the host, so any difference means the change moved
-the simulated behaviour or the decision path's call pattern.  Wall time is
-not gated.
+and compares its deterministic counters exactly against
+``benchmarks/perf_counters.json``.  The simulation workloads report every
+counter in ``perfbench.sims.DETERMINISTIC_COUNTERS`` (event counts, EET
+memo hits, provider calls, placements, bus publishes, scaling decisions,
+pool acquires); ``service_mixed`` reports its queue pushes and ledger
+appends, the two counters ``perfbench.service`` checks repeat across its
+traced runs.  The counters depend only on the seed and the code, never on
+the host, so any difference means the change moved the simulated
+behaviour, the decision path's call pattern or the service's ledger
+traffic.  Wall time is not gated.
 
 Usage (from the repository root)::
 
@@ -32,15 +35,19 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE = os.path.join(ROOT, "benchmarks", "perf_counters.json")
-WORKLOADS = ("chain_paper", "dag_adaptive", "tiers_chaos")
+SIM_WORKLOADS = ("chain_paper", "dag_adaptive", "tiers_chaos")
+SERVICE_COUNTERS = ("service.queue.push.calls", "service.store.appends")
 SEED = 1
 
 
-def _counter_names() -> tuple:
+def _counter_names() -> dict:
+    """The gated counter names, by workload."""
     sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
     from perfbench.sims import DETERMINISTIC_COUNTERS
 
-    return DETERMINISTIC_COUNTERS
+    names = {w: DETERMINISTIC_COUNTERS for w in SIM_WORKLOADS}
+    names["service_mixed"] = SERVICE_COUNTERS
+    return names
 
 
 def measure(workload: str, names: tuple) -> dict:
@@ -62,7 +69,7 @@ def main(argv: list) -> int:
                         help="regenerate the baseline instead of comparing")
     args = parser.parse_args(argv)
     names = _counter_names()
-    measured = {w: measure(w, names) for w in WORKLOADS}
+    measured = {w: measure(w, names[w]) for w in names}
     if args.write:
         with open(BASELINE, "w", encoding="utf-8") as fh:
             json.dump({"seed": SEED, "counters": measured}, fh, indent=2)
@@ -72,9 +79,9 @@ def main(argv: list) -> int:
     with open(BASELINE, encoding="utf-8") as fh:
         baseline = json.load(fh)["counters"]
     drift = []
-    for workload in WORKLOADS:
+    for workload, counters in names.items():
         expected = baseline.get(workload, {})
-        for name in names:
+        for name in counters:
             want, got = expected.get(name), measured[workload][name]
             status = "ok" if want == got else "DRIFT"
             print(f"{workload:<13} {name:<32} {want!s:>9} {got!s:>9}  {status}")

@@ -21,7 +21,6 @@ from repro.broker.merger import merge_descriptors
 from repro.broker.sharders import ShardPlan, shard_descriptor
 from repro.core.config import BrokerConfig
 from repro.core.errors import BrokerError
-from repro.core.events import EventKind, EventLog
 from repro.genomics.datasets import DatasetDescriptor
 from repro.knowledge.advisor import ShardAdvice, ShardAdvisor
 from repro.knowledge.kb import SCANKnowledgeBase
@@ -54,20 +53,14 @@ class DataBroker:
         self,
         kb: SCANKnowledgeBase,
         config: Optional[BrokerConfig] = None,
-        event_log: Optional[EventLog] = None,
-        clock=None,
         tracer: "SpanTracer | None" = None,
         plane: "KnowledgePlane | None" = None,
     ) -> None:
         self.kb = kb
         self.config = config if config is not None else BrokerConfig()
         self.config.validate()
-        self.log = event_log
         #: Optional telemetry tracer (passive observer; never draws RNG).
         self.tracer = tracer
-        #: Callable returning the current time for event stamps (defaults
-        #: to 0 -- the broker also works outside a simulation).
-        self._clock = clock if clock is not None else (lambda: 0.0)
         self.advisor = ShardAdvisor(
             kb,
             default_shard_gb=self.config.default_shard_gb,
@@ -147,15 +140,6 @@ class DataBroker:
         plan = shard_descriptor(
             dataset, advice.shard_gb, max_shards=self.config.max_shards_per_job
         )
-        if self.log is not None:
-            for shard in plan:
-                self.log.emit(
-                    self._clock(),
-                    EventKind.SHARD_CREATED,
-                    parent=dataset.name,
-                    shard=shard.name,
-                    size_gb=shard.size_gb,
-                )
         return BrokeredJob(dataset=dataset, plan=plan, advice=advice)
 
     # -- merging ----------------------------------------------------------------
@@ -172,12 +156,4 @@ class DataBroker:
                 merged = merge_descriptors(shards, name=name)
         else:
             merged = merge_descriptors(shards, name=name)
-        if self.log is not None:
-            self.log.emit(
-                self._clock(),
-                EventKind.SHARDS_MERGED,
-                merged=merged.name,
-                n_shards=len(shards),
-                size_gb=merged.size_gb,
-            )
         return merged

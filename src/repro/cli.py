@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--size-gb", type=float, default=100.0)
     submit.add_argument("--format", default="fastq")
     submit.add_argument("--name", default="cli-sample")
-    submit.add_argument("--seed", type=int, default=0)
 
     serve = sub.add_parser("serve", help="start the HTTP RPC front-end")
     serve.add_argument("--host", default="127.0.0.1")

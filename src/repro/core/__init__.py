@@ -1,4 +1,4 @@
-"""SCAN platform core: configuration, events, errors and the facade.
+"""SCAN platform core: configuration, errors and the facade.
 
 :class:`~repro.core.platform.SCANPlatform` wires the Data Broker, Scheduler,
 Workers, knowledge base and the simulated cloud into the integrated platform
@@ -27,7 +27,6 @@ from repro.core.errors import (
     KnowledgeBaseError,
     TransientDeployError,
 )
-from repro.core.events import PlatformEvent, EventKind, EventLog
 
 __all__ = [
     "PlatformConfig",
@@ -48,7 +47,4 @@ __all__ = [
     "BrokerError",
     "KnowledgeBaseError",
     "TransientDeployError",
-    "PlatformEvent",
-    "EventKind",
-    "EventLog",
 ]

@@ -27,7 +27,6 @@ from repro.cloud.infrastructure import Infrastructure
 from repro.cloud.storage import ReplicatedKVStore, SharedFilesystem
 from repro.core.config import AllocationAlgorithm, PlatformConfig
 from repro.core.errors import SCANError
-from repro.core.events import EventLog
 from repro.desim.engine import Environment
 from repro.desim.rng import RandomStreams
 from repro.genomics.datasets import DatasetDescriptor
@@ -96,7 +95,6 @@ class SCANPlatform:
         self,
         config: Optional[PlatformConfig] = None,
         registry: Optional[ApplicationRegistry] = None,
-        capture_events: bool = True,
         kb_sample_every: int = 1,
     ) -> None:
         self.config = (config or PlatformConfig()).validate()
@@ -104,7 +102,6 @@ class SCANPlatform:
         self.app = self.registry.get(self.config.application)
 
         self.env = Environment()
-        self.log = EventLog(capture=capture_events)
         # Telemetry is opt-in; the import stays lazy so a telemetry-disabled
         # platform never even loads the repro.telemetry package.
         self.telemetry = None
@@ -140,13 +137,14 @@ class SCANPlatform:
         self.stager = DataStager(self.env, self.filesystem)
 
         self.kb = SCANKnowledgeBase()
+        # Task logs reach the KB as the bus's StageCompleted events.
+        self.bus = EventBus()
         self.ingestor = KnowledgeIngestor(
-            self.kb, self.log, sample_every=kb_sample_every
+            self.kb, self.bus, sample_every=kb_sample_every
         )
         # One knowledge plane serves every estimate consumer: the broker's
         # shard advisor, the scheduler's pipeline estimator, and (via the
         # allocation context) the learned policy's cold-start priors.
-        self.bus = EventBus()
         self.plane = KnowledgePlane()
         self.estimates = make_estimate_provider(
             self.config.knowledge.provider, app=self.app, plane=self.plane
@@ -169,8 +167,6 @@ class SCANPlatform:
         self.broker = DataBroker(
             self.kb,
             config=self.config.broker,
-            event_log=self.log,
-            clock=lambda: self.env.now,
             tracer=_tracer,
             plane=self.plane,
         )
@@ -201,7 +197,6 @@ class SCANPlatform:
                 horizon_tu=self.config.scheduler.predictive_horizon,
             ),
             config=self.config.scheduler,
-            event_log=self.log,
             faults=self.injector,
             resilience=self.config.resilience,
             telemetry=self.telemetry,

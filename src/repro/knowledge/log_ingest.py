@@ -4,18 +4,21 @@
 of each task scheduled to run in a cloud.  The log information will be used
 to further populate the SCAN knowledge-base" (paper Section III-A.1.i).
 
-:class:`KnowledgeIngestor` subscribes to the platform
-:class:`~repro.core.events.EventLog` and converts every
-``STAGE_COMPLETED`` event into a :class:`ProfileObservation`, so the KB's
-fits sharpen as the platform runs -- the paper's GATK1 -> GATK2 -> GATK3 ->
-GATK4 expansion happens live.
+The platform's log is its typed :class:`~repro.core.bus.EventBus`.
+:class:`KnowledgeIngestor` subscribes to
+:class:`~repro.core.bus.StageCompleted` and turns each completed stage into
+a :class:`ProfileObservation`, so the KB's fits sharpen as the platform
+runs -- the paper's GATK1 -> GATK2 -> GATK3 -> GATK4 expansion happens
+live.  The event is keyed the way the stage models are: by the node's fact
+scope (the application name on a chain), its in-app stage, and the node's
+scaled input in GB.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.events import EventKind, EventLog, PlatformEvent
+from repro.core.bus import EventBus, StageCompleted
 from repro.knowledge.kb import SCANKnowledgeBase
 from repro.knowledge.profiles import ProfileObservation
 
@@ -25,18 +28,15 @@ __all__ = ["KnowledgeIngestor"]
 class KnowledgeIngestor:
     """Streams completed-stage events into the knowledge base."""
 
-    #: Event detail keys a STAGE_COMPLETED event must carry to be ingested.
-    REQUIRED_KEYS = ("app", "stage", "input_gb", "threads", "duration")
-
     def __init__(
         self,
         kb: SCANKnowledgeBase,
-        log: Optional[EventLog] = None,
+        bus: Optional[EventBus] = None,
         sample_every: int = 1,
     ) -> None:
-        """Create an ingestor; attaches to *log* immediately if given.
+        """Create an ingestor; attaches to *bus* immediately if given.
 
-        ``sample_every=k`` ingests every k-th eligible event -- useful in
+        ``sample_every=k`` ingests every k-th completed stage -- useful in
         long simulations where recording all ~10^5 stage completions as
         ontology individuals would bloat the store without improving fits.
         """
@@ -46,43 +46,25 @@ class KnowledgeIngestor:
         self.sample_every = sample_every
         self._seen = 0
         self.ingested = 0
-        self.skipped = 0
-        if log is not None:
-            self.attach(log)
+        if bus is not None:
+            self.attach(bus)
 
-    def attach(self, log: EventLog) -> None:
-        """Subscribe to *log*."""
-        log.subscribe(self._on_event)
+    def attach(self, bus: EventBus) -> None:
+        """Subscribe to *bus*'s :class:`StageCompleted` events."""
+        bus.subscribe(StageCompleted, self._on_stage_completed)
 
-    def _on_event(self, event: PlatformEvent) -> None:
-        if event.kind is not EventKind.STAGE_COMPLETED:
-            return
-        if any(key not in event.detail for key in self.REQUIRED_KEYS):
-            self.skipped += 1
-            return
+    def _on_stage_completed(self, event: StageCompleted) -> None:
         self._seen += 1
         if (self._seen - 1) % self.sample_every != 0:
             return
-        self.ingest(event)
-
-    def ingest(self, event: PlatformEvent) -> str:
-        """Force-ingest one STAGE_COMPLETED event; returns individual name."""
-        obs = ProfileObservation(
-            app=str(event["app"]),
-            stage=int(event["stage"]),
-            input_gb=float(event["input_gb"]),
-            threads=int(event["threads"]),
-            execution_time=float(event["duration"]),
-            cpu=int(event.get("cpu", event["threads"])),
-            ram_gb=float(event.get("ram_gb", 4.0)),
+        self.kb.record_observation(
+            ProfileObservation(
+                app=event.app,
+                stage=event.stage,
+                input_gb=event.input_gb,
+                threads=event.threads,
+                execution_time=event.duration,
+                cpu=event.threads,
+            )
         )
-        name = self.kb.record_observation(obs)
         self.ingested += 1
-        return name
-
-    def replay(self, log: EventLog) -> int:
-        """Ingest all eligible events already in *log*; returns count."""
-        before = self.ingested
-        for event in log:
-            self._on_event(event)
-        return self.ingested - before

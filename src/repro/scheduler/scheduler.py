@@ -58,7 +58,6 @@ from repro.core.bus import (
 )
 from repro.core.config import ResilienceConfig, SchedulerConfig
 from repro.core.errors import SchedulingError, TransientDeployError
-from repro.core.events import EventKind, EventLog
 from repro.desim.engine import Environment
 from repro.knowledge.plane import EstimateProvider
 from repro.scheduler.allocation import AllocationContext, AllocationPolicy
@@ -106,7 +105,6 @@ class SCANScheduler:
         allocation: AllocationPolicy,
         scaling: ScalingPolicy,
         config: Optional[SchedulerConfig] = None,
-        event_log: Optional[EventLog] = None,
         actual_app: Optional[ApplicationModel] = None,
         faults: Optional[FaultInjector] = None,
         resilience: Optional[ResilienceConfig] = None,
@@ -145,7 +143,6 @@ class SCANScheduler:
         self.allocation = allocation
         self.scaling = scaling
         self.config = config if config is not None else SchedulerConfig()
-        self.log = event_log if event_log is not None else EventLog()
 
         #: The chaos layer (None = fault-free run).
         self.faults = faults
@@ -186,7 +183,6 @@ class SCANScheduler:
         )
         self.pools.on_available = self._on_worker_available
         self.pools.on_worker_failed = self._on_worker_failed
-        self.pools.on_boot_failed = self._on_boot_failed
         self._executing: dict[Worker, object] = {}
         self.task_retries = 0
         self.deploy_failures = 0
@@ -266,13 +262,6 @@ class SCANScheduler:
         job.state = JobState.RUNNING
         self.submitted_jobs.append(job)
         self.allocation.on_submit(job, self._alloc_ctx())
-        self.log.emit(
-            self.env.now,
-            EventKind.JOB_SUBMITTED,
-            job=job.name,
-            size=job.size,
-            plan=tuple(job.plan.threads) if job.plan is not None else None,
-        )
         for step in job.start_steps():
             self._enqueue(job, step)
         return job
@@ -300,12 +289,6 @@ class SCANScheduler:
     def _enqueue(self, job: Job, stage: int) -> None:
         task = StageTask(job=job, stage=stage, enqueued_at=self.env.now)
         self.queues[stage].push(task, self.env.now)
-        self.log.emit(
-            self.env.now,
-            EventKind.TASK_QUEUED,
-            job=job.name,
-            stage=stage,
-        )
         if TaskQueued in self.bus:
             self.bus.publish(
                 TaskQueued(self.env.now, job.name, stage, task.attempt, False)
@@ -315,13 +298,6 @@ class SCANScheduler:
     def _launch_speculative(self, task: StageTask) -> None:
         """The straggler watchdog hands us a duplicate to enqueue."""
         self.queues[task.stage].push(task, self.env.now)
-        self.log.emit(
-            self.env.now,
-            EventKind.SPECULATIVE_LAUNCHED,
-            job=task.job.name,
-            stage=task.stage,
-            attempt=task.attempt,
-        )
         if TaskQueued in self.bus:
             self.bus.publish(
                 TaskQueued(
@@ -350,13 +326,6 @@ class SCANScheduler:
         from hardware failure.
         """
         if worker.evicted:
-            self.log.emit(
-                self.env.now,
-                EventKind.WORKER_EVICTED,
-                worker=worker.uid,
-                tier=worker.tier,
-                cores=worker.cores,
-            )
             if WorkerEvicted in self.bus:
                 self.bus.publish(
                     WorkerEvicted(
@@ -364,13 +333,6 @@ class SCANScheduler:
                     )
                 )
         else:
-            self.log.emit(
-                self.env.now,
-                EventKind.WORKER_FAILED,
-                worker=worker.uid,
-                tier=worker.tier,
-                cores=worker.cores,
-            )
             if WorkerFailed in self.bus:
                 self.bus.publish(
                     WorkerFailed(
@@ -380,17 +342,6 @@ class SCANScheduler:
         process = self._executing.pop(worker, None)
         if process is not None and getattr(process, "is_alive", False):
             process.interrupt("vm-failure")
-
-    def _on_boot_failed(self, worker: Worker, stage: int) -> None:
-        """An injected boot failure killed a worker before READY."""
-        self.log.emit(
-            self.env.now,
-            EventKind.BOOT_FAILED,
-            worker=worker.uid,
-            tier=worker.tier,
-            cores=worker.cores,
-            stage=stage,
-        )
 
     def _breaker_guards(self, tier: str) -> bool:
         """Whether the deploy circuit breaker watches this tier.
@@ -415,24 +366,10 @@ class SCANScheduler:
         except TransientDeployError as exc:
             now = self.env.now
             self.deploy_failures += 1
-            self.log.emit(
-                now,
-                EventKind.DEPLOY_FAILED,
-                tier=tier,
-                cores=cores,
-                stage=stage,
-                error=str(exc),
-            )
             breaker_opened = False
             if self._breaker_guards(tier):
                 breaker_opened = self.breaker.record_failure(now)
                 if breaker_opened:
-                    self.log.emit(
-                        now,
-                        EventKind.BREAKER_OPEN,
-                        tier=tier,
-                        cooldown=self.breaker.cooldown_tu,
-                    )
                     # Once the cooldown elapses a half-open probe is
                     # allowed; wake every queue to take it.
                     self._schedule_redispatch_all(self.breaker.cooldown_tu)
@@ -448,22 +385,12 @@ class SCANScheduler:
             # until an unrelated worker event (or arrival) pokes dispatch
             # again -- the wedge the retry delay exists to prevent.
             return False
-        self.log.emit(
-            self.env.now,
-            EventKind.WORKER_HIRED,
-            tier=tier,
-            cores=cores,
-            stage=stage,
-        )
         if WorkerHired in self.bus:
             self.bus.publish(
                 WorkerHired(self.env.now, tier, cores, stage)
             )
         if self._breaker_guards(tier):
-            if self.breaker.record_success(self.env.now):
-                self.log.emit(
-                    self.env.now, EventKind.BREAKER_CLOSED, tier=tier
-                )
+            self.breaker.record_success(self.env.now)
         return True
 
     def _publish_decision(self, task: StageTask, decision) -> None:
@@ -568,13 +495,6 @@ class SCANScheduler:
                 )
                 if candidate is not None:
                     self.pools.repool(candidate, cores, stage)
-                    self.log.emit(
-                        self.env.now,
-                        EventKind.WORKER_REPOOLED,
-                        worker=candidate.uid,
-                        cores=cores,
-                        stage=stage,
-                    )
                     if WorkerRepooled in self.bus:
                         self.bus.publish(
                             WorkerRepooled(
@@ -669,19 +589,6 @@ class SCANScheduler:
                 straggled = True
                 duration *= multiplier
         worker.busy_until = started_at + duration
-        self.log.emit(
-            started_at,
-            EventKind.TASK_STARTED,
-            job=job.name,
-            stage=stage,
-            threads=threads,
-            worker=worker.uid,
-            tier=worker.tier,
-            wait=wait,
-            attempt=task.attempt,
-            speculative=task.speculative,
-            straggled=straggled,
-        )
         if TaskStarted in self.bus:
             self.bus.publish(
                 TaskStarted(
@@ -754,13 +661,6 @@ class SCANScheduler:
             if intr.cause == _SPECULATIVE_LOSS:
                 # The twin finished first; this worker is fine -- free it.
                 self.speculation.lost += 1
-                self.log.emit(
-                    self.env.now,
-                    EventKind.SPECULATIVE_LOST,
-                    job=job.name,
-                    stage=stage,
-                    worker=worker.uid,
-                )
                 if TaskFinished in self.bus:
                     self.bus.publish(
                         TaskFinished(
@@ -802,27 +702,12 @@ class SCANScheduler:
         if group is not None and group.resolved:
             # The twin finished at this exact timestamp and won the race.
             self.speculation.lost += 1
-            self.log.emit(
-                finished_at,
-                EventKind.SPECULATIVE_LOST,
-                job=job.name,
-                stage=stage,
-                worker=worker.uid,
-            )
             self.pools.release(worker)
             return
 
         if self.faults is not None and self.faults.corrupts():
             # Staging/shard corruption: the output is garbage, the work
             # must be redone even though the worker is healthy.
-            self.log.emit(
-                finished_at,
-                EventKind.STAGE_CORRUPTED,
-                job=job.name,
-                stage=stage,
-                worker=worker.uid,
-                attempt=task.attempt,
-            )
             if TaskFinished in self.bus:
                 self.bus.publish(
                     TaskFinished(
@@ -849,14 +734,6 @@ class SCANScheduler:
         loser = None
         if group is not None:
             loser = self.speculation.resolve(group, task)
-            if task.speculative:
-                self.log.emit(
-                    finished_at,
-                    EventKind.SPECULATIVE_WON,
-                    job=job.name,
-                    stage=stage,
-                    worker=worker.uid,
-                )
         worker.tasks_executed += 1
         job.record_stage(
             StageRecord(
@@ -873,17 +750,6 @@ class SCANScheduler:
                 attempts=task.attempt,
             )
         )
-        self.log.emit(
-            finished_at,
-            EventKind.STAGE_COMPLETED,
-            job=job.name,
-            app=self.app.name,
-            stage=stage,
-            input_gb=job.size,
-            threads=threads,
-            duration=duration,
-            tier=worker.tier,
-        )
 
         if TaskFinished in self.bus:
             self.bus.publish(
@@ -897,13 +763,13 @@ class SCANScheduler:
                 )
             )
         # The knowledge loop's feedback edge: realised durations flow to
-        # whoever subscribed (learning policies, the online refitter).
-        # `input_gb` is the stage-model axis (the node's scaled input),
-        # unlike the legacy EventLog record above which carries the
-        # reward-unit size.  The event is keyed by the node's fact scope
-        # and in-app stage: chains publish (app.name, stage) exactly as
-        # before, while DAG branches publish ("{workflow}/{step}", stage)
-        # so the refitter sharpens each branch independently.
+        # whoever subscribed (learning policies, the online refitter, the
+        # knowledge-base ingestor).  `input_gb` is the stage-model axis
+        # (the node's scaled input), not the reward-unit job size.  The
+        # event is keyed by the node's fact scope and in-app stage: chains
+        # publish (app.name, stage) exactly as before, while DAG branches
+        # publish ("{workflow}/{step}", stage) so the refitter sharpens
+        # each branch independently.
         if StageCompleted in self.bus:
             self.bus.publish(
                 StageCompleted(
@@ -931,19 +797,6 @@ class SCANScheduler:
             job.complete(finished_at, paid)
             self.completed_jobs.append(job)
             self.total_reward += paid
-            self.log.emit(
-                finished_at,
-                EventKind.JOB_COMPLETED,
-                job=job.name,
-                latency=latency,
-                size=job.size,
-            )
-            self.log.emit(
-                finished_at,
-                EventKind.REWARD_PAID,
-                job=job.name,
-                reward=paid,
-            )
             if JobCompleted in self.bus:
                 self.bus.publish(
                     JobCompleted(finished_at, job.name, latency, paid, job.size)
@@ -971,23 +824,8 @@ class SCANScheduler:
                     now, job.name, stage, task.attempt, reason, task
                 )
             )
-            self.log.emit(
-                now,
-                EventKind.TASK_DEAD_LETTERED,
-                job=job.name,
-                stage=stage,
-                attempts=task.attempt,
-                reason=reason,
-            )
             job.fail(now)
             self.failed_jobs.append(job)
-            self.log.emit(
-                now,
-                EventKind.JOB_FAILED,
-                job=job.name,
-                stage=stage,
-                reason=reason,
-            )
             if JobFailed in self.bus:
                 self.bus.publish(JobFailed(now, job.name, stage, reason))
             return
@@ -1000,15 +838,6 @@ class SCANScheduler:
                 )
             )
         if delay > 0:
-            self.log.emit(
-                now,
-                EventKind.TASK_RETRY_SCHEDULED,
-                job=job.name,
-                stage=stage,
-                attempt=task.attempt + 1,
-                delay=delay,
-                reason=reason,
-            )
             self.env.process(self._retry_later(task, delay))
         else:
             self._requeue_retry(task)
@@ -1029,13 +858,6 @@ class SCANScheduler:
             first_enqueued_at=task.first_enqueued_at,
         )
         self.queues[stage].push(retry, self.env.now)
-        self.log.emit(
-            self.env.now,
-            EventKind.TASK_RETRIED,
-            job=job.name,
-            stage=stage,
-            attempt=retry.attempt,
-        )
         if TaskQueued in self.bus:
             self.bus.publish(
                 TaskQueued(self.env.now, job.name, stage, retry.attempt, False)

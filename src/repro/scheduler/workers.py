@@ -113,9 +113,6 @@ class WorkerPools:
         #: Invoked with the victim when a BUSY worker's VM fails; the
         #: scheduler uses it to interrupt and retry the running task.
         self.on_worker_failed: Optional[Callable[[Worker], None]] = None
-        #: Invoked with (worker, stage) when an injected boot failure kills
-        #: a worker before it reaches READY.
-        self.on_boot_failed: Optional[Callable[[Worker, int], None]] = None
         self.hires = Counter(
             {name: 0 for name in celar.infrastructure.tier_names()}
         )
@@ -248,7 +245,7 @@ class WorkerPools:
         """Process: boot a claimed worker, then offer it to the pool.
 
         Three exits: the happy path attaches the worker; an injected boot
-        failure terminates it (reported via ``on_boot_failed``); a crash
+        failure terminates it (counted in ``boot_failures``); a crash
         doom-timer may also have killed the VM mid-boot.  Every exit
         notifies ``on_available`` -- a stage that waited on this boot must
         re-decide even (especially) when the worker never arrives, or it
@@ -277,13 +274,11 @@ class WorkerPools:
                 yield from worker.vm.boot()
         finally:
             self._finish_boot_slot(stage)
-        boot_failed = False
         if (
             worker.vm.alive
             and self.injector is not None
             and self.injector.boot_fails(worker.tier)
         ):
-            boot_failed = True
             self.boot_failures += 1
             self.celar.terminate(worker.vm)
         if worker.vm.alive:
@@ -295,11 +290,8 @@ class WorkerPools:
                 worker.eviction_armed = True
                 self.env.process(self._evict(worker, eviction_mtbf))
             self._make_available(worker)
-        else:
-            if boot_failed and self.on_boot_failed is not None:
-                self.on_boot_failed(worker, stage)
-            if self.on_available is not None:
-                self.on_available()
+        elif self.on_available is not None:
+            self.on_available()
 
     def _doom(self, worker: Worker):
         """Process: kill the worker's VM after its drawn lifetime.

@@ -33,7 +33,6 @@ from repro.cloud.infrastructure import Infrastructure
 from repro.cloud.tiers import infrastructure_from_cloud_config
 from repro.core.bus import EventBus
 from repro.core.config import AllocationAlgorithm, PlatformConfig
-from repro.core.events import EventLog
 from repro.desim.engine import Environment
 from repro.desim.rng import RandomStreams
 from repro.knowledge.plane import (
@@ -81,7 +80,6 @@ class BuiltPlatform:
     allocation: AllocationPolicy
     scaling: ScalingPolicy
     bus: EventBus
-    event_log: EventLog
     scheduler: SCANScheduler
     factory: JobFactory
     #: The knowledge plane behind every estimate, and its online refitter
@@ -98,14 +96,12 @@ class PlatformBuilder:
         self,
         config: PlatformConfig,
         registry: Optional[ApplicationRegistry] = None,
-        capture_events: bool = False,
         actual_app: Optional[ApplicationModel] = None,
         observers: Sequence[Observer] = (),
     ) -> None:
         config.validate()
         self.config = config
         self.registry = registry if registry is not None else default_registry()
-        self.capture_events = capture_events
         #: The compiled DAG when ``config.workflow`` names one; ``None``
         #: keeps the legacy single-application chain shape.
         self.workflow: Optional[CompiledWorkflow] = None
@@ -226,17 +222,13 @@ class PlatformBuilder:
         """Stage 5: the typed event bus observers will subscribe to."""
         return EventBus()
 
-    def build_event_log(self) -> EventLog:
-        """Stage 5b: the flight-recorder event log."""
-        return EventLog(capture=self.capture_events)
-
     def build_knowledge(
         self,
         env: Environment,
         bus: EventBus,
         hub: "Optional[TelemetryHub]",
     ) -> tuple[KnowledgePlane, EstimateProvider, Optional[OnlineRefitter]]:
-        """Stage 5c: the knowledge plane and its estimate provider.
+        """Stage 5b: the knowledge plane and its estimate provider.
 
         The default ``static`` provider reads the profiled application
         model directly (bit-identical to a build without the plane) and
@@ -277,7 +269,6 @@ class PlatformBuilder:
         reward: RewardFunction,
         allocation: AllocationPolicy,
         scaling: ScalingPolicy,
-        event_log: EventLog,
         injector: Optional[FaultInjector],
         hub: "Optional[TelemetryHub]",
         bus: EventBus,
@@ -293,7 +284,6 @@ class PlatformBuilder:
             allocation,
             scaling,
             config=self.config.scheduler,
-            event_log=event_log,
             actual_app=self.actual_app,
             faults=injector,
             resilience=self.config.resilience,
@@ -359,7 +349,6 @@ class PlatformBuilder:
         # Tiers publish PlacementRejected on the session bus (observers
         # previously could not see capacity/cap rejections at all).
         infrastructure.bind_bus(bus)
-        event_log = self.build_event_log()
         plane, estimates, refitter = self.build_knowledge(env, bus, hub)
         scheduler = self.build_scheduler(
             env,
@@ -368,7 +357,6 @@ class PlatformBuilder:
             reward,
             allocation,
             scaling,
-            event_log,
             injector,
             hub,
             bus,
@@ -385,7 +373,6 @@ class PlatformBuilder:
             allocation=allocation,
             scaling=scaling,
             bus=bus,
-            event_log=event_log,
             scheduler=scheduler,
             factory=self.build_job_factory(),
             plane=plane,

@@ -19,7 +19,6 @@ from repro.apps.base import ApplicationModel
 from repro.apps.registry import ApplicationRegistry
 from repro.core.bus import EventBus
 from repro.core.config import PlatformConfig
-from repro.core.events import EventLog
 from repro.desim.engine import Environment
 from repro.desim.monitor import Monitor
 from repro.desim.rng import RandomStreams
@@ -43,7 +42,6 @@ class SimulationSession:
         self,
         config: PlatformConfig,
         registry: Optional[ApplicationRegistry] = None,
-        capture_events: bool = False,
         on_build: Optional[Callable[["SimulationSession"], None]] = None,
         actual_app: Optional[ApplicationModel] = None,
         builder: Optional[PlatformBuilder] = None,
@@ -57,20 +55,17 @@ class SimulationSession:
             else PlatformBuilder(
                 config,
                 registry=registry,
-                capture_events=capture_events,
                 actual_app=actual_app,
                 observers=observers,
             )
         )
         self.config = self.builder.config
         self.registry = self.builder.registry
-        self.capture_events = self.builder.capture_events
         self.on_build = on_build
         self.app: ApplicationModel = self.builder.app
         self.actual_app = self.builder.actual_app
         # Populated by run(): the live components of the most recent run.
         self.scheduler: Optional[SCANScheduler] = None
-        self.event_log: Optional[EventLog] = None
         self.bus: Optional[EventBus] = None
         #: Knowledge plane / refitter of the most recent run (refitter is
         #: None under the static provider -- no feedback loop exists).
@@ -103,7 +98,6 @@ class SimulationSession:
     ) -> SCANScheduler:
         platform = self.builder.build(env, streams, hub)
         self.scheduler = platform.scheduler
-        self.event_log = platform.event_log
         self.bus = platform.bus
         self.plane = platform.plane
         self.refitter = platform.refitter

@@ -5,7 +5,6 @@ import pytest
 from repro.apps.gatk import build_gatk_model
 from repro.broker.broker import DataBroker
 from repro.core.config import BrokerConfig
-from repro.core.events import EventKind, EventLog
 from repro.genomics.datasets import DataFormat, DatasetDescriptor
 from repro.knowledge.kb import SCANKnowledgeBase
 from repro.scheduler.rewards import ThroughputReward, TimeReward
@@ -20,7 +19,7 @@ def kb():
 
 @pytest.fixture
 def broker(kb):
-    return DataBroker(kb, event_log=EventLog())
+    return DataBroker(kb)
 
 
 def fastq(size_gb=100.0, name="wgs"):
@@ -66,40 +65,24 @@ class TestPrepare:
         assert brokered.n_subtasks == 1
         assert brokered.advice.source == "unshardable"
 
-    def test_shard_events_emitted(self, kb):
-        log = EventLog()
+    def test_shard_plan_returned(self, kb):
         broker = DataBroker(
             kb,
             config=BrokerConfig(use_knowledge_base=False, default_shard_gb=25.0),
-            event_log=log,
         )
-        broker.prepare(
+        brokered = broker.prepare(
             "gatk", fastq(), parallel_workers=4,
             core_cost_per_tu=5.0, reward_fn=TimeReward(),
         )
-        events = log.of_kind(EventKind.SHARD_CREATED)
-        assert len(events) == 4
-        assert events[0]["parent"] == "wgs"
-
-    def test_clock_stamps_events(self, kb):
-        log = EventLog()
-        broker = DataBroker(
-            kb,
-            config=BrokerConfig(use_knowledge_base=False),
-            event_log=log,
-            clock=lambda: 42.0,
-        )
-        broker.prepare(
-            "gatk", fastq(4.0), parallel_workers=4,
-            core_cost_per_tu=5.0, reward_fn=TimeReward(),
-        )
-        assert all(e.time == 42.0 for e in log)
+        shards = list(brokered.plan)
+        assert len(shards) == brokered.n_subtasks == 4
+        assert all(shard.parent == "wgs" for shard in shards)
+        assert [shard.size_gb for shard in shards] == [25.0] * 4
 
 
 class TestMergeOutputs:
-    def test_merge_emits_event(self, kb):
-        log = EventLog()
-        broker = DataBroker(kb, event_log=log)
+    def test_merge_returns_merged_descriptor(self, kb):
+        broker = DataBroker(kb)
         shards = [
             DatasetDescriptor.from_size(f"out{i}", DataFormat.VCF, 0.1)
             for i in range(3)
@@ -107,5 +90,4 @@ class TestMergeOutputs:
         merged = broker.merge_outputs(shards, name="final")
         assert merged.name == "final"
         assert merged.size_gb == pytest.approx(0.3)
-        (event,) = log.of_kind(EventKind.SHARDS_MERGED)
-        assert event["n_shards"] == 3
+        assert merged.records == sum(s.records for s in shards)

@@ -88,6 +88,32 @@ class TestKnowledgeLoop:
         # 7 stages per shard, all ingested.
         assert after == before + 7 * request.n_subtasks
 
+    def test_kb_records_shard_gb_not_reward_units(self):
+        """With 2 GB per reward unit a shard's job size is half its GB;
+        the KB's x-axis must still be the shard's GB."""
+        p = SCANPlatform(
+            PlatformConfig.paper_defaults().with_overrides(
+                workload={"size_unit_gb": 2.0}
+            )
+        )
+        request = p.submit_analysis(
+            synthesize_dataset("s", 6.0, DataFormat.FASTQ)
+        )
+        p.run_until_complete(request, limit=50_000)
+        profile = p.kb.profile("gatk")
+        recorded = sorted(
+            obs.input_gb
+            for stage in profile.stage_indices
+            for obs in profile.stage(stage).observations
+        )
+        shard_gb = sorted(
+            shard.size_gb for shard in request.brokered.plan
+            for _ in range(p.app.n_stages)
+        )
+        assert recorded == shard_gb
+        assert all(job.size * 2.0 == pytest.approx(job.input_gb)
+                   for job in request.jobs)
+
 
 class TestMetrics:
     def test_metrics_shape(self, platform):

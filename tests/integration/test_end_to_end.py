@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.core.bus import EventRecorder, JobCompleted, StageCompleted
 from repro.core.config import (
     AllocationAlgorithm,
     PlatformConfig,
     RewardScheme,
     ScalingAlgorithm,
 )
-from repro.core.events import EventKind
 from repro.core.platform import SCANPlatform
 from repro.genomics.datasets import DataFormat
 from repro.genomics.synth import synthesize_dataset
@@ -21,18 +21,24 @@ class TestPlatformLifecycle:
     def test_full_cycle_event_trail(self):
         platform = SCANPlatform(PlatformConfig.paper_defaults())
         platform.bootstrap_knowledge()
+        recorder = EventRecorder().attach(platform.bus)
         request = platform.submit_analysis(
             synthesize_dataset("patient-1", 8.0, DataFormat.FASTQ)
         )
         platform.run_until_complete(request, limit=100_000)
 
-        counts = platform.log.counts()
+        times = [event.time for event in recorder]
+        assert times == sorted(times)  # the trail never runs backwards
         n = request.n_subtasks
-        assert counts[EventKind.SHARD_CREATED] == n
-        assert counts[EventKind.JOB_SUBMITTED] == n
-        assert counts[EventKind.STAGE_COMPLETED] == 7 * n
-        assert counts[EventKind.JOB_COMPLETED] == n
-        assert counts.get(EventKind.SHARDS_MERGED, 0) == (1 if n > 1 else 0)
+        assert n == request.brokered.n_subtasks > 1
+        assert platform.scheduler.submitted_jobs == request.jobs
+        assert len(recorder.of_type(StageCompleted)) == 7 * n
+        assert len(recorder.of_type(JobCompleted)) == n
+        merged = request.merged_output
+        assert merged.name == "patient-1.result"
+        assert merged.size_gb == pytest.approx(
+            sum(0.01 * shard.size_gb for shard in request.brokered.plan)
+        )
 
     def test_knowledge_feedback_improves_with_load(self):
         """A cold platform gains GATK knowledge purely from running."""

@@ -106,8 +106,13 @@ class TestExamples:
             "custom_policy_demo.py", "dag_workflow_demo.py",
             "cost_frontier_demo.py",
         }
+        # Each regenerates a paper figure that the CI paper-claims job
+        # checks through the benchmark named beside it.
         bench_covered = {
-            "figure4_scaling.py", "figure5_corestages.py", "full_sweep.py",
+            "figure4_scaling.py",  # benchmarks/test_fig4_profit_vs_arrival.py
+            "figure5_corestages.py",  # benchmarks/test_fig5_reward_cost.py
+            "full_sweep.py",  # benchmarks/test_table1_sweep.py and
+            # benchmarks/test_fullgrid_claims.py
         }
         on_disk = {p.name for p in EXAMPLES.glob("*.py")}
         assert on_disk == here | bench_covered

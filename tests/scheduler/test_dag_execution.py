@@ -12,7 +12,6 @@ from repro.apps.base import ExecutionPlan
 from repro.cloud.celar import CelarManager
 from repro.cloud.infrastructure import Infrastructure
 from repro.core.config import SchedulerConfig
-from repro.core.events import EventLog
 from repro.desim.engine import Environment
 from repro.knowledge.plane import StaticEstimateProvider, WorkflowStaticProvider
 from repro.scheduler.allocation import BestConstantAllocation
@@ -187,7 +186,6 @@ class TestSchedulerRunsDags:
             BestConstantAllocation(ExecutionPlan.uniform(wf.n_nodes, 1)),
             AlwaysScale(),
             config=SchedulerConfig(),
-            event_log=EventLog(),
             workflow=wf,
         )
         scheduler.start()

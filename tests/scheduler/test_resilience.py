@@ -10,7 +10,16 @@ from repro.cloud.faults import FaultInjector, FaultPlan
 from repro.cloud.infrastructure import Infrastructure
 from repro.core.config import ResilienceConfig
 from repro.core.errors import SchedulingError
-from repro.core.events import EventKind
+from repro.core.bus import (
+    DeployFailed,
+    EventRecorder,
+    JobFailed,
+    TaskDeadLettered,
+    TaskFinished,
+    TaskQueued,
+    TaskRetryScheduled,
+    WorkerHired,
+)
 from repro.desim.engine import Environment
 from repro.desim.rng import RandomStreams
 from repro.scheduler.allocation import BestConstantAllocation
@@ -157,6 +166,24 @@ def build_scheduler(env, gatk_model, injector, resilience,
     return scheduler
 
 
+def recorded(scheduler):
+    """Record every event *scheduler* publishes from now on."""
+    return EventRecorder().attach(scheduler.bus)
+
+
+def corrupted(recorder):
+    return [
+        e for e in recorder.of_type(TaskFinished) if e.outcome == "corrupted"
+    ]
+
+
+def retried(recorder):
+    return [
+        e for e in recorder.of_type(TaskQueued)
+        if e.attempt > 1 and not e.speculative
+    ]
+
+
 class ScriptedStragglers(FaultInjector):
     """Straggle the first N executions by a fixed factor, then run clean."""
 
@@ -201,16 +228,16 @@ class TestPoisonTask:
     def test_poison_task_consumes_exactly_max_attempts(self, gatk_model):
         env = Environment()
         scheduler = self.make(env, gatk_model, max_attempts=3)
+        recorder = recorded(scheduler)
         job = Job(app=gatk_model, size=2.0, submit_time=0.0)
         scheduler.submit(job)
         env.run(until=2000.0)
-        counts = scheduler.log.counts()
         # Every execution of stage 0 was corrupted: exactly 3 executions,
         # 2 retries, then the dead letter.
-        assert counts[EventKind.STAGE_CORRUPTED] == 3
-        assert counts[EventKind.TASK_RETRIED] == 2
-        assert counts[EventKind.TASK_DEAD_LETTERED] == 1
-        assert counts[EventKind.JOB_FAILED] == 1
+        assert len(corrupted(recorder)) == 3
+        assert len(retried(recorder)) == 2
+        assert len(recorder.of_type(TaskDeadLettered)) == 1
+        assert len(recorder.of_type(JobFailed)) == 1
         assert job.is_failed and not job.is_complete
         assert job.failed_at is not None
         assert len(scheduler.dead_letters) == 1
@@ -222,12 +249,10 @@ class TestPoisonTask:
     def test_retries_back_off_exponentially(self, gatk_model):
         env = Environment()
         scheduler = self.make(env, gatk_model, max_attempts=4)
+        recorder = recorded(scheduler)
         scheduler.submit(Job(app=gatk_model, size=2.0, submit_time=0.0))
         env.run(until=2000.0)
-        delays = [
-            e["delay"]
-            for e in scheduler.log.of_kind(EventKind.TASK_RETRY_SCHEDULED)
-        ]
+        delays = [e.delay for e in recorder.of_type(TaskRetryScheduled)]
         assert delays == pytest.approx([0.25, 0.5, 1.0])
 
     def test_scheduler_keeps_serving_after_dead_letter(self, gatk_model):
@@ -259,12 +284,12 @@ class TestPoisonTask:
         scheduler = build_scheduler(
             env, gatk_model, injector, ResilienceConfig(enabled=False)
         )
+        recorder = recorded(scheduler)
         job = Job(app=gatk_model, size=2.0, submit_time=0.0)
         scheduler.submit(job)
         env.run(until=2000.0)
-        counts = scheduler.log.counts()
-        assert counts[EventKind.STAGE_CORRUPTED] == 1  # no second chance
-        assert counts.get(EventKind.TASK_RETRIED, 0) == 0
+        assert len(corrupted(recorder)) == 1  # no second chance
+        assert retried(recorder) == []
         assert job.is_failed
 
 
@@ -308,14 +333,13 @@ class TestSpeculation:
             env, gatk_model, injector,
             ResilienceConfig(straggler_factor=2.0),
         )
+        recorder = recorded(scheduler)
         job = Job(app=gatk_model, size=4.0, submit_time=0.0)
         scheduler.submit(job)
         env.run(until=5000.0)
         assert job.is_complete
-        counts = scheduler.log.counts()
-        assert counts[EventKind.SPECULATIVE_LAUNCHED] == 1
-        assert counts[EventKind.SPECULATIVE_WON] == 1
-        assert counts[EventKind.SPECULATIVE_LOST] == 1
+        (twin,) = [e for e in recorder.of_type(TaskQueued) if e.speculative]
+        assert twin.stage == 0
         assert scheduler.speculation.launched == 1
         assert scheduler.speculation.won == 1
         assert scheduler.speculation.lost == 1
@@ -329,12 +353,13 @@ class TestSpeculation:
             env, gatk_model, injector,
             ResilienceConfig(speculation_enabled=False),
         )
+        recorder = recorded(scheduler)
         job = Job(app=gatk_model, size=4.0, submit_time=0.0)
         scheduler.submit(job)
         env.run(until=5000.0)
         assert job.is_complete  # just slowly
         assert scheduler.speculation.launched == 0
-        assert EventKind.SPECULATIVE_LAUNCHED not in scheduler.log.counts()
+        assert not any(e.speculative for e in recorder.of_type(TaskQueued))
 
     def test_interrupted_loser_releases_its_worker(self, gatk_model):
         env = Environment()
@@ -366,13 +391,13 @@ class TestCircuitBreakerIntegration:
         env = Environment()
         injector = ScriptedDeploys()
         scheduler = self.make(env, gatk_model, injector)
+        recorder = recorded(scheduler)
         job = Job(app=gatk_model, size=2.0, submit_time=0.0)
         scheduler.submit(job)
         env.run(until=4.0)
-        counts = scheduler.log.counts()
-        assert scheduler.deploy_failures >= 3
-        assert counts[EventKind.DEPLOY_FAILED] >= 3
-        assert counts[EventKind.BREAKER_OPEN] >= 1
+        bounces = recorder.of_type(DeployFailed)
+        assert scheduler.deploy_failures == len(bounces) >= 3
+        assert any(e.breaker_opened for e in bounces)
         assert scheduler.breaker is not None
         assert not scheduler.breaker.allow(env.now)
         assert not job.is_complete  # nothing could be hired
@@ -381,15 +406,15 @@ class TestCircuitBreakerIntegration:
         env = Environment()
         injector = ScriptedDeploys()
         scheduler = self.make(env, gatk_model, injector)
+        recorder = recorded(scheduler)
         job = Job(app=gatk_model, size=2.0, submit_time=0.0)
         scheduler.submit(job)
         env.run(until=4.0)
         assert not scheduler.breaker.allow(env.now)
         injector.failing = False  # the cloud recovers
         env.run(until=2000.0)
-        counts = scheduler.log.counts()
-        assert counts[EventKind.BREAKER_CLOSED] >= 1
-        assert counts[EventKind.WORKER_HIRED] >= 1
+        assert scheduler.breaker.state(env.now) is BreakerState.CLOSED
+        assert recorder.of_type(WorkerHired)
         assert job.is_complete
 
     def test_breaker_can_be_disabled(self, gatk_model):
@@ -400,11 +425,12 @@ class TestCircuitBreakerIntegration:
             ResilienceConfig(breaker_enabled=False),
             private_cores=1, threads=2,
         )
+        recorder = recorded(scheduler)
         scheduler.submit(Job(app=gatk_model, size=2.0, submit_time=0.0))
         env.run(until=10.0)
         assert scheduler.breaker is None
         assert scheduler.deploy_failures >= 3
-        assert EventKind.BREAKER_OPEN not in scheduler.log.counts()
+        assert not any(e.breaker_opened for e in recorder.of_type(DeployFailed))
 
 
 class TestBootFailures:
@@ -421,5 +447,6 @@ class TestBootFailures:
         env.run(until=5000.0)
         assert job.is_complete
         assert scheduler.pools.boot_failures > 0
-        counts = scheduler.log.counts()
-        assert counts[EventKind.BOOT_FAILED] == scheduler.pools.boot_failures
+        assert (
+            scheduler.pools.boot_failures == injector.boot_failures_injected
+        )

@@ -7,7 +7,13 @@ from repro.cloud.celar import CelarManager
 from repro.cloud.infrastructure import Infrastructure
 from repro.core.config import SchedulerConfig
 from repro.core.errors import SchedulingError
-from repro.core.events import EventKind, EventLog
+from repro.core.bus import (
+    EventRecorder,
+    JobCompleted,
+    StageCompleted,
+    TaskQueued,
+    TaskStarted,
+)
 from repro.desim.engine import Environment
 from repro.scheduler.allocation import BestConstantAllocation, GreedyAllocation
 from repro.scheduler.rewards import TimeReward
@@ -39,7 +45,6 @@ def build_scheduler(
         allocation or BestConstantAllocation(ExecutionPlan.uniform(7, 1)),
         scaling or AlwaysScale(),
         config=config or SchedulerConfig(),
-        event_log=EventLog(),
     )
     scheduler.start()
     return scheduler
@@ -109,25 +114,33 @@ class TestEvents:
     def test_event_stream_for_one_job(self, gatk_model):
         env = Environment()
         scheduler = build_scheduler(env, gatk_model)
+        recorder = EventRecorder().attach(scheduler.bus)
         job = Job(app=gatk_model, size=5.0, submit_time=0.0)
         scheduler.submit(job)
         env.run(until=500.0)
-        counts = scheduler.log.counts()
-        assert counts[EventKind.JOB_SUBMITTED] == 1
-        assert counts[EventKind.TASK_QUEUED] == 7
-        assert counts[EventKind.TASK_STARTED] == 7
-        assert counts[EventKind.STAGE_COMPLETED] == 7
-        assert counts[EventKind.JOB_COMPLETED] == 1
-        assert counts[EventKind.REWARD_PAID] == 1
+        assert scheduler.submitted_jobs == [job]
+        assert len(recorder.of_type(TaskQueued)) == 7
+        assert len(recorder.of_type(TaskStarted)) == 7
+        assert len(recorder.of_type(StageCompleted)) == 7
+        (completed,) = recorder.of_type(JobCompleted)
+        assert completed.reward == job.reward_paid
 
     def test_stage_completed_carries_kb_fields(self, gatk_model):
         env = Environment()
         scheduler = build_scheduler(env, gatk_model)
-        scheduler.submit(Job(app=gatk_model, size=5.0, submit_time=0.0))
+        recorder = EventRecorder().attach(scheduler.bus, [StageCompleted])
+        job = Job(app=gatk_model, size=5.0, submit_time=0.0)
+        scheduler.submit(job)
         env.run(until=500.0)
-        for event in scheduler.log.of_kind(EventKind.STAGE_COMPLETED):
-            for key in ("app", "stage", "input_gb", "threads", "duration"):
-                assert key in event.detail
+        events = recorder.of_type(StageCompleted)
+        assert [e.stage for e in events] == list(range(7))
+        for event, record in zip(events, job.history):
+            assert event.app == gatk_model.name
+            assert event.input_gb == job.input_gb
+            assert event.threads == record.threads
+            assert event.duration == pytest.approx(
+                record.finished_at - record.started_at
+            )
 
 
 class TestConcurrency:

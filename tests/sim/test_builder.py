@@ -46,7 +46,6 @@ class TestPlatformBuilder:
         assert platform.infrastructure is platform.scheduler.infrastructure
         assert platform.injector is None  # fault-free defaults
         assert platform.factory.app is builder.app
-        assert len(platform.event_log) == 0
 
     def test_session_delegates_to_builder(self):
         session = SimulationSession(short_config())

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.bus import EventRecorder
 from repro.core.config import (
     AllocationAlgorithm,
     PlatformConfig,
@@ -81,12 +82,14 @@ class TestSingleRun:
         assert len(session._constant_plan.threads) == 7
 
     def test_event_capture_optional(self):
-        session = SimulationSession(short_config(), capture_events=True)
-        session.run(seed=1)
-        assert len(session.event_log) > 0
-        session2 = SimulationSession(short_config(), capture_events=False)
-        session2.run(seed=1)
-        assert len(session2.event_log) == 0
+        """A record of the run is an observer; keeping one never changes
+        the result."""
+        recorder = EventRecorder()
+        captured = SimulationSession(
+            short_config(), observers=[lambda bus, p: recorder.attach(bus)]
+        ).run(seed=1)
+        assert len(recorder) > 0
+        assert SimulationSession(short_config()).run(seed=1) == captured
 
 
 class TestTraceRuns:
