@@ -63,6 +63,8 @@ class CelarManager:
             raise CloudError("allowed_sizes must be non-empty")
         if ram_per_core_gb <= 0:
             raise CloudError("ram_per_core_gb must be positive")
+        if startup_penalty_tu < 0:
+            raise CloudError("startup penalty must be >= 0")
         self.env = env
         self.infrastructure = infrastructure
         self.startup_penalty_tu = startup_penalty_tu

@@ -541,7 +541,7 @@ class SCANScheduler:
 
             # Waiting -- but guard against a stall where nothing will ever
             # free up by itself (no busy workers, nothing booting).
-            if not self.pools.busy_workers and self.pools.booting_total() == 0:
+            if not self.pools.busy_total() and self.pools.booting_total() == 0:
                 base = self.infrastructure.base
                 if self.pools.force_free(base.name, cores):
                     self._try_hire(cores, base.name, stage)
@@ -588,7 +588,7 @@ class SCANScheduler:
             if multiplier > 1.0:
                 straggled = True
                 duration *= multiplier
-        worker.busy_until = started_at + duration
+        self.pools.start(worker, started_at + duration)
         if TaskStarted in self.bus:
             self.bus.publish(
                 TaskStarted(

@@ -17,6 +17,7 @@ Chaos (VM crashes, boot failures) arrives through an optional
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from typing import Callable, Optional
@@ -47,8 +48,9 @@ class Worker:
         #: Set when the provider reclaimed this worker's spot capacity;
         #: the scheduler reports the failure as an eviction.
         self.evicted = False
-        #: Predicted completion time of the current task (for wait
-        #: estimation); None while idle.
+        #: When the current task will finish; None while idle.  Set only
+        #: by :meth:`WorkerPools.start`, from the task's true (simulated)
+        #: duration, not from the estimator's prediction.
         self.busy_until: Optional[float] = None
         self.tasks_executed = 0
 
@@ -104,6 +106,13 @@ class WorkerPools:
         self._idle: dict[Worker, None] = {}
         self._idle_by_shape: dict[tuple[str, int], dict[Worker, None]] = {}
         self._busy: set[Worker] = set()
+        #: Per (class, cores) shape, a min-heap of ``(busy_until, uid,
+        #: worker)`` pushed by :meth:`start`.  Deletion is lazy: an entry
+        #: is live only while its worker is busy with that finish time in
+        #: that shape; stale heads are popped when a heap is read.  None
+        #: until the first :meth:`estimate_wait`, so sessions that never
+        #: weigh hire-or-wait pay no pushes.
+        self._busy_heaps: Optional[dict[tuple[str, int], list]] = None
         #: Workers currently booting/resizing, per stage that requested
         #: them.  A Counter so absent stages read 0; zero-count entries are
         #: pruned as boots finish (they used to linger forever).
@@ -154,6 +163,10 @@ class WorkerPools:
         if not pool:
             del self._idle_by_shape[shape]
 
+    def busy_total(self) -> int:
+        """Busy workers."""
+        return len(self._busy)
+
     def total_alive(self) -> int:
         """Idle + busy workers."""
         return len(self._idle) + len(self._busy)
@@ -189,20 +202,28 @@ class WorkerPools:
         capacity); a growing resize is offered only if its tier can absorb
         the extra cores.
         """
-        candidates = [w for w in self._idle if w.worker_class == worker_class]
-        candidates.sort(key=lambda w: (w.cores < cores, abs(w.cores - cores)))
-        for worker in candidates:
-            if worker.cores == cores:
+        # Shapes nearest first, growing ones last; the key is unique per
+        # core count, and each shape's pool is in idle order.
+        shapes = sorted(
+            (c for cls, c in self._idle_by_shape if cls == worker_class),
+            key=lambda c: (c < cores, abs(c - cores)),
+        )
+        for shape_cores in shapes:
+            pool = self._idle_by_shape[(worker_class, shape_cores)]
+            delta = cores - shape_cores
+            if delta <= 0:
                 # Same shape, different pool semantics: still needs the
                 # restart (thread-count change is a VCPU reconfiguration in
                 # the paper's CELAR flow), but always feasible.
-                return worker
-            delta = cores - worker.cores
-            if delta < 0:
-                return worker
-            tier = worker.vm.infrastructure.tier(worker.tier)
-            if tier.can_allocate(delta):
-                return worker
+                return next(iter(pool))
+            fits: dict[str, bool] = {}
+            for worker in pool:
+                fit = fits.get(worker.tier)
+                if fit is None:
+                    tier = worker.vm.infrastructure.tier(worker.tier)
+                    fit = fits[worker.tier] = tier.can_allocate(delta)
+                if fit:
+                    return worker
         return None
 
     def repool(self, worker: Worker, cores: int, stage: int) -> Worker:
@@ -400,24 +421,70 @@ class WorkerPools:
             self.on_available()
 
     # -- wait estimation ----------------------------------------------------------
+    def start(self, worker: Worker, busy_until: float) -> None:
+        """Record that busy *worker* runs a task until *busy_until*."""
+        worker.busy_until = busy_until
+        if self._busy_heaps is not None:
+            self._push(self._busy_heaps, worker)
+
+    def _push(self, heaps: dict[tuple[str, int], list], worker: Worker) -> None:
+        shape = (worker.worker_class, worker.cores)
+        heap = heaps.get(shape)
+        if heap is None:
+            heap = heaps[shape] = []
+        elif len(heap) > 2 * len(self._busy) + 32:
+            # Keep the heap O(busy): drop every stale entry at once.
+            heap[:] = [e for e in heap if self._live(e, shape[1])]
+            heapq.heapify(heap)
+        heapq.heappush(heap, (worker.busy_until, worker.uid, worker))
+
+    def _live(self, entry: tuple, cores: int) -> bool:
+        """Whether a heap entry of a *cores*-core shape is still running."""
+        until, _uid, worker = entry
+        return (
+            worker in self._busy
+            and worker.busy_until == until
+            and worker.cores == cores
+        )
+
     def estimate_wait(self, worker_class: str, cores: int, penalty_tu: float) -> float:
         """Expected time until a suitable worker frees up.
 
-        Minimum over busy workers of their predicted remaining time; a
+        Minimum over running workers of the time left until their
+        ``busy_until`` (the task's true finish, not a prediction); a
         worker whose shape does not match exactly adds the re-pool
-        (restart) penalty.  Returns ``inf`` when nothing is busy (nothing
-        will ever free by itself).
+        (restart) penalty.  ``inf`` when nothing runs (nothing will ever
+        free by itself).
+
+        Read off the heaps as the soonest finish of the exact shape and
+        of any shape: ``x -> max(x - now, 0)`` and ``+ penalty`` are
+        monotone, so this is that minimum's exact float, and as the
+        penalty is >= 0 a matching worker's penalised term never
+        undercuts its exact one.
         """
-        best = float("inf")
+        if penalty_tu < 0:
+            raise SchedulingError(f"negative restart penalty {penalty_tu}")
+        heaps = self._busy_heaps
+        if heaps is None:
+            heaps = self._busy_heaps = {}
+            for worker in self._busy:
+                if worker.busy_until is not None:
+                    self._push(heaps, worker)
+        inf = float("inf")
+        exact = soonest = inf
+        wanted = (worker_class, cores)
+        for shape, heap in heaps.items():
+            while heap and not self._live(heap[0], shape[1]):
+                heapq.heappop(heap)
+            head = heap[0][0] if heap else inf
+            if head < soonest:
+                soonest = head
+            if shape == wanted:
+                exact = head
         now = self.env.now
-        for worker in self._busy:
-            if worker.busy_until is None:
-                continue
-            remaining = max(worker.busy_until - now, 0.0)
-            if worker.worker_class != worker_class or worker.cores != cores:
-                remaining += penalty_tu
-            best = min(best, remaining)
-        return best
+        return min(
+            max(exact - now, 0.0), max(soonest - now, 0.0) + penalty_tu
+        )
 
     # -- reaping ---------------------------------------------------------------
     def start_reaper(self):

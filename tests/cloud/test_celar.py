@@ -69,6 +69,11 @@ class TestManager:
         with pytest.raises(CloudError):
             CelarManager(env, infra, allowed_sizes=())
 
+    def test_negative_startup_penalty_rejected(self, env, infra):
+        # Rejected at construction, not at the first deploy's VM.
+        with pytest.raises(CloudError):
+            CelarManager(env, infra, startup_penalty_tu=-1.0)
+
 
 class TestDecisionModule:
     def test_thresholds_drive_commands(self):

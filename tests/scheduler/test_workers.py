@@ -135,6 +135,17 @@ class TestRepool:
         # Growing 4 -> 8 needs 4 more private cores; tier is full.
         assert pools.repool_candidate("gatk", 8) is None
 
+    def test_grow_skips_full_tier_within_a_shape(self, env):
+        infra = Infrastructure(env, private_cores=4, public_cores=8)
+        celar = CelarManager(env, infra)
+        pools = WorkerPools(env, celar)
+        on_private = pools.hire("gatk", 4, "private", stage=0)
+        on_public = pools.hire("gatk", 4, "public", stage=0)
+        env.run(until=1.0)
+        assert pools.idle_workers == (on_private, on_public)
+        # Growing 4 -> 8 fits only the public worker's tier.
+        assert pools.repool_candidate("gatk", 8) is on_public
+
     def test_repool_requires_idle(self, setup):
         env, _infra, _celar, pools = setup
         pools.hire("gatk", 4, "private", stage=0)
@@ -154,17 +165,57 @@ class TestWaitEstimation:
         pools.hire("gatk", 4, "private", stage=0)
         env.run(until=1.0)
         worker = pools.acquire("gatk", 4)
-        worker.busy_until = env.now + 3.0
-        assert pools.estimate_wait("gatk", 4, 0.5) == pytest.approx(3.0)
+        pools.start(worker, env.now + 3.0)
+        assert pools.estimate_wait("gatk", 4, 0.5) == 3.0
 
     def test_mismatched_worker_adds_penalty(self, setup):
         env, _infra, _celar, pools = setup
         pools.hire("gatk", 2, "private", stage=0)
         env.run(until=1.0)
         worker = pools.acquire("gatk", 2)
-        worker.busy_until = env.now + 3.0
+        pools.start(worker, env.now + 3.0)
         # Needs 8 threads: the 2-core worker must be reshaped after freeing.
-        assert pools.estimate_wait("gatk", 8, 0.5) == pytest.approx(3.5)
+        assert pools.estimate_wait("gatk", 8, 0.5) == 3.5
+
+    def test_restarts_keep_heap_bounded(self, setup):
+        env, _infra, _celar, pools = setup
+        for _ in range(2):
+            pools.hire("gatk", 4, "private", stage=0)
+        env.run(until=1.0)
+        steady = pools.acquire("gatk", 4)
+        churn = pools.acquire("gatk", 4)
+        # Busy but not started: nothing to wait for yet.
+        assert pools.estimate_wait("gatk", 4, 0.5) == float("inf")
+        pools.start(steady, env.now + 5.0)
+        # Re-starting one worker leaves stale entries behind; the heap
+        # is compacted, never the steady worker's live entry.
+        for k in range(200):
+            pools.start(churn, env.now + 10.0 + k)
+            assert len(pools._busy_heaps[("gatk", 4)]) <= 2 * 2 + 33
+        assert pools.estimate_wait("gatk", 4, 0.5) == 5.0
+        assert pools.estimate_wait("gatk", 8, 0.5) == 5.5
+
+    def test_reshaped_worker_leaves_its_old_shape(self, setup):
+        env, _infra, _celar, pools = setup
+        pools.hire("gatk", 4, "private", stage=0)
+        env.run(until=1.0)
+        worker = pools.acquire("gatk", 4)
+        pools.start(worker, 4.0)
+        assert pools.estimate_wait("gatk", 4, 0.5) == 3.0
+        worker.vm.mark_busy()
+        pools.release(worker)
+        pools.repool(worker, 8, stage=0)
+        env.run(until=2.0)
+        assert pools.acquire("gatk", 8) is worker
+        # Same finish time as its 4-core entry, which must stay dead.
+        pools.start(worker, 4.0)
+        assert pools.estimate_wait("gatk", 8, 0.5) == 2.0
+        assert pools.estimate_wait("gatk", 4, 0.5) == 2.5
+
+    def test_negative_penalty_rejected(self, setup):
+        _env, _infra, _celar, pools = setup
+        with pytest.raises(SchedulingError):
+            pools.estimate_wait("gatk", 4, penalty_tu=-0.5)
 
 
 class TestReaper:
@@ -213,6 +264,9 @@ _ops = st.lists(
                   st.sampled_from(("private", "public"))),
         st.tuples(st.just("acquire"), _classes, _cores),
         st.tuples(st.just("release"), st.integers(0, 50)),
+        # Finish times include ties and times already past.
+        st.tuples(st.just("start"), st.integers(0, 50),
+                  st.sampled_from((-1.0, 0.0, 0.5, 1.0, 2.5))),
         st.tuples(st.just("advance"), st.sampled_from((0.1, 0.6, 1.5))),
         st.tuples(st.just("reap")),
         st.tuples(st.just("repool"), _classes, _cores),
@@ -222,6 +276,19 @@ _ops = st.lists(
     min_size=20,
     max_size=80,
 )
+
+
+def _reference_estimate_wait(busy, now, worker_class, cores, penalty_tu):
+    """``WorkerPools.estimate_wait`` as a scan over a plain busy list."""
+    best = float("inf")
+    for worker in busy:
+        if worker.busy_until is None:
+            continue
+        remaining = max(worker.busy_until - now, 0.0)
+        if worker.worker_class != worker_class or worker.cores != cores:
+            remaining += penalty_tu
+        best = min(best, remaining)
+    return best
 
 
 def _reference_repool_candidate(idle, worker_class, cores):
@@ -243,8 +310,9 @@ def _reference_repool_candidate(idle, worker_class, cores):
 class TestIdleOrderMatchesListReference:
     """The shape-indexed idle pool against the plain idle list it replaced:
     the same worker is picked, and the idle order stays the same, under
-    any interleaving of hires, boots, acquires, releases, reaps, repools
-    and forced frees."""
+    any interleaving of hires, boots, acquires, task starts, releases,
+    reaps, repools and forced frees.  The heap-indexed wait estimate
+    equals a scan over the busy list after every operation."""
 
     @given(ops=_ops)
     @settings(max_examples=200, deadline=None)
@@ -284,6 +352,12 @@ class TestIdleOrderMatchesListReference:
                     ref.remove(expected)
                     expected.vm.mark_busy()
                     busy.append(expected)
+            elif kind == "start" and busy:
+                _, index, offset = op
+                worker = busy[index % len(busy)]
+                pools.start(worker, env.now + offset)
+                heap = pools._busy_heaps[(worker.worker_class, worker.cores)]
+                assert len(heap) <= 2 * len(busy) + 33
             elif kind == "release" and busy:
                 worker = busy.pop(op[1] % len(busy))
                 pending.append(worker)
@@ -318,3 +392,11 @@ class TestIdleOrderMatchesListReference:
                 assert freed == victims[: len(freed)]
                 ref[:] = [w for w in ref if w.alive]
             assert pools.idle_workers == tuple(ref)
+            for cls in ("gatk", "bwa"):
+                for cores in (2, 4, 8):
+                    for penalty in (0.0, 0.5):
+                        assert pools.estimate_wait(
+                            cls, cores, penalty
+                        ) == _reference_estimate_wait(
+                            busy, env.now, cls, cores, penalty
+                        )

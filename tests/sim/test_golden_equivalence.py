@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.config import PlatformConfig, ScalingAlgorithm
+from repro.core.config import PlatformConfig, ScalingAlgorithm, TierConfig
 from repro.sim.sweep import SweepSpec, run_sweep
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_sweep.json"
@@ -56,8 +56,54 @@ def _variants() -> dict[str, PlatformConfig]:
     }
 
 
-def _canonical(config: PlatformConfig) -> str:
-    rows = run_sweep(config, SPEC, base_seed=0)
+#: Predictive hire-or-wait on a four-tier stack (reserved, spot,
+#: serverless, on-demand) under the chaos faults: the only sweep here
+#: whose rows depend on ``WorkerPools.estimate_wait``'s answers (ALWAYS
+#: and NEVER never consult the wait estimate).
+TIERS_SPEC = SweepSpec(
+    scaling=(ScalingAlgorithm.PREDICTIVE,),
+    mean_interarrival=(2.5, 3.0),
+)
+
+
+def _tiers_predictive() -> PlatformConfig:
+    return _base(
+        cloud={
+            "tiers": (
+                TierConfig(
+                    name="private", backend="reserved",
+                    capacity_cores=192, core_cost_per_tu=5.0,
+                ),
+                TierConfig(
+                    name="spot", backend="spot",
+                    capacity_cores=96, core_cost_per_tu=10.0,
+                    eviction_mtbf_tu=60.0, reference_cost_per_tu=50.0,
+                ),
+                TierConfig(
+                    name="faas", backend="serverless",
+                    capacity_cores=16, core_cost_per_tu=35.0,
+                    invocation_cost=2.0, cold_start_tu=0.25,
+                    max_cores_per_allocation=8, max_duration_tu=30.0,
+                ),
+                TierConfig(
+                    name="public", backend="on_demand",
+                    capacity_cores=1_000_000, core_cost_per_tu=50.0,
+                ),
+            ),
+        },
+        faults={
+            "mtbf_tu": 40.0,
+            "p_boot_fail": 0.05,
+            "p_deploy_fail": 0.05,
+            "p_straggler": 0.1,
+            "p_corrupt": 0.02,
+        },
+        resilience={"max_attempts": 5},
+    )
+
+
+def _canonical(config: PlatformConfig, spec: SweepSpec = SPEC) -> str:
+    rows = run_sweep(config, spec, base_seed=0)
     return json.dumps([r.as_flat_dict() for r in rows], sort_keys=True)
 
 
@@ -72,6 +118,12 @@ class TestGoldenSweepEquivalence:
         assert (
             _canonical(_variants()["telemetry_chaos"])
             == self._golden()["telemetry_chaos"]
+        )
+
+    def test_tiers_predictive_byte_identical(self):
+        assert (
+            _canonical(_tiers_predictive(), TIERS_SPEC)
+            == self._golden()["tiers_predictive"]
         )
 
 
@@ -180,5 +232,6 @@ class TestChainWorkflowGoldenEquivalence:
 
 if __name__ == "__main__":  # regeneration entry point
     out = {name: _canonical(cfg) for name, cfg in _variants().items()}
+    out["tiers_predictive"] = _canonical(_tiers_predictive(), TIERS_SPEC)
     FIXTURE.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(f"regenerated {FIXTURE}")
