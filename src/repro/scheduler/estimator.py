@@ -20,8 +20,9 @@ For DAG workflows Eq. 2's forward sum generalises to the **critical
 path**: remaining time is the longest path of per-node (EQT + EET)
 through the not-yet-completed subgraph, because independent branches run
 concurrently.  Chains keep the original forward-accumulation loop
-verbatim (same floats, same memo keys), so linear-pipeline estimates are
-bit-identical to the pre-DAG estimator.
+(same floats, same additions in the same order), so linear-pipeline
+estimates are bit-identical to the pre-DAG estimator; they read each
+job's EET terms from a per-job row instead of asking the memo per stage.
 """
 
 from __future__ import annotations
@@ -99,6 +100,10 @@ class PipelineEstimator:
     model object changed.  A refit touches a few stages; the others keep
     their entries, which stay exact because EET is a pure function of
     (model, size, threads).
+
+    Chain ETT reads a per-job EET row (:meth:`_eet_row`) filled through
+    the memo; any stage-model change bumps ``_row_generation``, which
+    retires every row this estimator built.
     """
 
     def __init__(
@@ -140,6 +145,8 @@ class PipelineEstimator:
         #: The provider's model object each memoised stage's entries were
         #: computed under (compared by identity on an epoch bump).
         self._memo_models: dict[int, StageModel] = {}
+        #: Bumped whenever an epoch bump changes some stage's model.
+        self._row_generation = 0
         #: Per-instance memo counters (session-scoped; the module globals
         #: keep the process aggregate and per-sweep-cell views).
         self.cache_hits = 0
@@ -169,10 +176,11 @@ class PipelineEstimator:
     def eet(self, stage: int, size: float, threads: int = 1) -> float:
         """Estimated execution time of *stage* for a job of *size*.
 
-        Memoised: EET is a pure function of (stage, size, threads), and the
-        scheduler re-asks for the same jobs at every allocation and scaling
-        decision, so the memo turns the inner Eq. 1/Eq. 2 loops into dict
-        lookups.  Cached values are the uncached computation's exact floats.
+        Memoised: EET is a pure function of (stage, size, threads).  The
+        memo serves the plan search's ``threads_per_stage`` ETTs, the DAG
+        critical path, the scaling premium/watchdog/cap lookups and the
+        fill of each chain job's EET row (:meth:`_eet_row`).  Cached values
+        are the uncached computation's exact floats.
         """
         if self._cache_epoch != self.estimates.epoch:
             self._drop_stale_stages()
@@ -215,7 +223,40 @@ class PipelineEstimator:
             cache = self._eet_cache
             for key in [key for key in cache if key[0] in stale]:
                 del cache[key]
+            self._row_generation += 1
         self._cache_epoch = self.estimates.epoch
+
+    def _eet_row(self, job: Job) -> tuple[float, ...]:
+        """Chain *job*'s ``eet(s, job.input_gb, job.planned_threads(s))`` row.
+
+        Filled through the memo and stored on the job; reused until the
+        job's ``plan`` object changes, a stage model changes (the row
+        generation) or another estimator prices the job.  Stages before
+        the one the row was filled at hold 0.0 and are never read, since a
+        chain job's ``current_stage`` only grows; skipping them keeps the
+        memo's misses, and so the provider calls, those of a per-stage loop.
+        """
+        if self._cache_epoch != self.estimates.epoch:
+            self._drop_stale_stages()
+        plan = job.plan
+        cached = job._eet_row
+        if (
+            cached is not None
+            and cached[0] is self
+            and cached[1] is plan
+            and cached[2] == self._row_generation
+        ):
+            return cached[3]
+        eet = self.eet
+        size = job.input_gb
+        planned = job.planned_threads
+        start = job.current_stage
+        row = (0.0,) * start + tuple(
+            eet(stage, size, planned(stage))
+            for stage in range(start, job.n_stages)
+        )
+        job._eet_row = (self, plan, self._row_generation, row)
+        return row
 
     # -- ETT (Eq. 2) ----------------------------------------------------------
     def ett(
@@ -227,24 +268,35 @@ class PipelineEstimator:
         """Estimated total time for *job*: elapsed + remaining work.
 
         ``threads_per_stage`` overrides the job's plan for the remaining
-        stages (used when evaluating candidate plans); otherwise the job's
-        plan (or single-threaded) is assumed.
+        stages (used when evaluating candidate plans; it must cover every
+        stage); otherwise the job's plan (or single-threaded) is assumed.
 
-        Chains sum the remaining stages exactly as Eq. 2 writes it.  DAGs
-        take the **critical path**: independent branches overlap, so the
-        remaining time is the longest (EQT + EET) path through the
-        not-yet-completed subgraph, computed by one reverse-topological
-        sweep (node indices are topologically ordered by construction).
+        Chains sum the remaining stages exactly as Eq. 2 writes it, reading
+        the EET terms from the job's row (:meth:`_eet_row`), or from the
+        memo under an override.  DAGs take the **critical path**:
+        independent branches overlap, so the remaining time is the longest
+        (EQT + EET) path through the not-yet-completed subgraph, computed
+        by one reverse-topological sweep (node indices are topologically
+        ordered by construction).
         """
+        if threads_per_stage is not None and len(threads_per_stage) < job.n_stages:
+            raise SchedulingError(
+                f"{job.name}: threads_per_stage has {len(threads_per_stage)} "
+                f"entries for {job.n_stages} stages"
+            )
         total = job.elapsed(now)
         wf = self.workflow
         if wf is None or wf.is_chain:
-            for stage in range(job.current_stage, job.n_stages):
-                if threads_per_stage is not None:
-                    threads = threads_per_stage[stage]
-                else:
-                    threads = job.planned_threads(stage)
-                total += self.eqt(stage) + self.eet(stage, job.input_gb, threads)
+            eqt = self._eqt
+            if threads_per_stage is not None:
+                for stage in range(job.current_stage, job.n_stages):
+                    total += eqt[stage] + self.eet(
+                        stage, job.input_gb, threads_per_stage[stage]
+                    )
+                return total
+            row = self._eet_row(job)
+            for stage in range(job.current_stage, len(row)):
+                total += eqt[stage] + row[stage]
             return total
         return total + self._critical_path(job, threads_per_stage)
 

@@ -112,6 +112,10 @@ class Job:
         #: Completed node indices, and nodes already handed to a queue.
         self._done: set[int] = set()
         self._released: set[int] = set()
+        #: ``(estimator, plan, generation, row)``: the chain ETT's
+        #: per-stage EET row and what it is valid for; owned by
+        #: :class:`~repro.scheduler.estimator.PipelineEstimator`.
+        self._eet_row: Optional[tuple] = None
 
     @property
     def records(self) -> float:

@@ -1,7 +1,10 @@
 """Tests for ETT/EET/EQT estimation (Eq. 2) and the delay cost (Eq. 1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.errors import SchedulingError
 from repro.scheduler.estimator import PipelineEstimator, delay_cost
 from repro.scheduler.queues import StageQueue
 from repro.scheduler.rewards import ThroughputReward, TimeReward
@@ -298,6 +301,168 @@ class TestETT:
         small = Job(app=gatk_model, size=5.0, submit_time=0.0, input_gb=1.0)
         big = Job(app=gatk_model, size=5.0, submit_time=0.0, input_gb=20.0)
         assert estimator.ett(big, 0.0) > estimator.ett(small, 0.0)
+
+
+class TestThreadsOverrideLength:
+    """A ``threads_per_stage`` override must cover every stage."""
+
+    @pytest.mark.parametrize("method", ["ett", "remaining_time"])
+    def test_short_override_on_chain(self, estimator, gatk_model, method):
+        job = make_job(gatk_model)
+        with pytest.raises(SchedulingError, match=r"has 2 entries for 7 stages"):
+            getattr(estimator, method)(job, 1.0, threads_per_stage=[1, 2])
+
+    @pytest.mark.parametrize("method", ["ett", "remaining_time"])
+    def test_short_override_on_dag(self, method):
+        from repro.workflows.compiled import compile_spec
+        from repro.workflows.library import make_workflow
+
+        wf = compile_spec(make_workflow("star_fanout"))
+        app = wf.as_app()
+        estimator = PipelineEstimator(app, workflow=wf)
+        job = Job(app=app, size=5.0, submit_time=0.0, workflow=wf)
+        short = [1] * (wf.n_nodes - 1)
+        with pytest.raises(
+            SchedulingError,
+            match=rf"has {wf.n_nodes - 1} entries for {wf.n_nodes} stages",
+        ):
+            getattr(estimator, method)(job, 1.0, threads_per_stage=short)
+
+
+def _reference_chain_ett(estimator, job, now, threads_per_stage=None):
+    """Eq. 2 as the per-stage memo loop the chain EET row replaced."""
+    total = job.elapsed(now)
+    for stage in range(job.current_stage, job.n_stages):
+        if threads_per_stage is not None:
+            threads = threads_per_stage[stage]
+        else:
+            threads = job.planned_threads(stage)
+        total += estimator.eqt(stage) + estimator.eet(stage, job.input_gb, threads)
+    return total
+
+
+_thread_rows = st.sampled_from(
+    ((1,) * 7, (2,) * 7, (1, 2, 4, 8, 16, 4, 1), (16, 8, 4, 2, 1, 1, 1), (4, 4, 4))
+)
+_row_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("plan"), st.integers(0, 2), _thread_rows),
+        st.tuples(st.just("same_plan"), st.integers(0, 2)),
+        st.tuples(st.just("wait"), st.integers(0, 6),
+                  st.sampled_from((0.0, 1.5, 4.0))),
+        st.tuples(st.just("refit"), st.integers(0, 6),
+                  st.sampled_from((0.5, 2.0, 7.0))),
+        st.tuples(st.just("foreign_install"),),
+        st.tuples(st.just("advance"), st.integers(0, 2)),
+        st.tuples(st.just("other"), st.integers(0, 2)),
+        st.tuples(st.just("override"), st.integers(0, 2), _thread_rows),
+    ),
+    min_size=5,
+    max_size=40,
+)
+
+
+class TestChainEETRow:
+    """Chain ETT read from the per-job EET row equals the per-stage memo
+    loop it replaced, bit for bit, under any interleaving of plan
+    changes, queue observations, knowledge-plane installs (one stage
+    refit, or nothing of this app), stage completions, a second
+    estimator pricing the same job and ``threads_per_stage`` overrides;
+    with a provider that keeps unchanged models or one that builds a
+    fresh model per call, and with a full-size or a two-entry memo."""
+
+    @given(
+        ops=_row_ops,
+        fresh_models=st.booleans(),
+        small_memo=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_operation_sequences(
+        self, gatk_model, ops, fresh_models, small_memo
+    ):
+        import repro.scheduler.estimator as mod
+        from repro.knowledge.plane import (
+            AdaptiveEstimateProvider,
+            FactProvider,
+            KnowledgePlane,
+            StageFact,
+        )
+        from repro.scheduler.tasks import StageRecord
+
+        plane = KnowledgePlane()
+        if fresh_models:
+            plane.seed_from_model(gatk_model)
+            provider = FactProvider(plane, gatk_model.name)
+        else:
+            provider = AdaptiveEstimateProvider(gatk_model, plane)
+        est = PipelineEstimator(gatk_model, eqt_alpha=0.5, estimates=provider)
+        # The second estimator sees different stage-2 facts from the start.
+        other_plane = KnowledgePlane()
+        other_plane.seed_from_model(gatk_model)
+        other_plane.install([StageFact(app=gatk_model.name, stage=2, a=3.0,
+                                       b=1.0, c=0.5, provenance="refit")])
+        other = PipelineEstimator(
+            gatk_model,
+            estimates=AdaptiveEstimateProvider(gatk_model, other_plane),
+        )
+        jobs = [
+            Job(app=gatk_model, size=size, submit_time=0.0)
+            for size in (5.0, 7.25, 12.5)
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            if small_memo:
+                mp.setattr(mod, "EET_CACHE_SIZE", 2)
+            for step, op in enumerate(ops):
+                now = 0.5 * step
+                kind = op[0]
+                if kind == "plan":
+                    jobs[op[1]].plan = ExecutionPlan(op[2])
+                elif kind == "same_plan":
+                    job = jobs[op[1]]
+                    if job.plan is not None:
+                        job.plan = ExecutionPlan(job.plan.threads)
+                elif kind == "wait":
+                    est.observe_queue_wait(op[1], op[2])
+                elif kind == "refit":
+                    plane.install([StageFact(app=gatk_model.name, stage=op[1],
+                                             a=op[2], b=1.0, c=0.5,
+                                             provenance="refit")])
+                elif kind == "foreign_install":
+                    plane.install([StageFact(app="not-" + gatk_model.name,
+                                             stage=0, a=1.0, b=0.0, c=None,
+                                             provenance="refit")])
+                elif kind == "advance":
+                    job = jobs[op[1]]
+                    if job.current_stage < job.n_stages:
+                        job.record_stage(StageRecord(
+                            job.current_stage, now, now, now, threads=1,
+                            tier="private",
+                        ))
+                elif kind == "other":
+                    job = jobs[op[1]]
+                    assert other.ett(job, now) == _reference_chain_ett(
+                        other, job, now
+                    )
+                elif kind == "override":
+                    job = jobs[op[1]]
+                    threads = op[2] + (1,) * (7 - len(op[2]))
+                    assert est.ett(
+                        job, now, threads_per_stage=threads
+                    ) == _reference_chain_ett(est, job, now, threads)
+                for job in jobs:
+                    assert est.ett(job, now) == _reference_chain_ett(
+                        est, job, now
+                    )
+
+    def test_row_is_reused_until_the_plan_changes(self, estimator, gatk_model):
+        job = make_job(gatk_model)
+        estimator.ett(job, 0.0)
+        calls = estimator.cache_hits + estimator.cache_misses
+        estimator.ett(job, 1.0)
+        assert estimator.cache_hits + estimator.cache_misses == calls
+        job.plan = ExecutionPlan.uniform(7, 1)
+        estimator.ett(job, 2.0)
+        assert estimator.cache_hits + estimator.cache_misses == calls + 7
 
 
 class TestDelayCost:
