@@ -6,6 +6,13 @@ base and shards the input, the Scheduler runs one pipeline per shard over
 the elastic cloud, task logs flow back into the knowledge base, and the
 shard outputs are merged into the final result.
 
+The deployment itself -- cloud tiers, chaos layer, CELAR, knowledge plane,
+policies, event bus and scheduler -- comes from the simulator's
+:class:`~repro.sim.builder.PlatformBuilder`, so every config field a
+session honours (tier stacks, DAG workflows, model drift) the facade
+honours too.  The facade adds only what is facade-only: the Data Broker,
+shared storage and staging, and the knowledge base fed from the bus.
+
 The facade runs in-process over the simulation kernel (the prototype's
 CherryPy HTTP RPC layer is an interface detail the evaluation never
 exercises); the API surface -- submit / advance / poll / metrics -- mirrors
@@ -15,37 +22,22 @@ the prototype's RPC verbs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.apps.registry import ApplicationRegistry, default_registry
+from repro.apps.registry import ApplicationRegistry
 from repro.broker.broker import BrokeredJob, DataBroker
 from repro.broker.staging import DataStager
-from repro.cloud.celar import CelarManager
-from repro.cloud.faults import FaultInjector, FaultPlan
-from repro.cloud.infrastructure import Infrastructure
 from repro.cloud.storage import ReplicatedKVStore, SharedFilesystem
-from repro.core.config import AllocationAlgorithm, PlatformConfig
+from repro.core.config import PlatformConfig
 from repro.core.errors import SCANError
 from repro.desim.engine import Environment
 from repro.desim.rng import RandomStreams
 from repro.genomics.datasets import DatasetDescriptor
-from repro.core.bus import EventBus
 from repro.knowledge.kb import SCANKnowledgeBase
 from repro.knowledge.log_ingest import KnowledgeIngestor
-from repro.knowledge.plane import (
-    KnowledgePlane,
-    OnlineRefitter,
-    make_estimate_provider,
-)
-from repro.scheduler.allocation import (
-    find_best_constant_plan,
-    make_allocation_policy,
-)
-from repro.scheduler.rewards import RewardFunction, make_reward
-from repro.scheduler.scaling import make_scaling_policy
-from repro.scheduler.scheduler import SCANScheduler
 from repro.scheduler.tasks import Job
+from repro.sim.builder import PlatformBuilder
 
 __all__ = ["SCANPlatform", "AnalysisRequest"]
 
@@ -98,9 +90,6 @@ class SCANPlatform:
         kb_sample_every: int = 1,
     ) -> None:
         self.config = (config or PlatformConfig()).validate()
-        self.registry = registry if registry is not None else default_registry()
-        self.app = self.registry.get(self.config.application)
-
         self.env = Environment()
         # Telemetry is opt-in; the import stays lazy so a telemetry-disabled
         # platform never even loads the repro.telemetry package.
@@ -109,105 +98,47 @@ class SCANPlatform:
             from repro.telemetry.hub import TelemetryHub
 
             self.telemetry = TelemetryHub.from_config(self.config.telemetry)
-        _tracer = self.telemetry.tracer if self.telemetry is not None else None
-        self.infrastructure = Infrastructure(
-            self.env,
-            private_cores=self.config.cloud.private_cores,
-            private_cost=self.config.cloud.private_core_cost,
-            public_cores=self.config.cloud.public_cores,
-            public_cost=self.config.cloud.public_core_cost,
+        # One assembly path: the deployment is built exactly as a session's.
+        builder = PlatformBuilder(self.config, registry=registry)
+        built = builder.build(
+            self.env, RandomStreams(self.config.simulation.seed), self.telemetry
         )
-        # The chaos layer, seeded from the platform's configured seed.
-        plan = FaultPlan.from_config(self.config.faults, self.config.cloud)
-        self.injector: Optional[FaultInjector] = None
-        if plan.any_active:
-            self.injector = FaultInjector(
-                plan, RandomStreams(self.config.simulation.seed)
-            )
-        self.celar = CelarManager(
-            self.env,
-            self.infrastructure,
-            startup_penalty_tu=self.config.cloud.startup_penalty_tu,
-            allowed_sizes=self.config.cloud.instance_sizes,
-            injector=self.injector,
-            tracer=_tracer,
-        )
+        self.registry = builder.registry
+        self.app = builder.app
+        #: The compiled DAG every request's jobs run (None: the app's chain).
+        self.workflow = builder.workflow
+        self.infrastructure = built.infrastructure
+        self.injector = built.injector
+        self.celar = built.celar
+        self.bus = built.bus
+        self.plane = built.plane
+        self.estimates = built.estimates
+        self.refitter = built.refitter
+        self.reward = built.reward
+        self.scheduler = built.scheduler
+        if self.telemetry is not None:
+            self.telemetry.bind(self.env)
+        # The merged result is the workflow's terminal output format.
+        self._output_format = (
+            self.workflow.as_app() if self.workflow is not None else self.app
+        ).output_format
+
+        # Facade-only parts: storage, the knowledge base and the broker.
         self.filesystem = SharedFilesystem(self.env)
         self.kv_store = ReplicatedKVStore(self.env)
         self.stager = DataStager(self.env, self.filesystem)
-
         self.kb = SCANKnowledgeBase()
         # Task logs reach the KB as the bus's StageCompleted events.
-        self.bus = EventBus()
         self.ingestor = KnowledgeIngestor(
             self.kb, self.bus, sample_every=kb_sample_every
         )
-        # One knowledge plane serves every estimate consumer: the broker's
-        # shard advisor, the scheduler's pipeline estimator, and (via the
-        # allocation context) the learned policy's cold-start priors.
-        self.plane = KnowledgePlane()
-        self.estimates = make_estimate_provider(
-            self.config.knowledge.provider, app=self.app, plane=self.plane
-        )
-        self.refitter: Optional[OnlineRefitter] = None
-        if self.config.knowledge.provider != "static":
-            self.refitter = OnlineRefitter(
-                self.plane,
-                refit_every=self.config.knowledge.refit_every,
-                min_samples=self.config.knowledge.min_samples,
-                max_observations=self.config.knowledge.max_observations,
-                metrics=(
-                    self.telemetry.metrics
-                    if self.telemetry is not None
-                    else None
-                ),
-                clock=lambda: self.env.now,
-            )
-            self.refitter.attach(self.bus)
         self.broker = DataBroker(
             self.kb,
             config=self.config.broker,
-            tracer=_tracer,
+            tracer=self.telemetry.tracer if self.telemetry is not None else None,
             plane=self.plane,
         )
-
-        self.reward: RewardFunction = make_reward(self.config.reward)
-        constant_plan = None
-        if self.config.scheduler.allocation is AllocationAlgorithm.BEST_CONSTANT:
-            constant_plan = find_best_constant_plan(
-                self.app,
-                self.reward,
-                core_cost=self.config.cloud.private_core_cost,
-                job_size=self.config.workload.job_size_mean,
-                thread_choices=self.config.scheduler.thread_choices,
-                input_gb=self.config.workload.job_size_mean
-                * self.config.workload.size_unit_gb,
-            )
-        self.scheduler = SCANScheduler(
-            self.env,
-            self.app,
-            self.infrastructure,
-            self.celar,
-            self.reward,
-            make_allocation_policy(
-                self.config.scheduler.allocation, constant_plan=constant_plan
-            ),
-            make_scaling_policy(
-                self.config.scheduler.scaling,
-                horizon_tu=self.config.scheduler.predictive_horizon,
-            ),
-            config=self.config.scheduler,
-            faults=self.injector,
-            resilience=self.config.resilience,
-            telemetry=self.telemetry,
-            bus=self.bus,
-            estimates=self.estimates,
-        )
-        if self.telemetry is not None:
-            self.telemetry.bind(self.env)
-        self.scheduler.start()
         self.requests: list[AnalysisRequest] = []
-        self._job_counter = itertools.count(1)
 
     # -- knowledge bootstrap -------------------------------------------------
     def bootstrap_knowledge(self, **kwargs) -> int:
@@ -222,15 +153,16 @@ class SCANPlatform:
     # -- analysis submission ----------------------------------------------------
     def submit_analysis(self, dataset: DatasetDescriptor) -> AnalysisRequest:
         """Broker, shard and schedule one whole-analysis request."""
+        base = self.infrastructure.base
         brokered = self.broker.prepare(
             app=self.app.name,
             dataset=dataset,
             parallel_workers=max(
-                self.config.cloud.private_cores
+                base.capacity_cores
                 // max(self.config.cloud.instance_sizes[0], 1),
                 1,
             ),
-            core_cost_per_tu=self.config.cloud.private_core_cost,
+            core_cost_per_tu=base.core_cost_per_tu,
             reward_fn=self.reward,
         )
         jobs: list[Job] = []
@@ -247,6 +179,7 @@ class SCANPlatform:
                 submit_time=self.env.now,
                 name=f"req{len(self.requests) + 1}-{shard.name}",
                 input_gb=shard.size_gb,
+                workflow=self.workflow,
             )
             jobs.append(job)
         request = AnalysisRequest(
@@ -286,7 +219,7 @@ class SCANPlatform:
                     job.completed_at for job in request.jobs  # type: ignore[arg-type]
                 )
                 outputs = [
-                    shard.derive(self.app.output_format, "out", size_ratio=0.01)
+                    shard.derive(self._output_format, "out", size_ratio=0.01)
                     for shard in request.brokered.plan
                 ]
                 if len(outputs) > 1:

@@ -34,7 +34,9 @@ class DataFormat(str, enum.Enum):
         """Whether the format can be split record-wise for parallelism.
 
         Reference FASTA is not sharded (every task needs the whole
-        reference); image data is sharded per file elsewhere.
+        reference); image data is sharded per file elsewhere.  CSV tables
+        split and concatenate by row (a DAG whose terminal is Cytoscape
+        merges its per-shard CSV outputs).
         """
         return self in (
             DataFormat.FASTQ,
@@ -42,6 +44,7 @@ class DataFormat(str, enum.Enum):
             DataFormat.BAM,
             DataFormat.VCF,
             DataFormat.MGF,
+            DataFormat.CSV,
         )
 
     @property

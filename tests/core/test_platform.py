@@ -1,12 +1,37 @@
-"""Tests for the SCANPlatform facade."""
+"""Tests for the SCANPlatform facade.
+
+``fixtures/facade_golden.json`` pins the facade's output on the presets
+whose wiring the builder-backed assembly must leave untouched.
+Regenerate it (only for an intentional behaviour change) with::
+
+    PYTHONPATH=src python -m tests.core.test_platform
+"""
+
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.core.config import PlatformConfig, BrokerConfig
+from repro.core.config import PlatformConfig, BrokerConfig, TierConfig
 from repro.core.errors import SCANError
 from repro.core.platform import SCANPlatform
-from repro.genomics.datasets import DataFormat
+from repro.core.presets import make_preset, preset_names
+from repro.desim.engine import Environment
+from repro.desim.rng import RandomStreams
+from repro.genomics.datasets import DataFormat, DatasetDescriptor
 from repro.genomics.synth import synthesize_dataset
+from repro.sim.builder import PlatformBuilder
+
+FACADE_GOLDEN = Path(__file__).parent / "fixtures" / "facade_golden.json"
+
+#: Presets whose facade runs must stay byte-identical to the fixture.
+GOLDEN_PRESETS = (
+    "paper", "busy", "chaos", "observed", "overnight", "smoke", "throughput",
+)
+
+#: Three requests (GB each) submitted at t=0 and run to ``GOLDEN_UNTIL``.
+GOLDEN_REQUESTS_GB = (6.0, 25.0, 3.0)
+GOLDEN_UNTIL = 400.0
 
 
 @pytest.fixture
@@ -134,3 +159,101 @@ class TestMetrics:
         platform.run_until_complete(r2, limit=50_000)
         assert r1.is_complete and r2.is_complete
         assert platform.metrics()["requests"] == 2.0
+
+
+def _wiring(infrastructure, scheduler, injector, refitter) -> dict:
+    return {
+        "tiers": [tier.name for tier in infrastructure.tiers],
+        "workflow": scheduler.workflow.name,
+        "drifted": scheduler.actual_app is not scheduler.app,
+        "faults": injector is not None,
+        "per_tier": refitter.per_tier if refitter is not None else None,
+    }
+
+
+class TestBuilderAgreement:
+    """The facade is assembled by the session's builder, so every preset
+    wires the same deployment either way."""
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_facade_wiring_matches_builder(self, preset):
+        config = make_preset(preset)
+        platform = SCANPlatform(config)
+        built = PlatformBuilder(config).build(
+            Environment(), RandomStreams(config.simulation.seed)
+        )
+        assert _wiring(
+            platform.infrastructure,
+            platform.scheduler,
+            platform.injector,
+            platform.refitter,
+        ) == _wiring(
+            built.infrastructure, built.scheduler, built.injector, built.refitter
+        )
+
+    def test_fanout_request_runs_the_dag(self):
+        platform = SCANPlatform(make_preset("fanout"))
+        platform.bootstrap_knowledge()
+        request = platform.submit_analysis(
+            synthesize_dataset("s", 4.0, DataFormat.FASTQ)
+        )
+        platform.run_until_complete(request, limit=50_000)
+        assert platform.workflow is not None
+        assert all(job.workflow is platform.workflow for job in request.jobs)
+        # The merged result is the terminal node's output (Cytoscape CSV),
+        # not the entry app's BAM.
+        assert request.merged_output.format is DataFormat.CSV
+
+
+class TestBrokerAdvice:
+    def test_advice_reads_the_built_base_tier(self):
+        base = PlatformConfig.paper_defaults()
+        legacy = base.with_overrides(cloud={"private_cores": 64})
+        tiered = base.with_overrides(cloud={"tiers": (
+            TierConfig(name="private", backend="reserved",
+                       capacity_cores=64, core_cost_per_tu=5.0),
+            TierConfig(name="public", backend="on_demand",
+                       capacity_cores=1_000_000, core_cost_per_tu=50.0),
+        )})
+        advice = []
+        for config in (legacy, tiered):
+            platform = SCANPlatform(config)
+            platform.bootstrap_knowledge()
+            request = platform.submit_analysis(
+                synthesize_dataset("wgs", 200.0, DataFormat.FASTQ)
+            )
+            advice.append(str(request.brokered.advice))
+        assert advice[0] == advice[1]
+
+
+def _facade_capture(preset: str) -> dict:
+    platform = SCANPlatform(make_preset(preset))
+    platform.bootstrap_knowledge()
+    for i, size_gb in enumerate(GOLDEN_REQUESTS_GB):
+        platform.submit_analysis(
+            DatasetDescriptor.from_size(f"req{i}", DataFormat.FASTQ, size_gb)
+        )
+    platform.run(until=GOLDEN_UNTIL)
+    return {
+        "metrics": platform.metrics(),
+        "jobs": [
+            [job.name, job.completed_at, job.input_gb]
+            for request in platform.requests
+            for job in request.jobs
+        ],
+    }
+
+
+@pytest.mark.parametrize("preset", GOLDEN_PRESETS)
+def test_facade_run_matches_golden(preset):
+    expected = json.loads(FACADE_GOLDEN.read_text())[preset]
+    actual = _facade_capture(preset)
+    assert json.dumps(actual, sort_keys=True) == json.dumps(
+        expected, sort_keys=True
+    )
+
+
+if __name__ == "__main__":  # regeneration entry point
+    out = {name: _facade_capture(name) for name in GOLDEN_PRESETS}
+    FACADE_GOLDEN.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    print(f"regenerated {FACADE_GOLDEN}")
