@@ -1,9 +1,9 @@
-"""Parallel sweep benchmark: wall-clock speedup, cache hit rates, memory.
+"""Parallel sweep benchmark: wall-clock speedup and memory.
 
 Runs the same scaled-down Table I grid through the sweep executor in
-process (``jobs=1``) and on the process pool, checks they agree bit-for-bit, and writes ``BENCH_sweep.json``
-(schema ``scan-sim-bench-sweep/1``) with the wall times, the speedup and
-the worker hot-path cache hit rates exported through telemetry.  A second
+process (``jobs=1``) and on the process pool, checks they agree
+bit-for-bit, and writes ``BENCH_sweep.json`` (schema
+``scan-sim-bench-sweep/1``) with the wall times and the speedup.  A second
 benchmark pins the streaming result layer's memory claim: folding a large
 grid through :class:`~repro.sim.results.SweepAggregator` with
 ``retain_rows=False`` must peak far below buffering the grid in memory
@@ -25,13 +25,7 @@ import tracemalloc
 from repro.core.config import RewardScheme, ScalingAlgorithm
 from repro.core.ledger import open_ledger
 from repro.sim.results import ResultRecord, ResultStore, SweepAggregator
-from repro.sim.sweep import (
-    SweepSpec,
-    collect_cache_stats,
-    row_from_runs,
-    run_sweep,
-)
-from repro.telemetry.metrics import MetricsRegistry
+from repro.sim.sweep import SweepSpec, row_from_runs, run_sweep
 
 from .conftest import bench_config
 
@@ -71,29 +65,17 @@ def merge_bench(updates: dict) -> dict:
 
 def test_parallel_sweep_speedup_and_equivalence(print_header):
     base = bench_config()
-    registry = MetricsRegistry()
 
     t0 = time.perf_counter()
     serial_rows = run_sweep(base, SPEC, base_seed=42, jobs=1)
     serial_s = time.perf_counter() - t0
-    serial_cache = collect_cache_stats()
 
     t0 = time.perf_counter()
-    parallel_rows = run_sweep(
-        base, SPEC, base_seed=42, jobs=BENCH_JOBS, metrics=registry
-    )
+    parallel_rows = run_sweep(base, SPEC, base_seed=42, jobs=BENCH_JOBS)
     parallel_s = time.perf_counter() - t0
 
     assert rows_as_bytes(parallel_rows) == rows_as_bytes(serial_rows)
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-
-    hit_rates = {}
-    for cache in ("sparql_plan", "sparql_result", "estimator_eet"):
-        gauge = registry.gauge(
-            "sweep_cache_hit_rate", "worker hot-path cache hit rate",
-            labelnames=("cache",),
-        )
-        hit_rates[cache] = gauge.value(cache=cache)
 
     payload = merge_bench({
         "grid_cells": SPEC.size(),
@@ -104,8 +86,6 @@ def test_parallel_sweep_speedup_and_equivalence(print_header):
         "parallel_wall_s": round(parallel_s, 3),
         "speedup": round(speedup, 3),
         "rows_identical": True,
-        "cache_hit_rate": hit_rates,
-        "serial_driver_cache_stats": serial_cache,
     })
 
     print_header("Parallel sweep: serial vs process pool")

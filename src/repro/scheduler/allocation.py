@@ -27,8 +27,8 @@ from repro.core.errors import SchedulingError
 from repro.core.plugins import Registry
 from repro.knowledge.plane import EstimateProvider
 from repro.scheduler.costs import TieredCostFunction
-from repro.scheduler.estimator import PipelineEstimator
-from repro.scheduler.rewards import RewardFunction
+from repro.scheduler.estimator import PipelineEstimator, marginal_value_at_ett
+from repro.scheduler.rewards import RewardFunction, is_latency_free
 from repro.scheduler.tasks import Job
 
 __all__ = [
@@ -152,7 +152,8 @@ def _optimise_plan(
     The marginal value of saved time can depend on the plan itself (the
     throughput scheme values a TU more when the pipeline is fast), so we
     alternate: evaluate ETT under the current candidate plan, derive the
-    marginal value there, re-pick each stage's threads, repeat.
+    marginal value there, re-pick each stage's threads, repeat.  Under a
+    latency-free reward the value is fixed and one sweep is the answer.
 
     For chain jobs the remaining steps are ``from_stage..n-1``, exactly
     the legacy behaviour.  For DAG jobs completed nodes are sunk and every
@@ -170,9 +171,14 @@ def _optimise_plan(
         job.plan.threads if job.plan is not None else [1] * job.n_stages
     )
     core_cost = ctx.costs.marginal_core_cost(1)
+    if is_latency_free(ctx.reward):
+        # The value cannot depend on the plan, so a second sweep would
+        # repeat the first one's inputs exactly.
+        sweeps = 1
     for _ in range(max(sweeps, 1)):
-        ett = ctx.estimator.ett(job, ctx.now, threads_per_stage=current)
-        value = ctx.reward.marginal_value(max(ett, 0.0), job.records)
+        value = marginal_value_at_ett(
+            ctx.reward, ctx.estimator, job, ctx.now, current
+        )
         for stage_idx in step_indices:
             current[stage_idx] = _best_stage_threads(
                 ctx.stage_model(job, stage_idx),
@@ -195,8 +201,7 @@ class GreedyAllocation:
 
     def threads_for_stage(self, job: Job, stage: int, ctx: AllocationContext) -> int:
         """Myopic best thread count at dispatch time."""
-        ett = ctx.estimator.ett(job, ctx.now)
-        value = ctx.reward.marginal_value(max(ett, 0.0), job.records)
+        value = marginal_value_at_ett(ctx.reward, ctx.estimator, job, ctx.now)
         core_cost = ctx.costs.marginal_core_cost(1)
         return _best_stage_threads(
             ctx.stage_model(job, stage),

@@ -23,6 +23,12 @@ concurrently.  Chains keep the original forward-accumulation loop
 (same floats, same additions in the same order), so linear-pipeline
 estimates are bit-identical to the pre-DAG estimator; they read each
 job's EET terms from a per-job row instead of asking the memo per stage.
+
+Under a latency-free reward (the paper's time scheme) neither Eq. 1 nor
+the allocation policies' price of time needs an ETT: Eq. 1 has the closed
+form ``delay * R'(sum of records)``, and :func:`marginal_value_at_ett`
+skips the estimate.  ETT then serves the throughput scheme and the audit
+log only.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import Iterable, Optional, Sequence
 from repro.apps.base import ApplicationModel, StageModel
 from repro.core.errors import SchedulingError
 from repro.knowledge.plane import EstimateProvider, StaticEstimateProvider
-from repro.scheduler.rewards import RewardFunction
+from repro.scheduler.rewards import RewardFunction, is_latency_free
 from repro.scheduler.tasks import Job, StageTask
 from repro.workflows.compiled import CompiledWorkflow
 
@@ -42,50 +48,13 @@ __all__ = [
     "PipelineEstimator",
     "delay_cost",
     "delay_cost_terms",
-    "eet_cache_stats",
-    "reset_eet_cache_stats",
-    "eet_cell_stats",
-    "reset_eet_cell_stats",
+    "marginal_value_at_ett",
 ]
-
-#: Process-wide EET memo counters, aggregated across every estimator
-#: instance for the lifetime of the process.  Never reset by the sweep
-#: machinery -- per-cell accounting lives in :data:`_EET_CELL_STATS` and
-#: per-estimator accounting on the instances themselves.
-_EET_CACHE_STATS = {"hits": 0, "misses": 0}
-
-#: Cell-scoped EET memo counters: zeroed at the top of every sweep cell
-#: (:func:`repro.sim.sweep.run_cell_runs`), so a cell's reported hit rate only
-#: covers its own sessions -- earlier cells in the same worker process no
-#: longer contaminate it.
-_EET_CELL_STATS = {"hits": 0, "misses": 0}
 
 #: Entries an estimator's EET memo may hold before it is dropped and
 #: rebuilt (sizes are continuous, so an unbounded dict could grow with
 #: the job population; re-deriving is always safe because EET is pure).
 EET_CACHE_SIZE = 65536
-
-
-def eet_cache_stats() -> dict[str, int]:
-    """Process-wide EET memo hit/miss counters (a copy)."""
-    return dict(_EET_CACHE_STATS)
-
-
-def reset_eet_cache_stats() -> None:
-    """Zero the process-wide EET memo counters."""
-    _EET_CACHE_STATS["hits"] = 0
-    _EET_CACHE_STATS["misses"] = 0
-
-
-def eet_cell_stats() -> dict[str, int]:
-    """Cell-scoped EET memo hit/miss counters (a copy)."""
-    return dict(_EET_CELL_STATS)
-
-
-def reset_eet_cell_stats() -> None:
-    """Zero the cell-scoped EET memo counters (sweep cell boundaries)."""
-    _EET_CELL_STATS["hits"] = 0
-    _EET_CELL_STATS["misses"] = 0
 
 
 class PipelineEstimator:
@@ -147,8 +116,7 @@ class PipelineEstimator:
         self._memo_models: dict[int, StageModel] = {}
         #: Bumped whenever an epoch bump changes some stage's model.
         self._row_generation = 0
-        #: Per-instance memo counters (session-scoped; the module globals
-        #: keep the process aggregate and per-sweep-cell views).
+        #: Memo hit/miss counters, scoped to this estimator (one session).
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -188,12 +156,8 @@ class PipelineEstimator:
         value = self._eet_cache.get(key)
         if value is not None:
             self.cache_hits += 1
-            _EET_CACHE_STATS["hits"] += 1
-            _EET_CELL_STATS["hits"] += 1
             return value
         self.cache_misses += 1
-        _EET_CACHE_STATS["misses"] += 1
-        _EET_CELL_STATS["misses"] += 1
         value = self.estimates.eet(stage, size, threads)
         if stage not in self._memo_models:
             self._memo_models[stage] = self.estimates.stage_model(stage)
@@ -350,6 +314,43 @@ class PipelineEstimator:
         return self.ett(job, now, threads_per_stage) - job.elapsed(now)
 
 
+def marginal_value_at_ett(
+    reward: RewardFunction,
+    estimator: PipelineEstimator,
+    job: Job,
+    now: float,
+    threads_per_stage: Optional[Sequence[int]] = None,
+) -> float:
+    """``reward.marginal_value`` at *job*'s ETT: CU gained per TU saved.
+
+    The allocation policies' price of time.  A latency-free reward values
+    every TU alike, so its ETT (Eq. 2) is never estimated; any other reward
+    is asked at ``max(ETT, 0)``, with *threads_per_stage* overriding the
+    job's plan as in :meth:`PipelineEstimator.ett`.
+    """
+    if is_latency_free(reward):
+        return reward.marginal_value(0.0, job.records)
+    ett = estimator.ett(job, now, threads_per_stage)
+    return reward.marginal_value(max(ett, 0.0), job.records)
+
+
+def _latency_free_delay_cost(
+    reward: RewardFunction, delay: float, records: Iterable[float]
+) -> float:
+    """Eq. 1 in closed form for a latency-free reward.
+
+    Each job's term R(ETT) - R(ETT + delay) is ``delay`` times the marginal
+    value at any ETT, so the queue's total is ``delay * R'(sum of records)``,
+    with the records summed in queue order.  :func:`delay_cost`,
+    :func:`delay_cost_terms` and the audit replay all total Eq. 1 here, so
+    an explained decision is the same float as an unexplained one.
+    """
+    total = 0.0
+    for r in records:
+        total += r
+    return delay * reward.marginal_value(0.0, total)
+
+
 def delay_cost(
     queue_tasks: Iterable[StageTask],
     estimator: PipelineEstimator,
@@ -359,14 +360,20 @@ def delay_cost(
 ) -> float:
     """Eq. 1: reward lost if every job in the queue slips by *delay* TUs.
 
-    Positive values mean delaying is expensive; the time scheme gives
-    ``delay * sum(d_j * Rpenalty)`` exactly, while the throughput scheme is
-    convex (delaying an already-late job costs little).
+    Positive values mean delaying is expensive.  A latency-free reward (the
+    time scheme) takes the closed form ``delay * R'(sum of records)`` and
+    estimates no ETT.  Any other reward sums R(ETT) - R(ETT + delay) job by
+    job; the convex throughput scheme thereby charges little for delaying
+    an already-late job.
     """
     if delay < 0:
         raise SchedulingError(f"negative delay {delay}")
     if delay == 0:
         return 0.0
+    if is_latency_free(reward):
+        return _latency_free_delay_cost(
+            reward, delay, (task.job.records for task in queue_tasks)
+        )
     total = 0.0
     for task in queue_tasks:
         job = task.job
@@ -404,26 +411,36 @@ def delay_cost_terms(
     delay: float,
     now: float,
 ) -> tuple[float, tuple[DelayCostTerm, ...]]:
-    """Eq. 1 with its per-job breakdown (same total as :func:`delay_cost`)."""
+    """Eq. 1 with its per-job breakdown, for the audit log.
+
+    Every term carries its job's ETT, even under a latency-free reward, so
+    the record explains the decision job by job.  The total is the float
+    :func:`delay_cost` returns: the closed form for a latency-free reward,
+    the per-job sum otherwise.
+    """
     if delay < 0:
         raise SchedulingError(f"negative delay {delay}")
-    terms: list[DelayCostTerm] = []
     if delay == 0:
         return 0.0, ()
-    total = 0.0
+    terms: list[DelayCostTerm] = []
     for task in queue_tasks:
         job = task.job
         ett_now = estimator.ett(job, now)
-        reward_now = reward(max(ett_now, 0.0), job.records)
-        reward_delayed = reward(max(ett_now + delay, 0.0), job.records)
-        total += reward_now - reward_delayed
         terms.append(
             DelayCostTerm(
                 job_uid=job.uid,
                 ett_now=ett_now,
                 records=job.records,
-                reward_now=reward_now,
-                reward_delayed=reward_delayed,
+                reward_now=reward(max(ett_now, 0.0), job.records),
+                reward_delayed=reward(max(ett_now + delay, 0.0), job.records),
             )
         )
+    if is_latency_free(reward):
+        total = _latency_free_delay_cost(
+            reward, delay, (term.records for term in terms)
+        )
+    else:
+        total = 0.0
+        for term in terms:
+            total += term.cost
     return total, tuple(terms)

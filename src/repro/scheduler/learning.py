@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.errors import SchedulingError
 from repro.scheduler.allocation import AllocationContext
+from repro.scheduler.estimator import marginal_value_at_ett
 from repro.scheduler.tasks import Job
 
 __all__ = ["ArmStats", "LearnedAllocation"]
@@ -103,8 +104,7 @@ class LearnedAllocation:
             self.explorations += 1
             return int(self._rng.choice(ctx.thread_choices))
 
-        ett = ctx.estimator.ett(job, ctx.now)
-        value = ctx.reward.marginal_value(max(ett, 0.0), job.records)
+        value = marginal_value_at_ett(ctx.reward, ctx.estimator, job, ctx.now)
         core_cost = ctx.costs.marginal_core_cost(1)
         base = self._duration_estimate(job, stage, band, 1, ctx)
 

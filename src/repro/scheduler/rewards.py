@@ -18,7 +18,9 @@ indeed shows negative mean profits under heavy load.
 
 ``marginal_value`` is the scheduling signal: the reward gained per TU of
 latency removed, used by allocation (how many threads is a TU worth?) and
-predictive scaling (what does delaying this queue cost?).
+predictive scaling (what does delaying this queue cost?).  A reward whose
+marginal value ignores latency declares ``latency_free = True``; the
+time-oriented scheme does, so its decisions never need an ETT (Eq. 2).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "TimeReward",
     "ThroughputReward",
     "REWARDS",
+    "is_latency_free",
     "make_reward",
 ]
 
@@ -45,6 +48,13 @@ REWARDS: "Registry[RewardFunction]" = Registry("reward")
 class RewardFunction(Protocol):
     """Maps (latency, records) to CU, plus the latency sensitivity."""
 
+    #: True when the reward is linear in latency, so ``marginal_value``
+    #: does not depend on it and callers may price time without estimating
+    #: it.  Eq. 1's closed form also takes the marginal value to be
+    #: proportional to records, as in both paper schemes.  Undeclared
+    #: means False.
+    latency_free: bool
+
     def __call__(self, latency: float, records: float) -> float:
         """Reward for completing *records* of work in *latency* TUs."""
         ...
@@ -56,6 +66,8 @@ class RewardFunction(Protocol):
 
 class TimeReward:
     """R(d, t) = d (Rmax - t Rpenalty)."""
+
+    latency_free = True
 
     def __init__(self, rmax: float = 400.0, rpenalty: float = 15.0) -> None:
         if rmax <= 0:
@@ -92,6 +104,8 @@ class ThroughputReward:
     #: instantaneous, and 1/t explodes at 0.
     MIN_LATENCY = 1e-6
 
+    latency_free = False
+
     def __init__(self, rscale: float = 15_000.0) -> None:
         if rscale <= 0:
             raise ValueError(f"rscale must be positive, got {rscale}")
@@ -112,6 +126,11 @@ class ThroughputReward:
 
     def __repr__(self) -> str:
         return f"ThroughputReward(rscale={self.rscale})"
+
+
+def is_latency_free(reward: RewardFunction) -> bool:
+    """Whether *reward*'s marginal value is the same at every latency."""
+    return getattr(reward, "latency_free", False)
 
 
 @REWARDS.register("time")

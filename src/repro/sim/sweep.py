@@ -52,7 +52,6 @@ __all__ = [
     "resolve_jobs",
     "TaskFailure",
     "SweepExecutionError",
-    "collect_cache_stats",
     "TASK_RETRY",
     "TABLE1_FULL",
 ]
@@ -173,15 +172,7 @@ def run_cell_runs(
     Every sweep task runs its slice of a cell through this function, in
     this process or in a pool worker; the records it yields are folded by
     :func:`row_from_runs`.
-
-    The estimator's cell-scoped EET-memo counters are zeroed on entry, so
-    after this returns :func:`repro.scheduler.estimator.eet_cell_stats`
-    reports this cell's hits/misses alone -- earlier cells run by the same
-    (possibly reused) process never contaminate the rate.
     """
-    from repro.scheduler.estimator import reset_eet_cell_stats
-
-    reset_eet_cell_stats()
     config = apply_cell(base, cell)
     results = run_repetitions(
         config,
@@ -263,68 +254,20 @@ class _TaskPayload:
         return self.rep_indices[0]
 
 
-@dataclass(frozen=True)
-class _TaskResult:
-    #: Per-repetition metric dicts, aligned with the payload's seeds.
-    per_run: tuple[dict[str, float], ...]
-    cache_stats: dict[str, dict[str, int]]
-
-
-def collect_cache_stats() -> dict[str, dict[str, int]]:
-    """Snapshot of this process's hot-path cache counters.
-
-    Covers the SPARQL plan/result caches and the estimator's EET memo
-    (process aggregate -- see :func:`_sparql_stats` / the cell-scoped
-    counters in :mod:`repro.scheduler.estimator` for the per-task path).
-    """
-    from repro.scheduler.estimator import eet_cache_stats
-
-    out = _sparql_stats()
-    out["estimator_eet"] = eet_cache_stats()
-    return out
-
-
-def _sparql_stats() -> dict[str, dict[str, int]]:
-    """The SPARQL plan/result cache counters alone."""
-    from repro.ontology.sparql import cache_stats as sparql_stats
-
-    sparql = sparql_stats()
-    return {
-        "sparql_plan": {
-            "hits": sparql["plan_hits"],
-            "misses": sparql["plan_misses"],
-        },
-        "sparql_result": {
-            "hits": sparql["result_hits"],
-            "misses": sparql["result_misses"],
-        },
-    }
+#: One task's per-repetition metric dicts, aligned with the payload's seeds.
+_TaskResult = tuple[dict[str, float], ...]
 
 
 def _run_task(payload: _TaskPayload) -> _TaskResult:
-    """Run one task's repetitions and measure its cache traffic.
-
-    SPARQL counters are process-wide (never reset), so this task's share
-    is a before/after delta.  The estimator's EET counters are read from
-    the cell-scoped tier, which ``run_cell_runs`` zeroes on entry -- a
-    reused pool process cannot leak earlier cells' hits into this task.
-    """
-    from repro.scheduler.estimator import eet_cell_stats
-
-    before = _sparql_stats()
-    per_run = run_cell_runs(
-        payload.base,
-        payload.cell,
-        registry=payload.registry,
-        seeds=payload.seeds,
+    """Run one task's repetitions."""
+    return tuple(
+        run_cell_runs(
+            payload.base,
+            payload.cell,
+            registry=payload.registry,
+            seeds=payload.seeds,
+        )
     )
-    after = _sparql_stats()
-    stats = {
-        cache: {key: after[cache][key] - before[cache][key] for key in after[cache]}
-        for cache in after
-    }
-    stats["estimator_eet"] = eet_cell_stats()
-    return _TaskResult(per_run=tuple(per_run), cache_stats=stats)
 
 
 def _build_tasks(
@@ -391,8 +334,8 @@ def run_sweep(
     completes; ``done`` counts the cells a resumed ledger already held.
     ``metrics``, a telemetry
     :class:`~repro.telemetry.metrics.MetricsRegistry`, receives task
-    counters and the tasks' cache hit rates.  ``task_runner`` exists for
-    fault injection in tests; the pool needs it picklable.
+    counters.  ``task_runner`` exists for fault injection in tests; the
+    pool needs it picklable.
 
     ``results``, a :class:`~repro.sim.results.ResultStore`, receives every
     repetition as its task lands (this process is the only writer), and
@@ -425,17 +368,11 @@ def run_sweep(
         agg.add_all(state.completed.values())
         skip = state.completed
     tasks = _build_tasks(base, cells, n_reps, seed0, registry, skip)
-    cache_totals: dict[str, dict[str, int]] = {}
 
-    def land(payload: _TaskPayload, result: _TaskResult) -> None:
+    def land(payload: _TaskPayload, per_run: _TaskResult) -> None:
         """Persist and fold one task's repetitions as soon as it lands."""
-        for cache, counters in result.cache_stats.items():
-            slot = cache_totals.setdefault(cache, {})
-            for key, value in counters.items():
-                slot[key] = slot.get(key, 0) + value
         for record in records_from_runs(
-            payload.cell_index, payload.rep_indices, payload.seeds,
-            result.per_run,
+            payload.cell_index, payload.rep_indices, payload.seeds, per_run,
         ):
             if results is not None:
                 results.record(record)
@@ -451,10 +388,7 @@ def run_sweep(
             tasks, n_workers, task_runner, task_timeout_s, land, results
         )
     if metrics is not None:
-        _export_metrics(
-            metrics, len(tasks), retried, failures, agg.done_cells,
-            cache_totals,
-        )
+        _export_metrics(metrics, len(tasks), retried, failures, agg.done_cells)
     if failures:
         failures.sort(key=lambda f: (f.cell_index, f.rep_start))
         raise SweepExecutionError(failures)
@@ -561,9 +495,8 @@ def _export_metrics(
     retried_tasks: int,
     failures: Sequence[TaskFailure],
     done_cells: int,
-    cache_totals: dict[str, dict[str, int]],
 ) -> None:
-    """Fold executor counters and task cache stats into *registry*."""
+    """Fold the executor's task and cell counters into *registry*."""
     tasks = registry.counter(
         "sweep_tasks", "parallel sweep task outcomes", labelnames=("outcome",)
     )
@@ -576,23 +509,3 @@ def _export_metrics(
         tasks.inc(len(failures), outcome="dead_lettered")
     cells_done = registry.gauge("sweep_cells_done", "grid cells completed")
     cells_done.set(float(done_cells))
-    if cache_totals:
-        hits = registry.counter(
-            "sweep_cache_events",
-            "worker hot-path cache hits/misses",
-            labelnames=("cache", "kind"),
-        )
-        rate = registry.gauge(
-            "sweep_cache_hit_rate",
-            "worker hot-path cache hit rate",
-            labelnames=("cache",),
-        )
-        for cache, counters in sorted(cache_totals.items()):
-            n_hits = counters.get("hits", 0)
-            n_misses = counters.get("misses", 0)
-            if n_hits:
-                hits.inc(n_hits, cache=cache, kind="hits")
-            if n_misses:
-                hits.inc(n_misses, cache=cache, kind="misses")
-            total = n_hits + n_misses
-            rate.set(n_hits / total if total else 0.0, cache=cache)

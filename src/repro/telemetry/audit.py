@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Iterator, Optional
 
-from repro.scheduler.rewards import RewardFunction
+from repro.scheduler.estimator import _latency_free_delay_cost
+from repro.scheduler.rewards import RewardFunction, is_latency_free
 from repro.scheduler.scaling import DecisionExplanation, ScalingDecision
 
 __all__ = [
@@ -100,8 +101,9 @@ def replay_decision(
     Only the record's explanation and the reward function are consulted --
     no estimator, queue or infrastructure -- mirroring each policy's
     decision procedure over the captured inputs.  For predictive records
-    the Eq. 1 sum is recomputed from the logged per-job ``(ett_now,
-    records)`` terms and compared against the logged premium.
+    Eq. 1 is recomputed from the logged per-job ``(ett_now, records)``
+    terms and compared against the logged premium; a latency-free reward
+    totals it in the same closed form as the live decision.
     """
     explanation = record.explanation
     if explanation is None:
@@ -118,9 +120,14 @@ def replay_decision(
     wait = explanation.wait
     if wait is None or wait <= 0.0 or explanation.premium is None:
         return "wait"
-    dc = 0.0
-    for term in explanation.terms:
-        dc += reward(max(term.ett_now, 0.0), term.records) - reward(
-            max(term.ett_now + wait, 0.0), term.records
+    if is_latency_free(reward):
+        dc = _latency_free_delay_cost(
+            reward, wait, (term.records for term in explanation.terms)
         )
+    else:
+        dc = 0.0
+        for term in explanation.terms:
+            dc += reward(max(term.ett_now, 0.0), term.records) - reward(
+                max(term.ett_now + wait, 0.0), term.records
+            )
     return "hire_public" if dc > explanation.premium else "wait"

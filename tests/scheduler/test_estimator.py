@@ -58,17 +58,10 @@ class TestEETMemo:
         assert second == direct
 
     def test_counters_track_hits_and_misses(self, estimator):
-        from repro.scheduler.estimator import (
-            eet_cache_stats,
-            reset_eet_cache_stats,
-        )
-
-        reset_eet_cache_stats()
         estimator.eet(0, 5.0, threads=1)
         estimator.eet(0, 5.0, threads=1)
         estimator.eet(0, 6.0, threads=1)
-        stats = eet_cache_stats()
-        assert stats == {"hits": 1, "misses": 2}
+        assert estimator.cache_stats() == {"hits": 1, "misses": 2}
 
     def test_distinct_keys_do_not_collide(self, estimator, gatk_model):
         by_stage = estimator.eet(1, 5.0, threads=2)
@@ -192,57 +185,9 @@ class TestEETMemoEpochs:
         first.eet(0, 5.0)
         first.eet(0, 5.0)
         assert first.cache_stats() == {"hits": 1, "misses": 1}
-        # A fresh estimator starts from zero -- counters no longer leak
-        # across sessions through the module globals.
+        # A fresh estimator starts from zero: counters never leak across
+        # sessions.
         assert second.cache_stats() == {"hits": 0, "misses": 0}
-
-    def test_cell_counters_reset_independently_of_aggregate(self, estimator):
-        from repro.scheduler.estimator import (
-            eet_cache_stats,
-            eet_cell_stats,
-            reset_eet_cell_stats,
-        )
-
-        reset_eet_cell_stats()
-        aggregate_before = eet_cache_stats()
-        estimator.eet(0, 5.0)
-        estimator.eet(0, 5.0)
-        assert eet_cell_stats() == {"hits": 1, "misses": 1}
-        reset_eet_cell_stats()
-        assert eet_cell_stats() == {"hits": 0, "misses": 0}
-        # The process-wide aggregate keeps counting across cell resets.
-        aggregate = eet_cache_stats()
-        assert aggregate["hits"] == aggregate_before["hits"] + 1
-        assert aggregate["misses"] == aggregate_before["misses"] + 1
-
-    def test_run_cell_zeroes_cell_counters(self, gatk_model):
-        from repro.core.config import (
-            AllocationAlgorithm,
-            PlatformConfig,
-            RewardScheme,
-            ScalingAlgorithm,
-        )
-        from repro.scheduler.estimator import eet_cell_stats
-        from repro.sim.sweep import run_cell_runs
-
-        base = PlatformConfig.paper_defaults().with_overrides(
-            simulation={"duration": 60.0, "repetitions": 1},
-        )
-        cell = {
-            "allocation": AllocationAlgorithm.GREEDY,
-            "scaling": ScalingAlgorithm.PREDICTIVE,
-            "mean_interarrival": 4.0,
-            "reward_scheme": RewardScheme.TIME,
-            "public_core_cost": 90.0,
-        }
-        run_cell_runs(base, cell, seeds=(1,))
-        reference = eet_cell_stats()
-        assert reference["misses"] >= 1
-        # Pollute the cell counters, then run the same cell again: the
-        # entry reset must keep the pre-cell traffic out of its stats.
-        PipelineEstimator(gatk_model).eet(0, 123.456)
-        run_cell_runs(base, cell, seeds=(1,))
-        assert eet_cell_stats() == reference
 
 
 class TestETT:

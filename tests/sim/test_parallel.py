@@ -191,8 +191,6 @@ class TestReporting:
         exposition = registry.expose()
         assert 'sweep_tasks{outcome="completed"} 4' in exposition
         assert "sweep_cells_done 4" in exposition
-        # Worker EET memo activity surfaced as a hit rate.
-        assert 'sweep_cache_hit_rate{cache="estimator_eet"}' in exposition
 
     def test_retries_counted(self, tmp_path, monkeypatch):
         monkeypatch.setenv(_FLAKY_DIR_VAR, str(tmp_path))
