@@ -10,12 +10,17 @@ ledger, so crash tolerance is written (and tested) once, here.
 Media (``LEDGERS`` registry):
 
 ``memory``  a list; survives nothing (tests, benchmarks).
-``jsonl``   one ``json.dumps(record, sort_keys=True)`` line per record,
-            flushed to the OS per append and fsynced only when asked.
+``jsonl``   one JSON line per record, flushed to the OS per append and
+            fsynced only when asked.
             Opening truncates a torn final fragment; any other unreadable
             line raises.
 ``sqlite``  one append-only table (WAL journal, ``synchronous=NORMAL``),
             committed per record; each row holds the same JSON text.
+
+Both durable media encode a record with :data:`_encode`, one shared
+``json.JSONEncoder(sort_keys=True).encode``: byte for byte what
+``json.dumps(record, sort_keys=True)`` writes, without building an
+encoder per record.
 
 What an acknowledged append survives: on ``jsonl`` a killed process
 (the line is in the OS page cache), and power loss too with ``fsync``;
@@ -60,6 +65,9 @@ class Ledger:
     def close(self) -> None:
         """Release handles; reopening the same spec continues the log."""
 
+
+#: The record encoding of every durable medium (module docstring).
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 #: Registry of ledger media.
 LEDGERS: "Registry[Ledger]" = Registry("ledger")
@@ -134,7 +142,7 @@ class JsonlLedger(Ledger):
             fh.truncate(last_nl + 1)
 
     def append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
+        line = _encode(record) + "\n"
         with self._lock:
             if self._fh is None:
                 raise SCANError(f"ledger {self.path!r} is closed")
@@ -215,7 +223,7 @@ class SqliteLedger(Ledger):
         return self._conn
 
     def append(self, record: dict) -> None:
-        text = json.dumps(record, sort_keys=True)
+        text = _encode(record)
         with self._lock:
             conn = self._live()
             conn.execute("INSERT INTO ledger (record) VALUES (?)", (text,))

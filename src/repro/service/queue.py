@@ -25,8 +25,8 @@ import enum
 import itertools
 import threading
 import time
-from dataclasses import dataclass, replace
-from heapq import heappop, heappush
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, SCANError
@@ -117,6 +117,18 @@ class QueuedJob:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SCANError(f"malformed queued-job record: {exc}") from exc
+
+    def _stamped(
+        self, seq: int, submitted_at: float, attempts: int
+    ) -> "QueuedJob":
+        """A copy with new queue stamps.  A positional constructor call:
+        :func:`dataclasses.replace` costs twice as much, and the queue
+        restamps on every push and every pop."""
+        return self.__class__(
+            self.uid, self.tenant, self.name, self.size_gb,
+            self.data_format, self.weight, self.deadline,
+            submitted_at, seq, attempts,
+        )
 
 
 # -- priority strategies ------------------------------------------------------
@@ -272,9 +284,11 @@ class TenantQueue:
         """Remove and return the entry that would pop LAST."""
         worst_i = max(range(len(self._heap)), key=lambda i: self._heap[i][0])
         score, job = self._heap.pop(worst_i)
-        if self._heap and worst_i < len(self._heap):
-            # Restore the heap invariant after the positional removal.
-            self._heap.sort()
+        if worst_i < len(self._heap):
+            # Restore the heap invariant after the positional removal.  The
+            # head stays put whenever another job remains: the worst of two
+            # or more jobs is never the best.
+            heapify(self._heap)
         del self._uids[job.uid]
         return score, job
 
@@ -294,7 +308,21 @@ class JobQueue:
 
     holds at every quiescent point, which is exactly what the crash
     recovery test asserts across a kill/rebuild cycle.
+
+    A global pop finds the best tenant through a *head index*: a lazy
+    min-heap of ``(head score, tenant)`` entries.  Whenever a tenant gets
+    a new head (a push that beats it, or a pop that exposes the next
+    job) an entry goes in.  An entry is live while its score is the very
+    tuple heading that tenant's heap (an identity test: exact, and cheaper
+    than comparing tuples); a global pop discards dead entries off the
+    top before taking the first live one.  Equal scores therefore break
+    to the lowest tenant name.  Tenant-scoped pops leave their old
+    entry behind, so the index is rebuilt from the live heads once it
+    outgrows ``2 * tenants + HEAD_INDEX_SLACK`` entries.
     """
+
+    #: Dead head-index entries tolerated beyond twice the tenant count.
+    HEAD_INDEX_SLACK = 8
 
     def __init__(
         self,
@@ -316,6 +344,8 @@ class JobQueue:
         self._clock = clock if clock is not None else _default_clock
         self._cond = threading.Condition()
         self._tenants: Dict[str, TenantQueue] = {}
+        #: The head index: ``(head score, tenant)``, a lazy min-heap.
+        self._heads: List[Tuple[Score, str]] = []
         #: uid -> tenant for every *queued* job: uids key the persistent
         #: ledger, so they must be unique across ALL tenants, not just
         #: within one tenant's queue.
@@ -357,8 +387,8 @@ class JobQueue:
         """
         with self._cond:
             if not preserve_seq:
-                job = replace(
-                    job, seq=next(self._seq), submitted_at=self._clock()
+                job = job._stamped(
+                    next(self._seq), self._clock(), job.attempts
                 )
             else:
                 # Keep the fresh-push counter ahead of every replayed seq.
@@ -408,10 +438,22 @@ class JobQueue:
                 self.shed_count += 1
                 del self._queued_uids[shed_job.uid]
             tq.push(score, job)
+            if tq.peek_score() is score:
+                self._index_head(tq)
             self._queued_uids[job.uid] = job.tenant
             self.accepted_count += 1
             self._cond.notify()
             return decision
+
+    def _index_head(self, tq: TenantQueue) -> None:
+        """Enter *tq*'s new head into the head index (bounded rebuild)."""
+        heappush(self._heads, (tq.peek_score(), tq.tenant))
+        if len(self._heads) > 2 * len(self._tenants) + self.HEAD_INDEX_SLACK:
+            self._heads = [
+                (t.peek_score(), t.tenant)
+                for t in self._tenants.values() if len(t)
+            ]
+            heapify(self._heads)
 
     def _bump_seq_past(self, seq: int) -> None:
         current = next(self._seq)
@@ -455,22 +497,26 @@ class JobQueue:
             tq = self._tenants.get(tenant)
             if tq is None or not len(tq):
                 return None
+            job = tq.pop()
+            if len(tq):
+                self._index_head(tq)
         else:
-            best: Optional[TenantQueue] = None
-            best_score: Optional[Score] = None
-            for name in sorted(self._tenants):
-                candidate = self._tenants[name]
-                score = candidate.peek_score()
-                if score is None:
-                    continue
-                if best_score is None or score < best_score:
-                    best, best_score = candidate, score
-            if best is None:
+            heads = self._heads
+            while heads:
+                score, name = heads[0]
+                tq = self._tenants[name]
+                if tq.peek_score() is score:
+                    break
+                heappop(heads)  # a dead entry: that head has moved on
+            else:
                 return None
-            tq = best
-        job = tq.pop()
+            job = tq.pop()
+            if len(tq):
+                heapreplace(heads, (tq.peek_score(), name))
+            else:
+                heappop(heads)
         del self._queued_uids[job.uid]
-        job = replace(job, attempts=job.attempts + 1)
+        job = job._stamped(job.seq, job.submitted_at, job.attempts + 1)
         self._leased[job.uid] = job
         return job
 

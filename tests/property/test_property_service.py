@@ -1,6 +1,6 @@
 """Property-based tests for the service queue and its persistence replay.
 
-Three contracts, held under arbitrary operation sequences:
+Four contracts, held under arbitrary operation sequences:
 
 1. every priority strategy induces a *strict total order* (scores are
    unique and mutually comparable), and pops respect it;
@@ -9,8 +9,15 @@ Three contracts, held under arbitrary operation sequences:
 3. push -> persist -> restore -> pop is indistinguishable from
    push -> pop: replaying the ledger reproduces the exact pop order the
    lost process would have produced (leased-but-unfinished jobs
-   included, per at-least-once recovery).
+   included, per at-least-once recovery);
+4. the head-indexed global pop serves exactly what scanning every
+   tenant's head in sorted-name order would, under every operation the
+   queue has (fresh and replayed pushes, global and tenant-scoped pops,
+   requeue, finish, shed admission), and the head index stays within its
+   rebuild bound.
 """
+
+import pytest
 
 from dataclasses import replace
 
@@ -158,3 +165,113 @@ def test_persist_restore_pop_equals_push_pop(ops, strategy_name):
             break
         popped.append(job.uid)
     assert popped == expected
+
+
+# -- model-based: the head index against a reference scan ---------------------
+model_tenants = st.sampled_from(["t0", "t1", "t2", "t3"])
+model_job = st.fixed_dictionaries(
+    {
+        "uid_n": st.integers(min_value=0, max_value=40),
+        "tenant": model_tenants,
+        "size_gb": st.sampled_from([1.0, 2.5, 8.0, 40.0]),
+        "weight": st.sampled_from([1.0, 2.0, 10.0]),
+        "deadline": st.one_of(st.none(), st.sampled_from([5.0, 50.0])),
+    }
+)
+model_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), model_job),
+        st.tuples(st.just("replay"), model_job, st.integers(1, 400)),
+        st.tuples(st.just("pop"), st.none()),
+        st.tuples(st.just("pop"), model_tenants),
+        st.tuples(st.just("finish"), st.integers(0, 63)),
+        st.tuples(st.just("requeue"), st.integers(0, 63)),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+def _reference_pop(strategy, queued, tenant=None):
+    """The pre-index global pop: scan sorted tenants' heads, strict ``<``
+    so equal scores break to the lowest tenant name."""
+    best = best_score = None
+    names = sorted({job.tenant for job in queued.values()})
+    for name in names if tenant is None else [tenant]:
+        jobs = [job for job in queued.values() if job.tenant == name]
+        if not jobs:
+            continue
+        head = min(jobs, key=strategy.score)
+        score = strategy.score(head)
+        if best_score is None or score < best_score:
+            best, best_score = head, score
+    return best
+
+
+@pytest.mark.parametrize("strategy_name", STRATEGY_NAMES)
+@given(ops=model_ops, capacity=st.integers(min_value=1, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_indexed_pop_matches_sorted_head_scan(strategy_name, ops, capacity):
+    queue = JobQueue(
+        capacity=capacity, strategy=strategy_name, admission="shed_lowest"
+    )
+    strategy = queue.strategy
+    queued = {}  # uid -> job as queued (the model)
+    leased = []
+    used_seqs = set()
+    for op in ops:
+        kind = op[0]
+        if kind in ("push", "replay"):
+            job = _job(op[1])
+            if kind == "replay":
+                # A replayed record keeps its persisted seq; seqs are
+                # unique across the ledger, so skip one already issued.
+                if op[2] in used_seqs:
+                    continue
+                job = replace(job, seq=op[2])
+            tenant_jobs = [
+                j for j in queued.values() if j.tenant == job.tenant
+            ]
+            decision = queue.push(job, preserve_seq=kind == "replay")
+            if decision.accepted:
+                used_seqs.add(decision.job.seq)
+                if decision.shed is not None:
+                    # The victim is the tenant's worst queued job.
+                    worst = max(tenant_jobs, key=strategy.score)
+                    assert decision.shed.uid == worst.uid
+                    del queued[decision.shed.uid]
+                queued[decision.job.uid] = decision.job
+                if kind == "push":
+                    assert queue.depth(job.tenant) <= max(
+                        capacity, len(tenant_jobs)
+                    )
+        elif kind == "pop":
+            expected = _reference_pop(strategy, queued, op[1])
+            popped = queue.pop(tenant=op[1])
+            if expected is None:
+                assert popped is None
+                continue
+            assert popped is not None and popped.uid == expected.uid
+            assert popped.attempts == expected.attempts + 1
+            del queued[popped.uid]
+            leased.append(popped)
+        elif leased:
+            job = leased.pop(op[1] % len(leased))
+            if kind == "finish":
+                queue.finish(job.uid)
+            else:
+                queue.requeue(job.uid)
+                queued[job.uid] = job
+        assert len(queue._heads) <= (
+            2 * len(queue.tenants()) + JobQueue.HEAD_INDEX_SLACK
+        )
+        assert queue.depths() == {
+            name: sum(1 for j in queued.values() if j.tenant == name)
+            for name in queue.tenants()
+        }
+    # Drain globally: the rest comes out in reference order too.
+    while queued:
+        expected = _reference_pop(strategy, queued)
+        assert queue.pop().uid == expected.uid
+        del queued[expected.uid]
+    assert queue.pop() is None

@@ -103,6 +103,27 @@ class TestIngest:
         decision, _ = plane.submit("alice", name="b", size_gb=1.0, uid="job-1")
         assert decision.reason == "duplicate"
 
+    def test_sustained_ingest_and_partial_drain_conserve_jobs(self):
+        plane, _clock = _plane(tenant_capacity=4096)
+        tenants = [f"tenant-{i:03d}" for i in range(64)]
+        n_jobs = 2048
+        for i in range(n_jobs):
+            decision, _job = plane.submit(
+                tenants[i % 64], name=f"job-{i}", size_gb=1.0 + i % 7
+            )
+            assert decision.accepted
+        assert plane.queue.depth() == n_jobs
+        seqs = []
+        for _ in range(n_jobs // 5):  # drain 20 %
+            job = plane.pop()
+            seqs.append(job.seq)
+            plane.finish(job.uid, "completed")
+        # FIFO across 64 tenants: the global pop serves admission order.
+        assert seqs == sorted(seqs)
+        stats = plane.queue.stats()
+        assert stats["accepted"] == stats["queued"] + stats["finished"]
+        assert stats["finished"] == n_jobs // 5
+
 
 class TestResilience:
     def test_breaker_opens_per_tenant_after_failures(self):

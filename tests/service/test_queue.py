@@ -1,5 +1,7 @@
 """Unit tests for the multi-tenant bounded priority queue."""
 
+import random
+import sys
 import threading
 import time
 
@@ -10,7 +12,9 @@ from repro.service.queue import (
     PRIORITY_STRATEGIES,
     AdmissionDecision,
     JobQueue,
+    PriorityStrategy,
     QueuedJob,
+    TenantQueue,
     make_strategy,
 )
 
@@ -171,6 +175,104 @@ class TestPopOrder:
     def test_bounded_pop_times_out(self):
         q = JobQueue()
         assert q.pop(timeout=0.01) is None
+
+
+class TestHeadIndex:
+    """The global pop's lazy ``(head score, tenant)`` index."""
+
+    def test_tenant_pop_exposes_next_head_to_global_pop(self):
+        q = JobQueue(strategy="fifo")
+        q.push(_job("a"))
+        q.push(_job("b"))
+        assert q.pop(tenant="t0").uid == "a"
+        assert q.pop().uid == "b"
+        assert q.pop() is None
+
+    def test_equal_scores_break_to_lowest_tenant_name(self):
+        class BySize(PriorityStrategy):
+            def score(self, job):
+                return (job.size_gb,)
+
+        q = JobQueue(strategy=BySize())
+        for tenant in ("carol", "alice", "bob"):
+            q.push(_job(f"{tenant}-job", tenant=tenant))
+        assert [q.pop().tenant for _ in range(3)] == ["alice", "bob", "carol"]
+
+    def test_tenant_scoped_pops_keep_the_index_bounded(self):
+        q = JobQueue(capacity=512, strategy="fifo")
+        for i in range(300):
+            q.push(_job(f"j{i}"))
+        q.push(_job("other", tenant="t1"))
+        bound = 2 * len(q.tenants()) + JobQueue.HEAD_INDEX_SLACK
+        for i in range(299):
+            assert q.pop(tenant="t0").uid == f"j{i}"
+            assert len(q._heads) <= bound
+        assert [q.pop().uid for _ in range(2)] == ["j299", "other"]
+
+    def test_evict_worst_keeps_the_heap_order(self):
+        rng = random.Random(7)
+        tq = TenantQueue("t0", capacity=64)
+        for i in range(64):
+            tq.push((rng.random(), i), _job(f"j{i}", seq=i))
+        for _ in range(16):
+            worst, _evicted = tq.evict_worst()
+            heap = [score for score, _j in tq._heap]
+            assert all(
+                heap[(i - 1) // 2] < heap[i] for i in range(1, len(heap))
+            )
+            assert worst > max(heap)
+        scores = []
+        while len(tq):
+            scores.append(tq.peek_score())
+            tq.pop()
+        assert len(scores) == 48 and scores == sorted(scores)
+
+    def test_concurrent_pushers_and_poppers_lease_each_job_once(self):
+        q = JobQueue(capacity=1024, strategy="weighted")
+        n_pushers, per_pusher = 4, 150
+        total = n_pushers * per_pusher
+        popped, lock = [], threading.Lock()
+
+        def pusher(p):
+            for i in range(per_pusher):
+                q.push(_job(f"p{p}-{i}", tenant=f"t{i % 8}", weight=i % 3))
+
+        def popper(k):
+            tenant = f"t{k}" if k % 2 else None
+            while True:
+                with lock:
+                    if len(popped) >= total:
+                        return
+                job = q.pop(tenant=tenant)
+                if job is not None:
+                    with lock:
+                        popped.append(job.uid)
+                elif tenant is not None:
+                    tenant = None  # this tenant ran dry: pop globally
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=pusher, args=(p,), daemon=True)
+                for p in range(n_pushers)
+            ] + [
+                threading.Thread(target=popper, args=(k,), daemon=True)
+                for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(popped) == sorted(
+            f"p{p}-{i}" for p in range(n_pushers) for i in range(per_pusher)
+        )
+        bound = 2 * len(q.tenants()) + JobQueue.HEAD_INDEX_SLACK
+        assert len(q._heads) <= bound
+        assert q.stats()["leased"] == total
 
 
 class TestLeaseResolution:
