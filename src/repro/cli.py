@@ -83,14 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out", default=None, metavar="PATH",
         help="write Prometheus text-exposition metrics; implies telemetry",
     )
-    telem.add_argument(
-        "--profile", action="store_true",
-        help="profile the engine and write BENCH_telemetry.json",
-    )
-    telem.add_argument(
-        "--profile-out", default="BENCH_telemetry.json", metavar="PATH",
-        help="where --profile writes its report",
-    )
 
     sweep = sub.add_parser("sweep", help="sweep intervals x scaling policies")
     _common_session_args(sweep)
@@ -408,11 +400,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _apply_workflow_flag(
         _apply_estimates_flag(_resolve_run_config(args), args), args
     )
-    telemetry_on = bool(args.trace_out or args.metrics_out or args.profile)
-    if telemetry_on:
-        config = config.with_overrides(
-            telemetry={"enabled": True, "profile": args.profile}
-        )
+    if args.trace_out or args.metrics_out:
+        config = config.with_overrides(telemetry={"enabled": True})
     session = SimulationSession(config)
     result = session.run(seed=args.seed)
     _write_telemetry_artifacts(session, args)
@@ -435,7 +424,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _write_telemetry_artifacts(session, args: argparse.Namespace) -> None:
-    """Write trace / metrics / profile files from the session's hub.
+    """Write trace / metrics files from the session's hub.
 
     Paths are reported on stderr so ``--json`` stdout stays parseable.
     """
@@ -448,9 +437,6 @@ def _write_telemetry_artifacts(session, args: argparse.Namespace) -> None:
     if args.metrics_out and hub.metrics is not None:
         hub.metrics.write(args.metrics_out)
         print(f"metrics written to {args.metrics_out}", file=sys.stderr)
-    if args.profile and hub.profiler is not None:
-        hub.profiler.write(args.profile_out, tracer=hub.tracer)
-        print(f"profile written to {args.profile_out}", file=sys.stderr)
 
 
 def _interval(token: str) -> float:

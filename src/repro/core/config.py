@@ -488,8 +488,7 @@ class ResilienceConfig:
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """Observability layer (`repro.telemetry`): tracing, metrics, audit,
-    profiling.
+    """Observability layer (`repro.telemetry`): tracing, metrics, audit.
 
     Disabled by default, and *structurally* disabled: with
     ``enabled=False`` the session never constructs a ``TelemetryHub``, so
@@ -507,17 +506,11 @@ class TelemetryConfig:
     metrics: bool = True
     #: Record every scheduler hire-or-wait decision with Eq. 1 inputs.
     audit: bool = True
-    #: Install the engine probe + wall-clock profiler (BENCH output).
-    profile: bool = False
-    #: The profiler samples event-calendar depth every N engine steps.
-    step_sample_every: int = 64
     #: Hard cap on retained trace events (excess counted, not stored).
     max_trace_events: int = 1_000_000
 
     def validate(self) -> None:
         """Raise ConfigurationError on invalid fields."""
-        if self.step_sample_every < 1:
-            raise ConfigurationError("step_sample_every must be >= 1")
         if self.max_trace_events < 1:
             raise ConfigurationError("max_trace_events must be >= 1")
 

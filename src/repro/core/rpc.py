@@ -52,6 +52,7 @@ access so concurrent HTTP clients cannot interleave simulation steps.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Optional
@@ -93,6 +94,17 @@ def _jsonable(value: Any) -> Any:
     if hasattr(value, "value") and not isinstance(value, (int, float)):
         return value.value  # enums
     return value
+
+
+def _finite_field(name: str, value: Any) -> float:
+    """*value* as a finite float; anything else (``NaN`` included) is a 400."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise RpcError(f"bad {name}: {exc}") from exc
+    if not math.isfinite(number):
+        raise RpcError(f"{name} must be finite, got {number}")
+    return number
 
 
 #: Admission-decision reason -> (HTTP status, error code).
@@ -237,8 +249,8 @@ class ScanRpcServer:
             raise RpcError(
                 f"submit requires name and size_gb: {exc}"
             ) from exc
-        if size_gb <= 0:
-            raise RpcError(f"size_gb must be positive, got {size_gb}")
+        if not (math.isfinite(size_gb) and size_gb > 0):
+            raise RpcError(f"size_gb must be positive and finite, got {size_gb}")
         fmt_text = str(body.get("format", "fastq"))
         try:
             DataFormat(fmt_text)
@@ -254,19 +266,21 @@ class ScanRpcServer:
         request = self.platform.submit_analysis(dataset)
         return self._request_summary(request)
 
-    def _rpc_advance(self, body: dict) -> dict:
+    def _until(self, body: dict) -> Optional[float]:
+        """The optional ``until`` field: finite and not in the sim past."""
         until = body.get("until")
-        if until is not None:
-            try:
-                until = float(until)
-            except (TypeError, ValueError) as exc:
-                raise RpcError(f"bad until: {exc}") from exc
-            if until < self.platform.env.now:
-                raise RpcError(
-                    f"until={until} is in the simulated past "
-                    f"(now={self.platform.env.now})"
-                )
-        self.platform.run(until=until)
+        if until is None:
+            return None
+        until = _finite_field("until", until)
+        if until < self.platform.env.now:
+            raise RpcError(
+                f"until={until} is in the simulated past "
+                f"(now={self.platform.env.now})"
+            )
+        return until
+
+    def _rpc_advance(self, body: dict) -> dict:
+        self.platform.run(until=self._until(body))
         return {"now": self.platform.env.now}
 
     def _rpc_kb_query(self, body: dict) -> dict:
@@ -320,14 +334,10 @@ class ScanRpcServer:
     def _rpc_tenant_submit(self, tenant: str, body: dict) -> tuple[int, dict]:
         plane = self._require_plane()
         name, size_gb, fmt_text = self._job_fields(body)
-        try:
-            weight = float(body.get("weight", 1.0))
-            deadline = (
-                None if body.get("deadline") is None
-                else float(body["deadline"])
-            )
-        except (TypeError, ValueError) as exc:
-            raise RpcError(f"bad weight/deadline: {exc}") from exc
+        weight = _finite_field("weight", body.get("weight", 1.0))
+        deadline = body.get("deadline")
+        if deadline is not None:
+            deadline = _finite_field("deadline", deadline)
         uid = body.get("uid")
         if uid is not None:
             uid = str(uid)
@@ -409,18 +419,7 @@ class ScanRpcServer:
                 raise RpcError(f"bad max_jobs: {exc}") from exc
             if max_jobs < 1:
                 raise RpcError("max_jobs must be >= 1")
-        until = body.get("until")
-        if until is not None:
-            try:
-                until = float(until)
-            except (TypeError, ValueError) as exc:
-                raise RpcError(f"bad until: {exc}") from exc
-            if until < self.platform.env.now:
-                raise RpcError(
-                    f"until={until} is in the simulated past "
-                    f"(now={self.platform.env.now})"
-                )
-        outcomes = plane.drain(max_jobs=max_jobs, until=until)
+        outcomes = plane.drain(max_jobs=max_jobs, until=self._until(body))
         return {
             "outcomes": outcomes,
             "now": self.platform.env.now,

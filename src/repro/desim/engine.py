@@ -294,10 +294,10 @@ class Environment:
                 self._seq += 1
                 stop.callbacks.append(StopSimulation.callback)
 
-        # Hot path: when nothing shadows ``step`` (no profiler shim
-        # installed, no subclass override), run an inlined pop loop --
-        # local bindings for the heap and pop, no per-event method call,
-        # no re-checking the heap invariant.  Instrumented environments
+        # Hot path: when nothing shadows ``step`` (no instance shim such
+        # as perfbench's traced ``desim.step``, no subclass override), run
+        # an inlined pop loop -- local bindings for the heap and pop, no
+        # per-event method call, no re-checking the heap invariant.  Instrumented environments
         # keep dispatching through ``self.step`` so shims see every event.
         fast = type(self) is Environment and "step" not in self.__dict__
         try:

@@ -643,8 +643,8 @@ def _parse_number(text: str) -> Union[int, float]:
 #   result for that store.
 #
 # Cached result rows are copied in and out (dicts of immutable values), so
-# callers may mutate what they receive; hit/miss counters feed the sweep
-# executor's telemetry export.
+# callers may mutate what they receive; the hit/miss counters let tests
+# check what each cache served.
 
 #: LRU capacity for parsed query plans (per process).
 PLAN_CACHE_SIZE = 256

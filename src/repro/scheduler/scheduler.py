@@ -626,9 +626,8 @@ class SCANScheduler:
             )
 
         self._executing[worker] = self.env.active_process
-        # The execution span stretches across simulated time (sync=False:
-        # its wall clock mostly measures other components running while
-        # this process sleeps); it closes even on Interrupt unwinding.
+        # The execution span stretches across simulated time; it closes
+        # even on Interrupt unwinding.
         span = None
         if self._tracer is not None:
             lane = self._tracer.lane(
@@ -649,7 +648,6 @@ class SCANScheduler:
                     "straggled": straggled,
                     "wait": wait,
                 },
-                sync=False,
             )
         try:
             if span is not None:

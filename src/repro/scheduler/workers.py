@@ -278,14 +278,12 @@ class WorkerPools:
                 self._lane_for_worker(worker.uid),
                 f"worker {worker.uid} ({worker.tier} x{worker.cores})",
             )
-            # Boot spans the startup penalty in sim time -> sync=False.
             span = self.tracer.span(
                 "vm.boot",
                 "cloud",
                 lane=lane,
                 args={"tier": worker.tier, "cores": worker.cores,
                       "stage": stage},
-                sync=False,
             )
         try:
             if span is not None:

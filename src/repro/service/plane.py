@@ -24,6 +24,7 @@ This is the orchestrator of the persistent scheduler service:
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -215,8 +216,12 @@ class ServicePlane:
         """
         if not tenant or "/" in tenant:
             raise SCANError(f"bad tenant id {tenant!r}")
-        if size_gb <= 0:
-            raise SCANError(f"size_gb must be positive, got {size_gb}")
+        if not (math.isfinite(size_gb) and size_gb > 0):
+            raise SCANError(f"size_gb must be positive and finite, got {size_gb}")
+        if not math.isfinite(weight):
+            raise SCANError(f"weight must be finite, got {weight}")
+        if deadline is not None and not math.isfinite(deadline):
+            raise SCANError(f"deadline must be finite, got {deadline}")
         if not self.breaker(tenant).allow(self._clock()):
             decision = AdmissionDecision(False, AdmissionDecision.SUSPENDED)
             self._note_rejection(tenant, uid or name, decision.reason)

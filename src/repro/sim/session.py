@@ -179,24 +179,13 @@ class SimulationSession:
     def _run_engine(
         self, env: Environment, duration: float, hub: "Optional[TelemetryHub]"
     ) -> None:
-        """``env.run`` wrapped in engine-level telemetry when enabled."""
-        if hub is None:
+        """``env.run``, inside an ``engine.run`` span when tracing is on."""
+        if hub is None or hub.tracer is None:
             env.run(until=duration)
             return
-        if hub.profiler is not None:
-            hub.profiler.start()
-        try:
-            if hub.tracer is not None:
-                hub.tracer.lane(0, "session control")
-                with hub.tracer.span(
-                    "engine.run", "engine", args={"until": duration}, sync=False
-                ):
-                    env.run(until=duration)
-            else:
-                env.run(until=duration)
-        finally:
-            if hub.profiler is not None:
-                hub.profiler.stop(sim_duration=duration)
+        hub.tracer.lane(0, "session control")
+        with hub.tracer.span("engine.run", "engine", args={"until": duration}):
+            env.run(until=duration)
 
     def _arm_warmup(self, env: Environment, scheduler: SCANScheduler):
         """Schedule a state snapshot at the warmup boundary.

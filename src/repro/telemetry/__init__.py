@@ -1,4 +1,4 @@
-"""repro.telemetry: tracing, metrics, decision audit and profiling.
+"""repro.telemetry: tracing, metrics and decision audit.
 
 The observability layer for the SCAN reproduction.  Everything here is
 *passive*: instruments read the simulation's clocks and state but draw no
@@ -15,8 +15,6 @@ Parts
   Prometheus-style text exposition and adapters over the desim monitors.
 - :mod:`~repro.telemetry.audit` -- every scheduler hire-or-wait decision
   with its Eq. 1 delay-cost inputs, replayable offline.
-- :mod:`~repro.telemetry.profiler` -- events/sec, heap depth and
-  per-module wall-time shares (``BENCH_telemetry.json``).
 - :mod:`~repro.telemetry.hub` -- the :class:`TelemetryHub` handle that
   the session/platform threads through every component.
 """
@@ -37,7 +35,6 @@ from repro.telemetry.metrics import (
     absorb_monitor,
     absorb_time_weighted,
 )
-from repro.telemetry.profiler import EngineProbe, SimulationProfiler
 from repro.telemetry.tracing import (
     LANE_CONTROL,
     Span,
@@ -50,13 +47,11 @@ from repro.telemetry.tracing import (
 __all__ = [
     "Counter",
     "DecisionAuditLog",
-    "EngineProbe",
     "Gauge",
     "Histogram",
     "LANE_CONTROL",
     "MetricsRegistry",
     "ScalingDecisionRecord",
-    "SimulationProfiler",
     "Span",
     "SpanTracer",
     "TU_TO_US",

@@ -1,7 +1,7 @@
 """TelemetryHub: the single handle the platform threads everywhere.
 
 One hub owns at most one of each instrument -- span tracer, metrics
-registry, decision audit log, simulation profiler -- as configured by
+registry, decision audit log -- as configured by
 :class:`~repro.core.config.TelemetryConfig`.  The determinism contract is
 structural: :meth:`TelemetryHub.from_config` returns ``None`` when
 telemetry is disabled, and every integration point guards with
@@ -19,7 +19,6 @@ from repro.core.config import TelemetryConfig
 from repro.desim.engine import Environment
 from repro.telemetry.audit import DecisionAuditLog
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profiler import SimulationProfiler
 from repro.telemetry.tracing import SpanTracer
 
 __all__ = ["TelemetryHub"]
@@ -41,11 +40,6 @@ class TelemetryHub:
         self.audit: Optional[DecisionAuditLog] = (
             DecisionAuditLog() if config.audit else None
         )
-        self.profiler: Optional[SimulationProfiler] = (
-            SimulationProfiler(sample_every=config.step_sample_every)
-            if config.profile
-            else None
-        )
 
     @staticmethod
     def from_config(config: Optional[TelemetryConfig]) -> Optional["TelemetryHub"]:
@@ -58,5 +52,3 @@ class TelemetryHub:
         """Point the instruments at a live environment (each run)."""
         if self.tracer is not None:
             self.tracer.bind_clock(lambda: env.now)
-        if self.profiler is not None:
-            self.profiler.install(env, self.tracer)

@@ -5,8 +5,8 @@ attributes -- against two clocks at once:
 
 - **sim time** (the session's ``Environment.now``), which becomes the
   span's position and extent on the exported timeline; and
-- **wall time** (``time.perf_counter``), which feeds the profiler's
-  per-module time-share accounting.
+- **wall time** (``time.perf_counter``), recorded as each span's
+  ``wall_us`` argument.
 
 Spans never touch the simulation: they draw no random numbers, schedule
 no events and only *read* the clock, so a traced run's simulated results
@@ -57,7 +57,7 @@ def lane_for_worker(uid: int) -> int:
 class Span:
     """One open interval; closed by the tracer's context manager."""
 
-    __slots__ = ("name", "cat", "lane", "args", "sync", "t0", "wall0")
+    __slots__ = ("name", "cat", "lane", "args", "t0", "wall0")
 
     def __init__(
         self,
@@ -65,7 +65,6 @@ class Span:
         cat: str,
         lane: int,
         args: Optional[dict[str, Any]],
-        sync: bool,
         t0: float,
         wall0: float,
     ) -> None:
@@ -73,7 +72,6 @@ class Span:
         self.cat = cat
         self.lane = lane
         self.args = args
-        self.sync = sync
         self.t0 = t0
         self.wall0 = wall0
 
@@ -112,7 +110,7 @@ class SpanTracer:
     max_events:
         Hard cap on retained events; past it new events are counted in
         ``dropped`` instead of stored, so a runaway trace cannot exhaust
-        memory.  Wall-time accounting keeps running either way.
+        memory.  Per-category counts keep running either way.
     """
 
     def __init__(
@@ -126,8 +124,6 @@ class SpanTracer:
         self.max_events = max_events
         self._events: list[dict[str, Any]] = []
         self._lane_names: dict[int, str] = {}
-        #: Wall seconds accumulated per category, synchronous spans only.
-        self.wall_by_category: dict[str, float] = {}
         #: Span/instant counts per category (kept even past max_events).
         self.count_by_category: dict[str, int] = {}
         self.dropped = 0
@@ -155,27 +151,15 @@ class SpanTracer:
         cat: str,
         lane: int = LANE_CONTROL,
         args: Optional[dict[str, Any]] = None,
-        sync: bool = True,
     ) -> _SpanContext:
-        """Open a span closed by the returned context manager.
-
-        ``sync=True`` (the default) marks a span whose body runs without
-        suspending -- its wall time is attributed to the category's module
-        share.  Spans that stretch across simulated time (task executions,
-        VM boots, the whole run) must pass ``sync=False``: their wall
-        clock mostly measures *other* components running while they sleep.
-        """
+        """Open a span closed by the returned context manager."""
         return _SpanContext(
-            self, Span(name, cat, lane, args, sync, self._clock(), self._wall())
+            self, Span(name, cat, lane, args, self._clock(), self._wall())
         )
 
     def _close(self, span: Span, error: bool = False) -> None:
         t1 = self._clock()
         wall_dur = self._wall() - span.wall0
-        if span.sync:
-            self.wall_by_category[span.cat] = (
-                self.wall_by_category.get(span.cat, 0.0) + wall_dur
-            )
         self.count_by_category[span.cat] = (
             self.count_by_category.get(span.cat, 0) + 1
         )

@@ -23,7 +23,6 @@ class TestParser:
         assert args.scaling == "predictive"
         assert args.trace_out is None
         assert args.metrics_out is None
-        assert not args.profile
         assert not args.quiet
 
     def test_version_flag(self, capsys):
@@ -88,7 +87,7 @@ class TestRun:
         assert payload["completed_runs"] > 0
 
     def test_telemetry_flags_unchanged_results(self, capsys, tmp_path):
-        """Trace/metrics/profile exports leave the sim results untouched."""
+        """Trace/metrics exports leave the sim results untouched."""
         main(["run", "--duration", "80", "--seed", "2", "--json"])
         plain = json.loads(capsys.readouterr().out)
         trace = tmp_path / "trace.json"
@@ -129,19 +128,6 @@ class TestTelemetryArtifacts:
         text = path.read_text()
         assert "# TYPE scan_scheduler_hires_total counter" in text
         assert "scan_session_latency_tu" in text
-
-    def test_profile_writes_bench_json(self, capsys, tmp_path):
-        path = tmp_path / "BENCH_telemetry.json"
-        main(
-            [
-                "run", "--duration", "60", "--seed", "3", "--quiet",
-                "--profile", "--profile-out", str(path),
-            ]
-        )
-        data = json.loads(path.read_text())
-        assert data["schema"] == "scan-sim-profile/1"
-        assert data["events_per_sec"] > 0
-        assert "module_wall_share" in data
 
 
 class TestTraceCommand:

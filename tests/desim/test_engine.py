@@ -164,7 +164,7 @@ class TestFailurePropagation:
 class TestFastLoop:
     """``run`` inlines the pop loop only when ``step`` is untouched.
 
-    The telemetry profiler installs an instance-attribute ``step`` shim,
+    perfbench's traced run installs an instance-attribute ``step`` shim,
     and tests may subclass ``Environment`` -- both must keep routing every
     event through the overridden ``step``, and both paths must produce the
     same trace as the fast loop.

@@ -70,6 +70,17 @@ class TestIngest:
             plane.submit("a/b", name="x", size_gb=1.0)
         with pytest.raises(SCANError):
             plane.submit("alice", name="x", size_gb=0.0)
+        nan, inf = float("nan"), float("inf")
+        for size_gb in (nan, inf):
+            with pytest.raises(SCANError):
+                plane.submit("alice", name="x", size_gb=size_gb)
+        for weight in (nan, inf, -inf):
+            with pytest.raises(SCANError):
+                plane.submit("alice", name="x", size_gb=1.0, weight=weight)
+        for deadline in (nan, inf):
+            with pytest.raises(SCANError):
+                plane.submit("alice", name="x", size_gb=1.0, deadline=deadline)
+        assert plane.store.load().queued == []
 
     def test_queue_full_rejection_publishes_and_counts(self):
         plane, _clock = _plane(tenant_capacity=1)

@@ -99,6 +99,28 @@ class TestTenantSubmission:
         assert err.value.code == 400
         assert error_body(err.value)["code"] == "bad_request"
 
+    @pytest.mark.parametrize("path, raw", [
+        ("/tenants/alice/jobs", b'{"name": "x", "size_gb": NaN}'),
+        ("/tenants/alice/jobs", b'{"name": "x", "size_gb": Infinity}'),
+        ("/tenants/alice/jobs", b'{"name": "x", "size_gb": 1, "weight": NaN}'),
+        ("/tenants/alice/jobs", b'{"name": "x", "size_gb": 1, "deadline": NaN}'),
+        ("/advance", b'{"until": NaN}'),
+        ("/drain", b'{"until": NaN}'),
+    ])
+    def test_non_finite_number_is_400(self, server, path, raw):
+        # Python's json module accepts the non-standard NaN/Infinity
+        # tokens; they must stop at the RPC boundary as a 400, never
+        # reach the plane or the ledger.
+        req = urllib.request.Request(
+            f"{server.address}{path}", data=raw,
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=10)
+        assert err.value.code == 400
+        assert error_body(err.value)["code"] == "bad_request"
+        assert server.plane.state_summary()["accepted"] == 0
+
 
 class TestQueueIntrospection:
     def test_tenants_listing_and_queue_view(self, server):

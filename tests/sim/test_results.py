@@ -10,6 +10,7 @@ behaviour -- all on synthetic records, no simulator in the loop.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.sim.results import (
     open_result_stream,
     records_from_runs,
 )
+from repro.sim.sweep import row_from_runs
 
 CELLS = [{"alpha": 1, "beta": "x"}, {"alpha": 2, "beta": "y"}]
 
@@ -356,6 +358,74 @@ class TestSweepAggregator:
         agg.add(completed(1, 0))
         with pytest.raises(SCANError, match="retain_rows"):
             agg.rows()
+
+
+#: Synthetic grid for the memory ceiling: large enough that buffering it
+#: dominates the interpreter's baseline noise.
+_MEM_CELLS = 3000
+_MEM_REPS = 3
+_MEM_METRICS = [f"metric_{i}" for i in range(8)]
+
+
+def _mem_run(cell_index: int, rep: int) -> dict[str, float]:
+    return {
+        name: float(cell_index * _MEM_REPS + rep + j)
+        for j, name in enumerate(_MEM_METRICS)
+    }
+
+
+def test_streaming_aggregator_memory_ceiling():
+    """The resumable path's memory claim, measured: folding a 3000-cell
+    grid with ``retain_rows=False`` peaks at a small fraction of
+    buffering every run and row in memory, because the aggregator only
+    holds per-run metrics for cells that are still incomplete."""
+    cells = [{"cell": i} for i in range(_MEM_CELLS)]
+
+    # Baseline: what the pre-streaming executor did -- keep every run,
+    # then materialize every row, all resident at once.
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        buffered_runs = {
+            ci: [_mem_run(ci, k) for k in range(_MEM_REPS)]
+            for ci in range(_MEM_CELLS)
+        }
+        buffered_rows = [
+            row_from_runs(cells[ci], runs) for ci, runs in buffered_runs.items()
+        ]
+        _, buffered_peak = tracemalloc.get_traced_memory()
+        assert len(buffered_rows) == _MEM_CELLS
+        del buffered_rows, buffered_runs
+
+        # Streaming: records arrive in grid order, finalized rows leave
+        # through on_cell immediately, nothing is retained.
+        drained = 0
+
+        def drain(cell_index, row) -> None:
+            nonlocal drained
+            drained += 1
+
+        tracemalloc.reset_peak()
+        agg = SweepAggregator(
+            cells, _MEM_REPS, on_cell=drain, retain_rows=False
+        )
+        for ci in range(_MEM_CELLS):
+            for k in range(_MEM_REPS):
+                agg.add(ResultRecord(
+                    cell_index=ci, rep_index=k, seed=k,
+                    status="completed", metrics=_mem_run(ci, k),
+                ))
+        _, streaming_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    assert drained == _MEM_CELLS
+    assert agg.done_cells == _MEM_CELLS
+    # The bound that makes grids bigger than RAM feasible: streaming must
+    # stay an order of magnitude under the buffered grid.
+    assert streaming_peak < buffered_peak * 0.1, (
+        streaming_peak, buffered_peak,
+    )
 
 
 class TestRecordBuilders:

@@ -22,9 +22,7 @@ def _run(telemetry: bool, chaos: bool = False, seed: int = 4):
             faults={"mtbf_tu": 40.0, "p_straggler": 0.05, "p_deploy_fail": 0.05}
         )
     if telemetry:
-        config = config.with_overrides(
-            telemetry={"enabled": True, "profile": True}
-        )
+        config = config.with_overrides(telemetry={"enabled": True})
     session = SimulationSession(config)
     return session, session.run(seed=seed)
 
@@ -41,12 +39,11 @@ class TestHubFastPath:
 
         hub = TelemetryHub.from_config(
             TelemetryConfig(enabled=True, trace=True, metrics=False,
-                            audit=False, profile=True)
+                            audit=False)
         )
         assert hub.tracer is not None
         assert hub.metrics is None
         assert hub.audit is None
-        assert hub.profiler is not None
 
     def test_disabled_session_has_no_hub(self):
         session, _ = _run(telemetry=False)
