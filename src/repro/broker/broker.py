@@ -15,20 +15,16 @@ Workflow (paper Section III-A.1.ii-iii):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.broker.merger import merge_descriptors
 from repro.broker.sharders import ShardPlan, shard_descriptor
 from repro.core.config import BrokerConfig
-from repro.core.errors import BrokerError
 from repro.genomics.datasets import DatasetDescriptor
 from repro.knowledge.advisor import ShardAdvice, ShardAdvisor
 from repro.knowledge.kb import SCANKnowledgeBase
 from repro.knowledge.plane import KnowledgePlane
 from repro.scheduler.rewards import RewardFunction
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.telemetry.tracing import SpanTracer
 
 __all__ = ["DataBroker", "BrokeredJob"]
 
@@ -53,14 +49,11 @@ class DataBroker:
         self,
         kb: SCANKnowledgeBase,
         config: Optional[BrokerConfig] = None,
-        tracer: "SpanTracer | None" = None,
         plane: "KnowledgePlane | None" = None,
     ) -> None:
         self.kb = kb
         self.config = config if config is not None else BrokerConfig()
         self.config.validate()
-        #: Optional telemetry tracer (passive observer; never draws RNG).
-        self.tracer = tracer
         self.advisor = ShardAdvisor(
             kb,
             default_shard_gb=self.config.default_shard_gb,
@@ -79,38 +72,6 @@ class DataBroker:
         reward_fn: RewardFunction,
     ) -> BrokeredJob:
         """Advise a shard size for *dataset* and build the shard plan."""
-        if self.tracer is None:
-            return self._prepare(
-                app, dataset, parallel_workers, core_cost_per_tu, reward_fn
-            )
-        with self.tracer.span(
-            "broker.prepare",
-            "broker",
-            args={"dataset": dataset.name, "size_gb": dataset.size_gb},
-        ):
-            brokered = self._prepare(
-                app, dataset, parallel_workers, core_cost_per_tu, reward_fn
-            )
-        self.tracer.instant(
-            "broker.sharded",
-            "broker",
-            args={
-                "dataset": dataset.name,
-                "n_shards": brokered.n_subtasks,
-                "shard_gb": brokered.advice.shard_gb,
-                "source": brokered.advice.source,
-            },
-        )
-        return brokered
-
-    def _prepare(
-        self,
-        app: str,
-        dataset: DatasetDescriptor,
-        parallel_workers: int,
-        core_cost_per_tu: float,
-        reward_fn: RewardFunction,
-    ) -> BrokeredJob:
         if not dataset.format.shardable:
             # Unshardable input: a single subtask over the whole dataset.
             plan = ShardPlan(parent=dataset, shards=(dataset,))
@@ -149,11 +110,4 @@ class DataBroker:
         name: str = "",
     ) -> DatasetDescriptor:
         """Merge subtask output descriptors (the VariantsToVCF merge)."""
-        if self.tracer is not None:
-            with self.tracer.span(
-                "broker.merge", "broker", args={"n_shards": len(shards)}
-            ):
-                merged = merge_descriptors(shards, name=name)
-        else:
-            merged = merge_descriptors(shards, name=name)
-        return merged
+        return merge_descriptors(shards, name=name)

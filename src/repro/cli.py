@@ -626,17 +626,33 @@ def cmd_table2(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_trace_events(path: str) -> list:
+    """The event list of a Chrome trace file (ValueError if malformed)."""
+    with open(path) as fh:
+        data = json.load(fh)
+    events = data.get("traceEvents", []) if isinstance(data, dict) else data
+    if not isinstance(events, list) or not all(
+        isinstance(ev, dict) and isinstance(ev.get("args", {}), dict)
+        for ev in events
+    ):
+        raise ValueError("expected a list of trace-event objects")
+    for ev in events:
+        if ev.get("ph") == "X" and not all(
+            isinstance(ev.get(key, 0.0), (int, float)) for key in ("ts", "dur")
+        ):
+            raise ValueError(f"span {ev.get('name')!r} has a non-numeric ts/dur")
+    return events
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     """Summarise a Chrome trace-event JSON file."""
     from repro.sim.report import render_table
 
     try:
-        with open(args.file) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        events = _read_trace_events(args.file)
+    except (OSError, ValueError) as exc:
         print(f"cannot read trace {args.file!r}: {exc}", file=sys.stderr)
         return 2
-    events = data.get("traceEvents", []) if isinstance(data, dict) else data
 
     lanes: dict[int, str] = {}
     counts: dict[str, int] = {}

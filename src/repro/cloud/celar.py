@@ -23,13 +23,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cloud.infrastructure import Infrastructure
-from repro.cloud.vm import VirtualMachine, VMState
+from repro.cloud.vm import VirtualMachine
 from repro.core.errors import CloudError, TransientDeployError
 from repro.desim.engine import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.cloud.faults import FaultInjector
-    from repro.telemetry.tracing import SpanTracer
 
 __all__ = ["CelarManager", "CelarDecisionModule", "ScalingCommand", "ScalingRule"]
 
@@ -52,7 +51,6 @@ class CelarManager:
         allowed_sizes: tuple[int, ...] = (1, 2, 4, 8, 16),
         ram_per_core_gb: float = 4.0,
         injector: "FaultInjector | None" = None,
-        tracer: "SpanTracer | None" = None,
     ) -> None:
         """``ram_per_core_gb``: instance memory scales with vCPUs (the
         paper's private nodes carry 64 GB across 16 cores -> 4 GB/core), so
@@ -72,9 +70,6 @@ class CelarManager:
         self.ram_per_core_gb = ram_per_core_gb
         #: Optional chaos layer; when set, deploys may bounce transiently.
         self.injector = injector
-        #: Optional telemetry tracer (passive: reads the clock, never the
-        #: RNG, so traced deployments are identical to untraced ones).
-        self.tracer = tracer
         self.vms: list[VirtualMachine] = []
         self.deploy_count = 0
         self.resize_count = 0
@@ -114,12 +109,6 @@ class CelarManager:
             # Fails before any capacity is claimed, so there is nothing to
             # roll back -- the request simply bounced.
             self.deploy_failures += 1
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "celar.deploy_failed",
-                    "cloud",
-                    args={"tier": tier, "cores": cores},
-                )
             raise TransientDeployError(
                 f"transient provisioning error on {tier} tier "
                 f"({cores} cores)"
@@ -137,12 +126,6 @@ class CelarManager:
         )
         self.vms.append(vm)
         self.deploy_count += 1
-        if self.tracer is not None:
-            self.tracer.instant(
-                "celar.deploy",
-                "cloud",
-                args={"tier": tier, "cores": cores, "vm": vm.uid},
-            )
         return vm
 
     def deploy_and_boot(self, cores: int, tier: str):
@@ -158,16 +141,8 @@ class CelarManager:
             raise CloudError(
                 f"{new_cores} is not an allowed instance size {self.allowed_sizes}"
             )
-        old_cores = vm.cores
         self.resize_count += 1
         vm.reshape(new_cores)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "celar.resize",
-                "cloud",
-                args={"vm": vm.uid, "from": old_cores, "to": new_cores,
-                      "tier": vm.tier},
-            )
 
     def resize(self, vm: VirtualMachine, new_cores: int):
         """Process: stop, adjust vCPUs, restart (pays the penalty)."""

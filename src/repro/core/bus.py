@@ -42,6 +42,7 @@ __all__ = [
     "ServiceJobFinished",
     "WorkerHired",
     "WorkerRepooled",
+    "WorkerBooted",
     "WorkerFailed",
     "WorkerEvicted",
     "DeployFailed",
@@ -213,8 +214,9 @@ class ServiceJobFinished(BusEvent):
 # -- worker / cloud state ---------------------------------------------------
 @dataclass(frozen=True)
 class WorkerHired(BusEvent):
-    """A fresh worker was deployed for a stage."""
+    """A fresh worker was deployed for a stage (its boot has begun)."""
 
+    worker: int
     tier: str
     cores: int
     stage: int
@@ -225,6 +227,21 @@ class WorkerRepooled(BusEvent):
     """An idle worker was resized to serve a different shape."""
 
     worker: int
+    cores: int
+    stage: int
+
+
+@dataclass(frozen=True)
+class WorkerBooted(BusEvent):
+    """A hired or re-pooled worker's boot ended.
+
+    Published on every exit of the boot, including a boot failure and a
+    VM that died while booting; the worker joins the idle pool only if
+    it is still alive.
+    """
+
+    worker: int
+    tier: str
     cores: int
     stage: int
 
@@ -423,6 +440,7 @@ _ALL_EVENT_TYPES: List[type] = [
     ServiceJobFinished,
     WorkerHired,
     WorkerRepooled,
+    WorkerBooted,
     WorkerFailed,
     WorkerEvicted,
     DeployFailed,

@@ -135,7 +135,6 @@ class SCANPlatform:
         self.broker = DataBroker(
             self.kb,
             config=self.config.broker,
-            tracer=self.telemetry.tracer if self.telemetry is not None else None,
             plane=self.plane,
         )
         self.requests: list[AnalysisRequest] = []

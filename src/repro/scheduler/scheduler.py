@@ -174,15 +174,6 @@ class SCANScheduler:
             workflow=self.workflow,
         )
         self.costs = TieredCostFunction(infrastructure)
-        self.pools = WorkerPools(
-            env,
-            celar,
-            idle_timeout_tu=self.config.idle_timeout_tu,
-            injector=faults,
-            tracer=telemetry.tracer if telemetry is not None else None,
-        )
-        self.pools.on_available = self._on_worker_available
-        self.pools.on_worker_failed = self._on_worker_failed
         self._executing: dict[Worker, object] = {}
         self.task_retries = 0
         self.deploy_failures = 0
@@ -199,6 +190,15 @@ class SCANScheduler:
         #: the queue quarantines.
         self.bus = bus if bus is not None else EventBus()
         self.bus.subscribe(TaskDeadLettered, self._on_dead_letter)
+        self.pools = WorkerPools(
+            env,
+            celar,
+            idle_timeout_tu=self.config.idle_timeout_tu,
+            injector=faults,
+            bus=self.bus,
+        )
+        self.pools.on_available = self._on_worker_available
+        self.pools.on_worker_failed = self._on_worker_failed
 
         # Learning-guided policies (paper Section VI future work) get the
         # realised duration as their reward signal -- delivered through the
@@ -218,16 +218,7 @@ class SCANScheduler:
         # never loads the subsystem at all, and the publisher-side
         # ``type in bus`` guards keep the disabled path a dict probe.
         self.telemetry = telemetry
-        self._tracer = telemetry.tracer if telemetry is not None else None
-        self._audit = telemetry.audit if telemetry is not None else None
-        self._explain = self._audit is not None or self._tracer is not None
-        if self._tracer is not None:
-            from repro.telemetry.tracing import lane_for_stage, lane_for_worker
-
-            self._lane_for_stage = lane_for_stage
-            self._lane_for_worker = lane_for_worker
-            for stage in range(self.n_steps):
-                self._tracer.lane(lane_for_stage(stage), f"stage {stage} queue")
+        self._explain = telemetry is not None and telemetry.explains_decisions
         if telemetry is not None:
             from repro.telemetry.bus_adapter import attach_hub
 
@@ -362,8 +353,10 @@ class SCANScheduler:
         the queue is not stranded waiting for a boot that never began.
         """
         try:
-            self.pools.hire(self._worker_class(stage), cores, tier, stage)
-        except TransientDeployError as exc:
+            worker = self.pools.hire(
+                self._worker_class(stage), cores, tier, stage
+            )
+        except TransientDeployError:
             now = self.env.now
             self.deploy_failures += 1
             breaker_opened = False
@@ -387,11 +380,23 @@ class SCANScheduler:
             return False
         if WorkerHired in self.bus:
             self.bus.publish(
-                WorkerHired(self.env.now, tier, cores, stage)
+                WorkerHired(self.env.now, worker.uid, tier, cores, stage)
             )
         if self._breaker_guards(tier):
             self.breaker.record_success(self.env.now)
         return True
+
+    def _publish_finished(
+        self, job: Job, stage: int, outcome: str, worker: Worker
+    ) -> None:
+        """Announce the end of an execution: exactly one per TaskStarted."""
+        if TaskFinished in self.bus:
+            self.bus.publish(
+                TaskFinished(
+                    self.env.now, job.name, stage, outcome, worker.uid,
+                    worker.tier,
+                )
+            )
 
     def _publish_decision(self, task: StageTask, decision) -> None:
         """Announce one hire-or-wait choice (audit/trace/metric adapters)."""
@@ -427,26 +432,6 @@ class SCANScheduler:
 
     def _dispatch(self, stage: int) -> None:
         """Serve the front of one stage queue as far as resources allow."""
-        tracer = self._tracer
-        if tracer is None:
-            self._dispatch_pass(stage)
-            return
-        lane = self._lane_for_stage(stage)
-        with tracer.span(
-            "scheduler.dispatch",
-            "scheduler",
-            lane=lane,
-            args={"stage": stage, "queued": len(self.queues[stage])},
-        ):
-            self._dispatch_pass(stage)
-        tracer.counter(
-            "queue.depth",
-            "scheduler",
-            {"depth": float(len(self.queues[stage]))},
-            lane=lane,
-        )
-
-    def _dispatch_pass(self, stage: int) -> None:
         queue = self.queues[stage]
         while not queue.empty:
             task = queue.peek()
@@ -626,67 +611,20 @@ class SCANScheduler:
             )
 
         self._executing[worker] = self.env.active_process
-        # The execution span stretches across simulated time; it closes
-        # even on Interrupt unwinding.
-        span = None
-        if self._tracer is not None:
-            lane = self._tracer.lane(
-                self._lane_for_worker(worker.uid),
-                f"worker {worker.uid} ({worker.tier} x{worker.cores})",
-            )
-            span = self._tracer.span(
-                f"{job.name}/s{stage}",
-                "task",
-                lane=lane,
-                args={
-                    "job": job.name,
-                    "stage": stage,
-                    "threads": threads,
-                    "tier": worker.tier,
-                    "attempt": task.attempt,
-                    "speculative": task.speculative,
-                    "straggled": straggled,
-                    "wait": wait,
-                },
-            )
         try:
-            if span is not None:
-                with span:
-                    yield self.env.timeout(duration)
-            else:
-                yield self.env.timeout(duration)
+            yield self.env.timeout(duration)
         except Interrupt as intr:
             if intr.cause == _SPECULATIVE_LOSS:
                 # The twin finished first; this worker is fine -- free it.
                 self.speculation.lost += 1
-                if TaskFinished in self.bus:
-                    self.bus.publish(
-                        TaskFinished(
-                            self.env.now,
-                            job.name,
-                            stage,
-                            "speculative_loss",
-                            worker.uid,
-                            worker.tier,
-                        )
-                    )
+                self._publish_finished(job, stage, "speculative_loss", worker)
                 self.pools.release(worker)
                 return
             # The worker's VM died mid-task (failure injection): nothing
             # was produced.  If a twin is still running the stage survives
             # on it; otherwise the attempt failed and the retry/dead-letter
             # machinery takes over.
-            if TaskFinished in self.bus:
-                self.bus.publish(
-                    TaskFinished(
-                        self.env.now,
-                        job.name,
-                        stage,
-                        "vm_failure",
-                        worker.uid,
-                        worker.tier,
-                    )
-                )
+            self._publish_finished(job, stage, "vm_failure", worker)
             if group is not None and self.speculation.twin_survives(
                 group, task
             ):
@@ -700,23 +638,14 @@ class SCANScheduler:
         if group is not None and group.resolved:
             # The twin finished at this exact timestamp and won the race.
             self.speculation.lost += 1
+            self._publish_finished(job, stage, "speculative_loss", worker)
             self.pools.release(worker)
             return
 
         if self.faults is not None and self.faults.corrupts():
             # Staging/shard corruption: the output is garbage, the work
             # must be redone even though the worker is healthy.
-            if TaskFinished in self.bus:
-                self.bus.publish(
-                    TaskFinished(
-                        finished_at,
-                        job.name,
-                        stage,
-                        "corrupted",
-                        worker.uid,
-                        worker.tier,
-                    )
-                )
+            self._publish_finished(job, stage, "corrupted", worker)
             if FaultInjected in self.bus:
                 self.bus.publish(
                     FaultInjected(finished_at, "corruption", job.name, stage)
@@ -749,17 +678,7 @@ class SCANScheduler:
             )
         )
 
-        if TaskFinished in self.bus:
-            self.bus.publish(
-                TaskFinished(
-                    finished_at,
-                    job.name,
-                    stage,
-                    "completed",
-                    worker.uid,
-                    worker.tier,
-                )
-            )
+        self._publish_finished(job, stage, "completed", worker)
         # The knowledge loop's feedback edge: realised durations flow to
         # whoever subscribed (learning policies, the online refitter, the
         # knowledge-base ingestor).  `input_gb` is the stage-model axis

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 from repro.cloud.celar import CelarManager
 from repro.cloud.faults import FaultInjector
 from repro.cloud.vm import VirtualMachine, VMState
+from repro.core.bus import EventBus, WorkerBooted
 from repro.core.errors import SchedulingError
 from repro.desim.engine import Environment
 
@@ -83,7 +84,7 @@ class WorkerPools:
         idle_timeout_tu: float = 2.0,
         reap_interval_tu: float = 1.0,
         injector: Optional[FaultInjector] = None,
-        tracer=None,
+        bus: Optional[EventBus] = None,
     ) -> None:
         if idle_timeout_tu < 0 or reap_interval_tu <= 0:
             raise SchedulingError("invalid reaper configuration")
@@ -92,14 +93,8 @@ class WorkerPools:
         self.idle_timeout_tu = idle_timeout_tu
         self.reap_interval_tu = reap_interval_tu
         self.injector = injector
-        #: Optional telemetry SpanTracer; boot/resize intervals appear on
-        #: each worker's trace lane under the "cloud" category.  Passive:
-        #: no clock writes, no RNG draws.
-        self.tracer = tracer
-        if tracer is not None:
-            from repro.telemetry.tracing import lane_for_worker
-
-            self._lane_for_worker = lane_for_worker
+        #: Where boot completions are announced (:class:`WorkerBooted`).
+        self.bus = bus if bus is not None else EventBus()
         #: Idle workers in the order they became idle (a dict as an
         #: ordered set), and the same workers per (class, cores) shape in
         #: the same order, so :meth:`acquire` is one lookup.
@@ -267,32 +262,22 @@ class WorkerPools:
 
         Three exits: the happy path attaches the worker; an injected boot
         failure terminates it (counted in ``boot_failures``); a crash
-        doom-timer may also have killed the VM mid-boot.  Every exit
-        notifies ``on_available`` -- a stage that waited on this boot must
-        re-decide even (especially) when the worker never arrives, or it
-        would stall forever.
+        doom-timer may also have killed the VM mid-boot.  The boot's end
+        is published as :class:`~repro.core.bus.WorkerBooted` before any
+        of them.  Every exit notifies ``on_available`` -- a stage that
+        waited on this boot must re-decide even (especially) when the
+        worker never arrives, or it would stall forever.
         """
-        span = None
-        if self.tracer is not None:
-            lane = self.tracer.lane(
-                self._lane_for_worker(worker.uid),
-                f"worker {worker.uid} ({worker.tier} x{worker.cores})",
-            )
-            span = self.tracer.span(
-                "vm.boot",
-                "cloud",
-                lane=lane,
-                args={"tier": worker.tier, "cores": worker.cores,
-                      "stage": stage},
-            )
         try:
-            if span is not None:
-                with span:
-                    yield from worker.vm.boot()
-            else:
-                yield from worker.vm.boot()
+            yield from worker.vm.boot()
         finally:
             self._finish_boot_slot(stage)
+        if WorkerBooted in self.bus:
+            self.bus.publish(
+                WorkerBooted(
+                    self.env.now, worker.uid, worker.tier, worker.cores, stage
+                )
+            )
         if (
             worker.vm.alive
             and self.injector is not None

@@ -187,7 +187,6 @@ class PlatformBuilder:
         env: Environment,
         infrastructure: Infrastructure,
         injector: Optional[FaultInjector],
-        hub: "Optional[TelemetryHub]",
     ) -> CelarManager:
         """Stage 3: the elasticity manager (CELAR)."""
         cloud = self.config.cloud
@@ -197,7 +196,6 @@ class PlatformBuilder:
             startup_penalty_tu=cloud.startup_penalty_tu,
             allowed_sizes=cloud.instance_sizes,
             injector=injector,
-            tracer=hub.tracer if hub is not None else None,
         )
 
     def build_reward(self) -> RewardFunction:
@@ -341,7 +339,7 @@ class PlatformBuilder:
                 FaultPlan.from_config(self.config.faults, self.config.cloud),
                 streams,
             )
-        celar = self.build_celar(env, infrastructure, injector, hub)
+        celar = self.build_celar(env, infrastructure, injector)
         reward = self.build_reward()
         allocation = self.build_allocation()
         scaling = self.build_scaling()

@@ -1,13 +1,14 @@
 """Telemetry adapters over the simulation event bus.
 
-Scheduler-side metric counters, the scaling-decision audit log and the
-decision trace instants used to be inline scheduler code behind
-``if self._metrics is not None`` guards.  They are now ordinary
-:class:`~repro.core.bus.EventBus` subscribers wired up at assembly time:
-the scheduler publishes typed events, these adapters translate them into
-the telemetry instruments.  Subscribers are passive -- they never draw
-RNG or schedule engine events -- so attaching them leaves simulated
-results bit-identical (the telemetry determinism contract, unchanged).
+This is where observation happens.  The scheduler, worker pools, CELAR
+and the broker carry no telemetry code: the scheduler and pools publish
+typed :class:`~repro.core.bus.EventBus` events, and these subscribers,
+wired up at assembly time, turn them into the instruments -- scheduler
+metrics, the scaling-decision audit log, and the trace's decision
+instants, task spans, boot spans and cloud instants.  Subscribers are
+passive -- they never draw RNG or schedule engine events -- so attaching
+them leaves simulated results bit-identical (the telemetry determinism
+contract, unchanged).
 """
 
 from __future__ import annotations
@@ -15,12 +16,16 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.bus import (
+    BusEvent,
+    DeployFailed,
     EventBus,
     JobCompleted,
     ScalingDecisionMade,
     TaskFinished,
     TaskStarted,
+    WorkerBooted,
     WorkerHired,
+    WorkerRepooled,
 )
 from repro.telemetry.audit import ScalingDecisionRecord, decision_label
 
@@ -28,14 +33,18 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.telemetry.audit import DecisionAuditLog
     from repro.telemetry.hub import TelemetryHub
     from repro.telemetry.metrics import MetricsRegistry
-    from repro.telemetry.tracing import SpanTracer
+    from repro.telemetry.tracing import Span, SpanTracer
 
 __all__ = [
     "attach_hub",
     "attach_metrics_adapter",
     "attach_audit_adapter",
     "attach_decision_trace_adapter",
+    "attach_span_trace_adapter",
 ]
+
+#: Task outcomes that end an execution by interrupting it.
+_INTERRUPTED = frozenset({"vm_failure", "speculative_loss"})
 
 
 def attach_hub(bus: EventBus, hub: "TelemetryHub") -> None:
@@ -46,6 +55,7 @@ def attach_hub(bus: EventBus, hub: "TelemetryHub") -> None:
         attach_audit_adapter(bus, hub.audit)
     if hub.tracer is not None:
         attach_decision_trace_adapter(bus, hub.tracer)
+        attach_span_trace_adapter(bus, hub.tracer)
 
 
 def attach_metrics_adapter(bus: EventBus, registry: "MetricsRegistry") -> None:
@@ -118,6 +128,9 @@ def attach_decision_trace_adapter(bus: EventBus, tracer: "SpanTracer") -> None:
     from repro.telemetry.tracing import lane_for_stage
 
     def on_decision(event: ScalingDecisionMade) -> None:
+        lane = tracer.lane(
+            lane_for_stage(event.stage), f"stage {event.stage} queue"
+        )
         label = decision_label(event.decision)
         args: dict = {"job": event.job, "decision": label}
         explanation = event.decision.explanation
@@ -128,7 +141,7 @@ def attach_decision_trace_adapter(bus: EventBus, tracer: "SpanTracer") -> None:
         tracer.instant(
             f"decision.{label}",
             "scheduler",
-            lane=lane_for_stage(event.stage),
+            lane=lane,
             args=args,
         )
 
@@ -146,3 +159,69 @@ def attach_decision_trace_adapter(bus: EventBus, tracer: "SpanTracer") -> None:
         )
 
     bus.subscribe(JobCompleted, on_completed)
+
+
+def _args(event: BusEvent, *drop: str) -> dict:
+    """An event's fields as trace args, less its time stamp and *drop*."""
+    return {
+        k: v for k, v in vars(event).items() if k != "time" and k not in drop
+    }
+
+
+def attach_span_trace_adapter(bus: EventBus, tracer: "SpanTracer") -> None:
+    """Task spans, boot spans and cloud instants on each worker's lane.
+
+    A task span runs from :class:`TaskStarted` to the worker's next
+    :class:`TaskFinished` and is flagged as an error when the execution
+    was interrupted (VM failure, lost speculative race).  A ``vm.boot``
+    span runs from :class:`WorkerHired` or :class:`WorkerRepooled` to
+    :class:`WorkerBooted`; those two events and :class:`DeployFailed` also
+    mark ``celar.*`` instants.  Spans still open when the run ends are
+    never recorded.
+    """
+    from repro.telemetry.tracing import lane_for_worker
+
+    tasks: dict[int, "Span"] = {}
+    boots: dict[int, "Span"] = {}
+
+    def on_hired(event: WorkerHired) -> None:
+        tracer.instant("celar.deploy", "cloud", args=_args(event))
+        lane = tracer.lane(
+            lane_for_worker(event.worker),
+            f"worker {event.worker} ({event.tier} x{event.cores})",
+        )
+        boots[event.worker] = tracer.open("vm.boot", "cloud", lane=lane)
+
+    def on_repooled(event: WorkerRepooled) -> None:
+        tracer.instant("celar.resize", "cloud", args=_args(event))
+        boots[event.worker] = tracer.open(
+            "vm.boot", "cloud", lane=lane_for_worker(event.worker)
+        )
+
+    def on_booted(event: WorkerBooted) -> None:
+        span = boots.pop(event.worker)
+        span.args = _args(event, "worker")  # the lane names the worker
+        tracer.close(span)
+
+    def on_started(event: TaskStarted) -> None:
+        tasks[event.worker] = tracer.open(
+            f"{event.job}/s{event.stage}",
+            "task",
+            lane=lane_for_worker(event.worker),
+            args=_args(event, "worker"),
+        )
+
+    def on_finished(event: TaskFinished) -> None:
+        tracer.close(
+            tasks.pop(event.worker), error=event.outcome in _INTERRUPTED
+        )
+
+    bus.subscribe(WorkerHired, on_hired)
+    bus.subscribe(WorkerRepooled, on_repooled)
+    bus.subscribe(WorkerBooted, on_booted)
+    bus.subscribe(TaskStarted, on_started)
+    bus.subscribe(TaskFinished, on_finished)
+    bus.subscribe(
+        DeployFailed,
+        lambda e: tracer.instant("celar.deploy_failed", "cloud", args=_args(e)),
+    )

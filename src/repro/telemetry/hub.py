@@ -1,14 +1,18 @@
-"""TelemetryHub: the single handle the platform threads everywhere.
+"""TelemetryHub: the per-run owner of the telemetry instruments.
 
 One hub owns at most one of each instrument -- span tracer, metrics
 registry, decision audit log -- as configured by
-:class:`~repro.core.config.TelemetryConfig`.  The determinism contract is
-structural: :meth:`TelemetryHub.from_config` returns ``None`` when
-telemetry is disabled, and every integration point guards with
-``if hub is not None`` (usually caching ``hub.tracer`` etc. as a local),
-so a disabled run executes exactly the code it executed before this
-subsystem existed.  Enabled instruments only *read* the simulation --
-no RNG draws, no scheduled events -- so sim-time results never change.
+:class:`~repro.core.config.TelemetryConfig`.  The scheduler hands it to
+:func:`~repro.telemetry.bus_adapter.attach_hub`, which subscribes each
+instrument to the run's event bus.  Besides those adapters only the
+session driver (its ``engine.run`` and ``broker.ingest_batch`` spans and
+end-of-run metrics), the online refitter's metrics and the CLI's
+exporters touch an instrument.  The determinism contract is structural:
+:meth:`TelemetryHub.from_config` returns ``None`` when telemetry is
+disabled, and the few integration points guard with ``if hub is not
+None``, so a disabled run executes exactly the code it executed before
+this subsystem existed.  Enabled instruments only *read* the simulation
+-- no RNG draws, no scheduled events -- so sim-time results never change.
 """
 
 from __future__ import annotations
@@ -40,6 +44,14 @@ class TelemetryHub:
         self.audit: Optional[DecisionAuditLog] = (
             DecisionAuditLog() if config.audit else None
         )
+
+    @property
+    def explains_decisions(self) -> bool:
+        """Whether to explain and publish hire-or-wait decisions.
+
+        Only the audit log and the trace read them.
+        """
+        return self.audit is not None or self.tracer is not None
 
     @staticmethod
     def from_config(config: Optional[TelemetryConfig]) -> Optional["TelemetryHub"]:

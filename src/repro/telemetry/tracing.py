@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, Optional
 
 __all__ = [
     "Span",
@@ -54,47 +56,16 @@ def lane_for_worker(uid: int) -> int:
     return 1000 + uid
 
 
+@dataclass(slots=True)
 class Span:
-    """One open interval; closed by the tracer's context manager."""
+    """One open interval; :meth:`SpanTracer.close` records it."""
 
-    __slots__ = ("name", "cat", "lane", "args", "t0", "wall0")
-
-    def __init__(
-        self,
-        name: str,
-        cat: str,
-        lane: int,
-        args: Optional[dict[str, Any]],
-        t0: float,
-        wall0: float,
-    ) -> None:
-        self.name = name
-        self.cat = cat
-        self.lane = lane
-        self.args = args
-        self.t0 = t0
-        self.wall0 = wall0
-
-
-class _SpanContext:
-    """Context manager returned by :meth:`SpanTracer.span`.
-
-    Works across ``yield`` inside simulation processes: the span stays
-    open while the process is suspended and closes (even on Interrupt)
-    when the ``with`` block unwinds.
-    """
-
-    __slots__ = ("_tracer", "span")
-
-    def __init__(self, tracer: "SpanTracer", span: Span) -> None:
-        self._tracer = tracer
-        self.span = span
-
-    def __enter__(self) -> Span:
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer._close(self.span, error=exc is not None)
+    name: str
+    cat: str
+    lane: int
+    args: Optional[dict[str, Any]]
+    t0: float
+    wall0: float
 
 
 class SpanTracer:
@@ -145,19 +116,35 @@ class SpanTracer:
         return tid
 
     # -- recording --------------------------------------------------------
+    @contextmanager
     def span(
         self,
         name: str,
         cat: str,
         lane: int = LANE_CONTROL,
         args: Optional[dict[str, Any]] = None,
-    ) -> _SpanContext:
-        """Open a span closed by the returned context manager."""
-        return _SpanContext(
-            self, Span(name, cat, lane, args, self._clock(), self._wall())
-        )
+    ) -> Iterator[Span]:
+        """A span around a ``with`` block (error-flagged if it raises)."""
+        span = self.open(name, cat, lane, args)
+        try:
+            yield span
+        except BaseException:
+            self.close(span, error=True)
+            raise
+        self.close(span)
 
-    def _close(self, span: Span, error: bool = False) -> None:
+    def open(
+        self,
+        name: str,
+        cat: str,
+        lane: int = LANE_CONTROL,
+        args: Optional[dict[str, Any]] = None,
+    ) -> Span:
+        """Open a span now; only :meth:`close` records it."""
+        return Span(name, cat, lane, args, self._clock(), self._wall())
+
+    def close(self, span: Span, error: bool = False) -> None:
+        """Record *span* as ending now (``error`` flags a failed interval)."""
         t1 = self._clock()
         wall_dur = self._wall() - span.wall0
         self.count_by_category[span.cat] = (

@@ -148,6 +148,26 @@ class TestTraceCommand:
     def test_missing_file_is_error(self, capsys, tmp_path):
         assert main(["trace", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [1, 2],
+            {"traceEvents": 5},
+            "x",
+            [{"name": "s", "cat": "task", "ph": "X", "ts": 0, "dur": "long"}],
+        ],
+        ids=["list-of-ints", "events-not-a-list", "string", "string-dur"],
+    )
+    def test_malformed_trace_exits_2_with_one_line(
+        self, capsys, tmp_path, document
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        assert main(["trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read trace ")
+        assert err.count("\n") == 1
+
 
 class TestSweep:
     def test_sweep_prints_series(self, capsys):

@@ -50,7 +50,7 @@ class TestIngestion:
         bus = EventBus()
         ingestor = KnowledgeIngestor(kb, bus)
         bus.publish(JobCompleted(0.0, "j1", 5.0, 10.0, 1.0))
-        bus.publish(WorkerHired(1.0, "private", 4, 0))
+        bus.publish(WorkerHired(1.0, 1, "private", 4, 0))
         assert ingestor.ingested == 0
 
     def test_sampling_every_k(self):
