@@ -19,8 +19,9 @@ the paper describes or depends on:
 - :mod:`repro.scheduler` -- the reward-driven SCAN Scheduler: queues, worker
   pools, reward/cost functions, ETT estimation, delay cost, allocation and
   horizontal-scaling algorithms.
-- :mod:`repro.cloud` -- the simulated two-tier hybrid cloud: VM lifecycle
-  with restart penalty, pricing, CELAR-like elasticity middleware, storage.
+- :mod:`repro.cloud` -- the simulated hybrid cloud: an N-tier stack with
+  per-tier pricing, VM lifecycle with restart penalty, the CELAR Manager
+  stand-in, storage.
 - :mod:`repro.workload` -- the paper's batched stochastic workload generator.
 - :mod:`repro.sim` -- the evaluation harness: sessions, sweeps, metrics and
   table/figure reporters for every table and figure in the paper.

@@ -866,14 +866,13 @@ def cmd_kb(args: argparse.Namespace) -> int:
     session = SimulationSession(config)
     session.run(seed=args.seed)
     plane = session.plane
-    if plane is not None and not plane.facts(session.app.name):
-        # The static provider reads the application model directly and
-        # never writes the plane; seed it now so the dump shows the facts
-        # the estimates actually came from.
-        plane.seed_from_model(session.app)
     if plane is None:
         print("no knowledge plane in this session", file=sys.stderr)
         return 2
+    # The static provider reads the workflow's node models directly and
+    # never writes the plane; seed the nodes without facts now so the
+    # dump shows the facts the estimates actually came from.
+    plane.seed_from_workflow(session.scheduler.workflow)
     snapshot = plane.snapshot()
     if args.snapshot_out:
         with open(args.snapshot_out, "w") as fh:

@@ -6,14 +6,14 @@ core) and an effectively unbounded public tier (20-110 CU/TU per core) --
 generalised since the tier-backend refactor to an N-tier stack of
 pluggable backends, plus the pieces the prototype ran on:
 
-- :mod:`repro.cloud.infrastructure` -- the tier stack, core accounting.
+- :mod:`repro.cloud.infrastructure` -- the tier stack, core accounting and
+  per-tier pricing (``CloudTier.cost_rate`` / ``accumulated_cost``).
 - :mod:`repro.cloud.tiers` -- the ``TIER_BACKENDS`` registry (reserved /
   on_demand / serverless / spot) and ``TIER_PLACEMENT`` policies.
 - :mod:`repro.cloud.vm` -- VM lifecycle with the 30-second (0.5 TU) start /
   restart penalty paid when CELAR resizes a worker's vCPU count.
-- :mod:`repro.cloud.pricing` -- per-core-per-TU cost model and invoices.
 - :mod:`repro.cloud.celar` -- the CELAR elasticity middleware stand-in
-  (Manager + Decision Module).
+  (the Manager: deploy, resize, terminate).
 - :mod:`repro.cloud.storage` -- shared-filesystem (CIFS stand-in) and
   replicated key-value store (Cassandra stand-in) models.
 """
@@ -27,9 +27,8 @@ from repro.cloud.tiers import (
     SpotTier,
 )
 from repro.cloud.vm import VirtualMachine, VMState
-from repro.cloud.pricing import PricingModel, CostMeter, Invoice
 from repro.cloud.faults import FaultPlan, FaultInjector
-from repro.cloud.celar import CelarManager, CelarDecisionModule, ScalingCommand
+from repro.cloud.celar import CelarManager
 from repro.cloud.storage import SharedFilesystem, ReplicatedKVStore, TransferError
 
 __all__ = [
@@ -42,14 +41,9 @@ __all__ = [
     "SpotTier",
     "VirtualMachine",
     "VMState",
-    "PricingModel",
-    "CostMeter",
-    "Invoice",
     "FaultPlan",
     "FaultInjector",
     "CelarManager",
-    "CelarDecisionModule",
-    "ScalingCommand",
     "SharedFilesystem",
     "ReplicatedKVStore",
     "TransferError",

@@ -1,4 +1,4 @@
-"""CELAR elasticity middleware stand-in: Manager and Decision Module.
+"""CELAR elasticity middleware stand-in: the Manager.
 
 "The CELAR Manager is a cloud component to orchestrate and execute the
 deployment of the applications in the cloud, and the Decision Module takes
@@ -7,20 +7,16 @@ user-defined requirements ... the SCAN can query the analysis performance
 characteristics and issue scaling commands to the underlying cloud
 infrastructure" (paper Section III-B).
 
-The :class:`CelarManager` owns VM deployment/resize/termination (imposing
-the startup penalty); the :class:`CelarDecisionModule` evaluates
-user-defined threshold rules against metrics the platform reports and
-emits :class:`ScalingCommand` suggestions.  SCAN's own predictive scaler
-makes the actual hire decisions; the decision module demonstrates the
-middleware interface the paper integrates with ("the SCAN can function
-independent of the CELAR").
+:class:`CelarManager` owns VM deployment, resize and termination (imposing
+the startup penalty); the worker pools boot the VMs it hands out.  There is
+no Decision Module: SCAN's own predictive scaler makes every hire decision
+("the SCAN can function independent of the CELAR"), and the paper only
+uses CELAR to resize VMs with the startup penalty.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING
 
 from repro.cloud.infrastructure import Infrastructure
 from repro.cloud.vm import VirtualMachine
@@ -30,14 +26,7 @@ from repro.desim.engine import Environment
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.cloud.faults import FaultInjector
 
-__all__ = ["CelarManager", "CelarDecisionModule", "ScalingCommand", "ScalingRule"]
-
-
-class ScalingCommand(str, enum.Enum):
-    """Elasticity action suggested by the decision module."""
-    SCALE_OUT = "scale_out"
-    SCALE_IN = "scale_in"
-    HOLD = "hold"
+__all__ = ["CelarManager"]
 
 
 class CelarManager:
@@ -70,10 +59,6 @@ class CelarManager:
         self.ram_per_core_gb = ram_per_core_gb
         #: Optional chaos layer; when set, deploys may bounce transiently.
         self.injector = injector
-        self.vms: list[VirtualMachine] = []
-        self.deploy_count = 0
-        self.resize_count = 0
-        self.deploy_failures = 0
 
     def instance_ram_gb(self, cores: int) -> float:
         """Memory of a *cores*-vCPU instance."""
@@ -108,7 +93,6 @@ class CelarManager:
         if self.injector is not None and self.injector.deploy_fails(tier):
             # Fails before any capacity is claimed, so there is nothing to
             # roll back -- the request simply bounced.
-            self.deploy_failures += 1
             raise TransientDeployError(
                 f"transient provisioning error on {tier} tier "
                 f"({cores} cores)"
@@ -117,22 +101,13 @@ class CelarManager:
         extra = self.infrastructure.tier(tier).allocation_latency_tu(cores)
         if extra > 0:
             penalty += extra
-        vm = VirtualMachine(
+        return VirtualMachine(
             self.env,
             self.infrastructure,
             cores=cores,
             tier=tier,
             startup_penalty_tu=penalty,
         )
-        self.vms.append(vm)
-        self.deploy_count += 1
-        return vm
-
-    def deploy_and_boot(self, cores: int, tier: str):
-        """Process: :meth:`deploy` then boot; returns the READY VM."""
-        vm = self.deploy(cores, tier)
-        yield from vm.boot()
-        return vm
 
     def begin_resize(self, vm: VirtualMachine, new_cores: int) -> None:
         """Synchronously reshape a VM; a reboot must follow (same rationale
@@ -141,79 +116,8 @@ class CelarManager:
             raise CloudError(
                 f"{new_cores} is not an allowed instance size {self.allowed_sizes}"
             )
-        self.resize_count += 1
         vm.reshape(new_cores)
-
-    def resize(self, vm: VirtualMachine, new_cores: int):
-        """Process: stop, adjust vCPUs, restart (pays the penalty)."""
-        self.begin_resize(vm, new_cores)
-        yield from vm.boot()
-        return vm
 
     def terminate(self, vm: VirtualMachine) -> None:
         """Terminate a VM (releases its cores; idempotent)."""
         vm.terminate()
-
-    def alive_vms(self) -> list[VirtualMachine]:
-        """All VMs not yet terminated."""
-        return [vm for vm in self.vms if vm.alive]
-
-    def terminate_all(self) -> None:
-        """Terminate every live VM."""
-        for vm in self.alive_vms():
-            vm.terminate()
-
-
-@dataclass(frozen=True)
-class ScalingRule:
-    """A user-defined elasticity rule: metric thresholds -> command."""
-
-    metric: str
-    scale_out_above: float
-    scale_in_below: float
-
-    def __post_init__(self) -> None:
-        if self.scale_in_below > self.scale_out_above:
-            raise CloudError(
-                "scale_in_below must not exceed scale_out_above"
-            )
-
-    def evaluate(self, value: float) -> ScalingCommand:
-        """The command this rule issues for a metric value."""
-        if value > self.scale_out_above:
-            return ScalingCommand.SCALE_OUT
-        if value < self.scale_in_below:
-            return ScalingCommand.SCALE_IN
-        return ScalingCommand.HOLD
-
-
-class CelarDecisionModule:
-    """Threshold-rule engine over reported application metrics."""
-
-    def __init__(self) -> None:
-        self._rules: dict[str, ScalingRule] = {}
-        self._metrics: dict[str, float] = {}
-        self._listeners: list[Callable[[str, ScalingCommand], None]] = []
-
-    def add_rule(self, rule: ScalingRule) -> None:
-        """Install (or replace) the rule for the rule's metric."""
-        self._rules[rule.metric] = rule
-
-    def report(self, metric: str, value: float) -> Optional[ScalingCommand]:
-        """Report an application metric; returns the triggered command."""
-        self._metrics[metric] = value
-        rule = self._rules.get(metric)
-        if rule is None:
-            return None
-        command = rule.evaluate(value)
-        for listener in self._listeners:
-            listener(metric, command)
-        return command
-
-    def on_command(self, listener: Callable[[str, ScalingCommand], None]) -> None:
-        """Register a listener for triggered commands."""
-        self._listeners.append(listener)
-
-    def latest(self, metric: str, default: float = 0.0) -> float:
-        """The most recently reported value of *metric*."""
-        return self._metrics.get(metric, default)

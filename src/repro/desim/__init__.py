@@ -10,10 +10,11 @@ a hybrid cloud; this package provides:
   primitive schedulable events.
 - :class:`~repro.desim.process.Process` -- generator-based cooperative
   processes (``yield env.timeout(3)`` style).
-- :mod:`~repro.desim.resources` -- capacity-limited resources, containers and
-  stores used to model worker pools, core pools and task queues.
 - :mod:`~repro.desim.monitor` -- time-series instrumentation.
 - :mod:`~repro.desim.rng` -- deterministic named random streams.
+
+Worker pools, core accounting and task queues are modelled by the
+scheduler and cloud layers themselves, not by kernel resources.
 """
 
 from repro.desim.engine import (
@@ -24,23 +25,7 @@ from repro.desim.engine import (
     EmptySchedule,
     SimulationError,
 )
-from repro.desim.process import (
-    Process,
-    Interrupt,
-    AllOf,
-    AnyOf,
-    ProcessError,
-)
-from repro.desim.resources import (
-    Resource,
-    PriorityResource,
-    PreemptedError,
-    Container,
-    Store,
-    FilterStore,
-    Request,
-    Release,
-)
+from repro.desim.process import Process, Interrupt, ProcessError
 from repro.desim.monitor import Monitor, TimeWeightedMonitor, CounterMonitor
 from repro.desim.rng import RandomStreams
 
@@ -53,17 +38,7 @@ __all__ = [
     "SimulationError",
     "Process",
     "Interrupt",
-    "AllOf",
-    "AnyOf",
     "ProcessError",
-    "Resource",
-    "PriorityResource",
-    "PreemptedError",
-    "Container",
-    "Store",
-    "FilterStore",
-    "Request",
-    "Release",
     "Monitor",
     "TimeWeightedMonitor",
     "CounterMonitor",

@@ -13,7 +13,7 @@ defused failures, and ``run(until=...)`` semantics.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 __all__ = [
     "Environment",
@@ -138,14 +138,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Adopt another event's outcome.  Usable as a callback."""
-        if self.triggered:
-            return
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def __repr__(self) -> str:
         state = (
             "processed"
@@ -215,18 +207,6 @@ class Environment:
         from repro.desim.process import Process
 
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]):
-        """An event firing when every given event has fired."""
-        from repro.desim.process import AllOf
-
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]):
-        """An event firing when any given event has fired."""
-        from repro.desim.process import AnyOf
-
-        return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
     def schedule(

@@ -1,4 +1,4 @@
-"""Generator-based cooperative processes and composite events.
+"""Generator-based cooperative processes.
 
 A :class:`Process` drives a Python generator: each ``yield``ed event suspends
 the process until the event fires, at which point the event's value is sent
@@ -10,18 +10,17 @@ sequences) is expressed.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable
+from typing import Any, Generator
 
 from repro.desim.engine import (
     Environment,
     Event,
-    NORMAL,
     PENDING,
     SimulationError,
     URGENT,
 )
 
-__all__ = ["Process", "Interrupt", "AllOf", "AnyOf", "Condition", "ProcessError"]
+__all__ = ["Process", "Interrupt", "ProcessError"]
 
 
 class ProcessError(SimulationError):
@@ -161,76 +160,3 @@ class Process(Event):
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", str(self._generator))
         return f"<Process {name} at {id(self):#x}>"
-
-
-class Condition(Event):
-    """Base for composite events over a set of sub-events.
-
-    Subclasses define :meth:`_satisfied`.  The condition's value is a dict
-    mapping each *triggered* sub-event to its value, preserving the order in
-    which the sub-events were given.
-    """
-
-    def __init__(self, env: Environment, events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events: list[Event] = list(events)
-        self._pending = 0
-        for ev in self._events:
-            if ev.env is not env:
-                raise SimulationError("cannot mix events from different environments")
-        if self._check_now():
-            return
-        for ev in self._events:
-            if ev.callbacks is None:
-                continue
-            ev.callbacks.append(self._on_sub_event)
-
-    def _check_now(self) -> bool:
-        """Trigger immediately if already satisfied; return True if so."""
-        for ev in self._events:
-            if ev.callbacks is None and not ev._ok:
-                self.fail(ev._value)  # type: ignore[arg-type]
-                return True
-        if self._satisfied():
-            self.succeed(self._collect())
-            return True
-        return False
-
-    def _on_sub_event(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event.defuse()
-            self.fail(event._value)
-            return
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _collect(self) -> dict[Event, Any]:
-        # Only *processed* sub-events contribute: a Timeout counts as
-        # "triggered" the moment it is created (its value is pre-set), so
-        # processed-ness is the correct notion of "has happened".
-        return {
-            ev: ev._value
-            for ev in self._events
-            if ev.callbacks is None and ev._ok
-        }
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(Condition):
-    """Fires when every sub-event has happened (fails fast on failure)."""
-
-    def _satisfied(self) -> bool:
-        return all(ev.callbacks is None for ev in self._events)
-
-
-class AnyOf(Condition):
-    """Fires when at least one sub-event has happened."""
-
-    def _satisfied(self) -> bool:
-        if not self._events:
-            return True
-        return any(ev.callbacks is None for ev in self._events)

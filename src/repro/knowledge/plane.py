@@ -25,9 +25,13 @@ confidence), persisted through the ontology triple store, and queried by
 :class:`OnlineRefitter` provides the feedback path: it subscribes to
 :class:`~repro.core.bus.StageCompleted` events and periodically re-fits
 the linear coefficients from realised durations, installing new facts
-(which bumps the epoch).  Two providers ship behind the plugin registry:
-``static`` (the default -- bit-identical to the pre-plane behaviour, so
-golden sweep fixtures pin it) and ``adaptive`` (serves refit facts).
+(which bumps the epoch).  Two providers ship behind the plugin registry,
+both built over a :class:`~repro.workflows.compiled.CompiledWorkflow` (a
+plain application passes ``chain_of(app)``): ``static`` (the default --
+bit-identical to the pre-plane behaviour, so golden sweep fixtures pin
+it) and ``adaptive`` (serves refit facts per node scope).
+:class:`FactProvider` is the broker's view: one application's installed
+facts, with no workflow behind them.
 """
 
 from __future__ import annotations
@@ -54,11 +58,8 @@ __all__ = [
     "StaticEstimateProvider",
     "AdaptiveEstimateProvider",
     "FactProvider",
-    "WorkflowStaticProvider",
-    "WorkflowAdaptiveProvider",
     "ESTIMATE_PROVIDERS",
     "make_estimate_provider",
-    "make_workflow_provider",
     "fit_stage_fact",
     "diff_snapshots",
     "drifted_model",
@@ -183,23 +184,28 @@ class KnowledgePlane:
             )
         return self._epoch
 
-    def seed_from_model(
-        self, model: ApplicationModel, provenance: str = "model"
-    ) -> int:
-        """Seed facts from an analytical application model's coefficients."""
+    def seed_from_workflow(self, workflow: Any) -> int:
+        """Seed model facts for the compiled *workflow*'s nodes that have none.
+
+        Each node's believed coefficients land under its fact key
+        ``(node.scope, node.app_stage)``; nodes that already carry a fact
+        (profiled, refit or seeded earlier) are left alone, so seeding an
+        already-covered workflow leaves the epoch where it was.
+        """
         return self.install(
             StageFact(
-                app=model.name,
-                stage=stage.index,
-                a=stage.a,
-                b=stage.b,
-                c=stage.c,
-                ram_gb=stage.ram_gb,
-                provenance=provenance,
+                app=node.scope,
+                stage=node.app_stage,
+                a=node.model.a,
+                b=node.model.b,
+                c=node.model.c,
+                ram_gb=node.model.ram_gb,
+                provenance="model",
                 samples=0,
                 confidence=1.0,
             )
-            for stage in model.stages
+            for node in workflow
+            if self.get(node.scope, node.app_stage) is None
         )
 
     def seed_from_profiles(self, kb: Any, app: str) -> int:
@@ -723,16 +729,17 @@ ESTIMATE_PROVIDERS: "Registry[EstimateProvider]" = Registry("estimates")
 
 @ESTIMATE_PROVIDERS.register("static")
 class StaticEstimateProvider:
-    """Frozen profiled coefficients: the pre-plane behaviour, exactly.
+    """Frozen profiled coefficients, one model per compiled node.
 
-    ``eet`` delegates straight to the application model's
-    ``threaded_time`` -- the same floats as before the refactor, pinned by
-    the golden sweep fixtures.  The epoch never moves, so EET memos built
-    over this provider are never invalidated.
+    ``stage_model`` maps a node index to the node's believed
+    :class:`StageModel` object itself.  A compiled chain's nodes alias
+    the application's stage objects, so a chain serves the exact
+    profiled floats the golden sweep fixtures pin.  The epoch never
+    moves, so EET memos built over this provider are never invalidated.
     """
 
-    def __init__(self, app: ApplicationModel, plane: Any = None, **_: Any) -> None:
-        self.app = app
+    def __init__(self, workflow: Any, plane: Any = None, **_: Any) -> None:
+        self.workflow = workflow
 
     @property
     def epoch(self) -> int:
@@ -740,38 +747,44 @@ class StaticEstimateProvider:
 
     @property
     def n_stages(self) -> int:
-        return self.app.n_stages
+        return self.workflow.n_nodes
 
     def stage_model(self, stage: int) -> StageModel:
-        return self.app.stage(stage)
+        return self.workflow.node(stage).model
 
     def eet(self, stage: int, size_gb: float, threads: int) -> float:
-        return self.app.stage(stage).threaded_time(threads, size_gb)
+        return self.workflow.node(stage).model.threaded_time(threads, size_gb)
 
 
 @ESTIMATE_PROVIDERS.register("adaptive")
 class AdaptiveEstimateProvider:
     """Serves the knowledge plane's latest facts; re-reads after refits.
 
-    Stage models are materialised once per plane epoch (a refit bumps the
-    epoch, the next read rebuilds the table); a stage whose fact object
-    did not change keeps its model object, so EET memos over untouched
-    stages survive the bump.  Stages without facts fall back to the
-    application model's profiled coefficients, so a cold plane behaves
-    like the static provider.
+    Each compiled node reads the fact installed under
+    ``(node.scope, node.app_stage)``.  A chain's scope is the
+    application's name; a spec workflow's is ``"{workflow}/{step}"``, so
+    two branches running the *same* tool own separate facts and the
+    online refitter sharpens them independently (the scheduler publishes
+    ``StageCompleted`` events under the node scope, which is all the
+    refitter keys on).  Nodes without facts are seeded from their
+    believed model (:meth:`KnowledgePlane.seed_from_workflow`).
+
+    Stage models are materialised once per plane epoch (a refit bumps
+    the epoch, the next read rebuilds the table); a node whose fact
+    object did not change keeps its model object, so EET memos over
+    untouched nodes survive the bump.
     """
 
-    def __init__(self, app: ApplicationModel, plane: KnowledgePlane, **_: Any) -> None:
+    def __init__(self, workflow: Any, plane: KnowledgePlane, **_: Any) -> None:
         if plane is None:
             raise KnowledgeBaseError(
                 "adaptive estimate provider requires a knowledge plane"
             )
-        self.app = app
+        self.workflow = workflow
         self.plane = plane
-        if not plane.facts(app.name):
-            plane.seed_from_model(app)
+        plane.seed_from_workflow(workflow)
         self._models: Dict[int, StageModel] = {}
-        self._facts: Dict[int, Optional[StageFact]] = {}
+        self._facts: Dict[int, StageFact] = {}
         self._models_epoch = -1
 
     @property
@@ -780,21 +793,19 @@ class AdaptiveEstimateProvider:
 
     @property
     def n_stages(self) -> int:
-        return self.app.n_stages
+        return self.workflow.n_nodes
 
     def _refresh(self) -> None:
         if self._models_epoch == self.plane.epoch:
             return
-        for index in range(self.app.n_stages):
-            fact = self.plane.get(self.app.name, index)
-            if index in self._facts and self._facts[index] is fact:
-                continue
-            self._facts[index] = fact
-            if fact is None:
-                self._models[index] = self.app.stage(index)
-            else:
-                self._models[index] = fact.to_stage_model(
-                    name=self.app.stage(index).name
+        # Every node has a fact (seeded at construction; facts are never
+        # removed), so each model comes from the plane.
+        for node in self.workflow:
+            fact = self.plane.get(node.scope, node.app_stage)
+            if self._facts.get(node.index) is not fact:
+                self._facts[node.index] = fact
+                self._models[node.index] = fact.to_stage_model(
+                    name=node.model.name
                 )
         self._models_epoch = self.plane.epoch
 
@@ -850,126 +861,6 @@ class FactProvider:
         return fact.predict(size_gb, threads)
 
 
-class WorkflowStaticProvider:
-    """Frozen per-node coefficients for a compiled workflow.
-
-    The DAG analogue of :class:`StaticEstimateProvider`: ``stage_model``
-    maps a node index to the node's believed :class:`StageModel` object
-    itself, so a compiled *chain* serves the exact same model objects (and
-    floats) as the static provider over the underlying application.
-    """
-
-    def __init__(self, workflow: Any, plane: Any = None, **_: Any) -> None:
-        self.workflow = workflow
-
-    @property
-    def epoch(self) -> int:
-        return 0
-
-    @property
-    def n_stages(self) -> int:
-        return self.workflow.n_nodes
-
-    def stage_model(self, stage: int) -> StageModel:
-        return self.workflow.node(stage).model
-
-    def eet(self, stage: int, size_gb: float, threads: int) -> float:
-        return self.workflow.node(stage).model.threaded_time(threads, size_gb)
-
-
-class WorkflowAdaptiveProvider:
-    """Plane-backed estimates keyed per (workflow, step) fact scope.
-
-    Each compiled node reads the fact installed under
-    ``(node.scope, node.app_stage)`` -- for spec workflows the scope is
-    ``"{workflow}/{step}"``, so two branches running the *same* tool own
-    separate facts and the online refitter sharpens them independently
-    (the scheduler publishes ``StageCompleted`` events under the node
-    scope, which is all the refitter keys on).  Nodes without facts fall
-    back to their believed model; a cold plane is seeded from the
-    workflow's own coefficients, scope by scope.  As in
-    :class:`AdaptiveEstimateProvider`, a node whose fact object survives
-    an epoch bump keeps its model object.
-    """
-
-    def __init__(self, workflow: Any, plane: KnowledgePlane, **_: Any) -> None:
-        if plane is None:
-            raise KnowledgeBaseError(
-                "workflow adaptive provider requires a knowledge plane"
-            )
-        self.workflow = workflow
-        self.plane = plane
-        plane.install(
-            StageFact(
-                app=node.scope,
-                stage=node.app_stage,
-                a=node.model.a,
-                b=node.model.b,
-                c=node.model.c,
-                ram_gb=node.model.ram_gb,
-                provenance="model",
-                samples=0,
-                confidence=1.0,
-            )
-            for node in workflow
-            if plane.get(node.scope, node.app_stage) is None
-        )
-        self._models: Dict[int, StageModel] = {}
-        self._facts: Dict[int, Optional[StageFact]] = {}
-        self._models_epoch = -1
-
-    @property
-    def epoch(self) -> int:
-        return self.plane.epoch
-
-    @property
-    def n_stages(self) -> int:
-        return self.workflow.n_nodes
-
-    def _refresh(self) -> None:
-        if self._models_epoch == self.plane.epoch:
-            return
-        for node in self.workflow:
-            index = node.index
-            fact = self.plane.get(node.scope, node.app_stage)
-            if index in self._facts and self._facts[index] is fact:
-                continue
-            self._facts[index] = fact
-            if fact is None:
-                self._models[index] = node.model
-            else:
-                self._models[index] = fact.to_stage_model(name=node.model.name)
-        self._models_epoch = self.plane.epoch
-
-    def stage_model(self, stage: int) -> StageModel:
-        self._refresh()
-        return self._models[stage]
-
-    def eet(self, stage: int, size_gb: float, threads: int) -> float:
-        self._refresh()
-        return self._models[stage].threaded_time(threads, size_gb)
-
-
-def make_workflow_provider(
-    kind: Any, workflow: Any, plane: Optional[KnowledgePlane] = None
-) -> EstimateProvider:
-    """The workflow-scoped provider matching estimate-provider *kind*.
-
-    ``static`` and ``adaptive`` map to their DAG analogues; other kinds
-    (out-of-tree providers are keyed on a single application) have no
-    workflow form and are rejected.
-    """
-    kind = str(getattr(kind, "value", kind))
-    if kind == "static":
-        return WorkflowStaticProvider(workflow)
-    if kind == "adaptive":
-        return WorkflowAdaptiveProvider(workflow, plane)
-    raise KnowledgeBaseError(
-        f"estimate provider {kind!r} has no workflow-scoped form; "
-        "use 'static' or 'adaptive'"
-    )
-
-
 def drifted_model(app: ApplicationModel, factor: float) -> ApplicationModel:
     """*app* with every stage's linear coefficients scaled by *factor*.
 
@@ -992,9 +883,15 @@ def drifted_model(app: ApplicationModel, factor: float) -> ApplicationModel:
 
 def make_estimate_provider(
     kind: Any,
-    app: ApplicationModel,
+    workflow: Any,
     plane: Optional[KnowledgePlane] = None,
     **kwargs: Any,
 ) -> EstimateProvider:
-    """Instantiate the estimate provider registered under *kind*."""
-    return ESTIMATE_PROVIDERS.create(kind, app=app, plane=plane, **kwargs)
+    """Instantiate the estimate provider registered under *kind*.
+
+    *workflow* is the :class:`~repro.workflows.compiled.CompiledWorkflow`
+    being estimated; a plain application passes ``chain_of(app)``.
+    """
+    return ESTIMATE_PROVIDERS.create(
+        kind, workflow=workflow, plane=plane, **kwargs
+    )

@@ -41,7 +41,7 @@ from repro.core.errors import SchedulingError
 from repro.knowledge.plane import EstimateProvider, StaticEstimateProvider
 from repro.scheduler.rewards import RewardFunction, is_latency_free
 from repro.scheduler.tasks import Job, StageTask
-from repro.workflows.compiled import CompiledWorkflow
+from repro.workflows.compiled import CompiledWorkflow, chain_of
 
 __all__ = [
     "DelayCostTerm",
@@ -62,11 +62,11 @@ class PipelineEstimator:
 
     EET reads go through an :class:`~repro.knowledge.plane.EstimateProvider`
     (default: a :class:`~repro.knowledge.plane.StaticEstimateProvider`
-    over *app*, which reproduces the profiled coefficients exactly).  The
-    provider's ``epoch`` guards the EET memo: when an online refit bumps
-    the knowledge-plane epoch, the next ``eet`` call re-reads each memoised
-    stage's ``stage_model`` and drops the entries of every stage whose
-    model object changed.  A refit touches a few stages; the others keep
+    over *workflow*, or ``chain_of(app)`` without one, which reproduces
+    the profiled coefficients exactly).  The provider's ``epoch`` guards
+    the EET memo: when an online refit bumps the knowledge-plane epoch,
+    the next ``eet`` call re-reads each memoised stage's ``stage_model``
+    and drops the entries of every stage whose model object changed.  A refit touches a few stages; the others keep
     their entries, which stay exact because EET is a pure function of
     (model, size, threads).
 
@@ -86,19 +86,13 @@ class PipelineEstimator:
             raise SchedulingError("eqt_alpha must lie in (0, 1]")
         self.app = app
         self.eqt_alpha = eqt_alpha
-        if estimates is not None:
-            self.estimates: EstimateProvider = estimates
-        elif workflow is not None and (
-            not workflow.is_chain or workflow.n_nodes != app.n_stages
-        ):
-            # A DAG (or a multi-app chain) has more, differently scoped
-            # nodes than the entry app; the app-shaped default would
-            # mis-size every index.
-            from repro.knowledge.plane import WorkflowStaticProvider
-
-            self.estimates = WorkflowStaticProvider(workflow)
-        else:
-            self.estimates = StaticEstimateProvider(app)
+        self.estimates: EstimateProvider = (
+            estimates
+            if estimates is not None
+            else StaticEstimateProvider(
+                workflow if workflow is not None else chain_of(app)
+            )
+        )
         #: The DAG being estimated; ``None`` (or a compiled chain) keeps
         #: every code path on the legacy linear arithmetic.
         self.workflow = workflow

@@ -344,9 +344,9 @@ class SpeculativeExecutor:
         if winner.speculative:
             self.won += 1
         if group.pending_speculative is not None:
+            # A twin that never started lost no race: ``lost`` counts only
+            # executions the scheduler stops (``speculative_loss``).
             group.pending_speculative.cancelled = True
-            if group.pending_speculative is not winner:
-                self.lost += 1
             group.pending_speculative = None
         loser = group.twin_of(winner)
         if loser is not None and loser.running:

@@ -41,7 +41,6 @@ from repro.knowledge.plane import (
     OnlineRefitter,
     drifted_model,
     make_estimate_provider,
-    make_workflow_provider,
 )
 from repro.scheduler.allocation import (
     AllocationPolicy,
@@ -52,7 +51,7 @@ from repro.scheduler.allocation import (
 from repro.scheduler.rewards import RewardFunction, make_reward
 from repro.scheduler.scaling import ScalingPolicy, make_scaling_policy
 from repro.scheduler.scheduler import SCANScheduler
-from repro.workflows.compiled import CompiledWorkflow, compile_spec
+from repro.workflows.compiled import CompiledWorkflow, chain_of, compile_spec
 from repro.workflows.library import make_workflow
 from repro.workload.arrivals import ArrivalProcess, make_arrival_process
 from repro.workload.jobs import JobFactory
@@ -228,8 +227,10 @@ class PlatformBuilder:
     ) -> tuple[KnowledgePlane, EstimateProvider, Optional[OnlineRefitter]]:
         """Stage 5b: the knowledge plane and its estimate provider.
 
-        The default ``static`` provider reads the profiled application
-        model directly (bit-identical to a build without the plane) and
+        Both providers are built over the compiled workflow -- a plain
+        application runs as its ``chain_of`` chain.  The default
+        ``static`` provider reads the nodes' profiled models directly
+        (bit-identical to a build without the plane) and
         attaches no refitter, so no :class:`StageCompleted` subscriber
         exists and the scheduler never constructs the event.  Any other
         provider gets an :class:`OnlineRefitter` streaming stage-finish
@@ -237,14 +238,14 @@ class PlatformBuilder:
         """
         know = self.config.knowledge
         plane = KnowledgePlane()
-        if self.workflow is not None:
-            provider = make_workflow_provider(
-                know.provider, workflow=self.workflow, plane=plane
-            )
-        else:
-            provider = make_estimate_provider(
-                know.provider, app=self.app, plane=plane
-            )
+        workflow = (
+            self.workflow
+            if self.workflow is not None
+            else chain_of(self.app, self.actual_app)
+        )
+        provider = make_estimate_provider(
+            know.provider, workflow=workflow, plane=plane
+        )
         refitter: Optional[OnlineRefitter] = None
         if know.provider != "static":
             refitter = OnlineRefitter(

@@ -27,7 +27,6 @@ from repro.sim.builder import Observer, PlatformBuilder
 from repro.sim.metrics import SessionResult
 from repro.workload.arrivals import ArrivalBatch
 from repro.workload.jobs import JobFactory
-from repro.workload.traces import ArrivalTrace, replay_trace
 
 if TYPE_CHECKING:  # imported only when telemetry is enabled at runtime
     from repro.telemetry.hub import TelemetryHub
@@ -36,7 +35,7 @@ __all__ = ["SimulationSession", "run_repetitions"]
 
 
 class SimulationSession:
-    """One configured deployment, runnable against a seed or a trace."""
+    """One configured deployment, runnable against a seed."""
 
     def __init__(
         self,
@@ -127,21 +126,6 @@ class SimulationSession:
         snapshot = self._arm_warmup(env, scheduler)
         self._run_engine(env, cfg.simulation.duration, hub)
         return self._collect(scheduler, actual_seed, snapshot, hub)
-
-    def run_trace(self, trace: ArrivalTrace, seed: int = 0) -> SessionResult:
-        """Run one session against a recorded trace (paired comparisons)."""
-        env = Environment()
-        hub = self._make_hub()
-        self.telemetry = hub
-        if hub is not None:
-            hub.bind(env)
-        scheduler = self._build(env, RandomStreams(seed), hub)
-
-        on_batch = self._make_on_batch(self._factory, scheduler, hub)
-        env.process(replay_trace(env, trace, on_batch))
-        snapshot = self._arm_warmup(env, scheduler)
-        self._run_engine(env, self.config.simulation.duration, hub)
-        return self._collect(scheduler, seed, snapshot, hub)
 
     def _make_on_batch(
         self,

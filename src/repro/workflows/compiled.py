@@ -15,7 +15,10 @@ dependency lists, and per-node input sizing resolved ahead of time.
   in DAG terms, and it is the byte-equivalence anchor: every fast path in
   the scheduler/estimator keys off :attr:`CompiledWorkflow.is_chain` and
   reuses the exact legacy arithmetic (same ``StageModel`` objects, same
-  input sizes), so fault-free chain runs stay bit-identical.
+  input sizes), so fault-free chain runs stay bit-identical.  It is also
+  how a plain application reaches the knowledge plane: both estimate
+  providers (``static``, ``adaptive``) are built over a compiled
+  workflow, and a chain session hands them ``chain_of(app)``.
 - :func:`compile_spec` lowers a multi-step spec: each step's application
   expands into an intra-chain of its stages (a 7-stage app contributes 7
   nodes), stitched together by the spec's edges (last node of the parent
@@ -23,8 +26,8 @@ dependency lists, and per-node input sizing resolved ahead of time.
 
 Per-node **fact scope**: knowledge-plane facts for DAG nodes are keyed
 ``("{workflow}/{step}", app_stage)`` rather than ``(app, stage)``, so two
-branches running the same tool refit independently (ISSUE 9 tentpole #4).
-Chains keep the legacy ``(app.name, stage)`` key.
+branches running the same tool refit independently.  Chains keep the
+legacy ``(app.name, stage)`` key.
 
 Per-node **input scale**: the paper's timing model feeds every stage of an
 application the *first* stage's input ``d``, so all nodes of one step

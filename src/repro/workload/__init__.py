@@ -28,7 +28,6 @@ from repro.workload.traces import (
     TraceArrivalProcess,
     load_trace_jsonl,
     record_trace,
-    replay_trace,
     save_trace_jsonl,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "ArrivalTrace",
     "TraceArrivalProcess",
     "record_trace",
-    "replay_trace",
     "save_trace_jsonl",
     "load_trace_jsonl",
 ]

@@ -4,16 +4,20 @@ Recording a trace and replaying it against different scheduler policies
 gives a *paired* comparison (identical arrivals), tightening the error
 bars beyond the common-random-number effect the seeded streams already
 provide.  Traces serialize to plain dicts for JSON fixtures, and to JSONL
-files (one batch object per line) for the ``"trace"`` entry in
-:data:`~repro.workload.arrivals.ARRIVAL_PROCESSES`:
-:class:`TraceArrivalProcess` makes a recorded trace a drop-in arrival
-generator, selected with ``workload.arrival_process = "trace"`` plus
-``workload.arrival_trace = <path>``.
+files (one batch object per line) with :func:`save_trace_jsonl`.
+
+A JSONL file is the one replay input: the ``"trace"`` entry in
+:data:`~repro.workload.arrivals.ARRIVAL_PROCESSES`, selected with
+``workload.arrival_process = "trace"`` plus ``workload.arrival_trace =
+<path>``, loads it (:func:`load_trace_jsonl` validates every line) into a
+:class:`TraceArrivalProcess`.  Replay draws no randomness, so two
+sessions over one file see the same arrivals whatever their seeds.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Union
@@ -26,7 +30,6 @@ __all__ = [
     "ArrivalTrace",
     "TraceArrivalProcess",
     "record_trace",
-    "replay_trace",
     "save_trace_jsonl",
     "load_trace_jsonl",
 ]
@@ -183,26 +186,17 @@ def load_trace_jsonl(path: Union[str, Path]) -> ArrivalTrace:
                 raise WorkloadError(
                     f"{path}:{lineno}: non-numeric time or sizes"
                 ) from exc
-            if not sizes or any(s <= 0 for s in sizes):
+            # json.loads parses NaN/Infinity tokens, and NaN compares
+            # false against every bound, so test finiteness explicitly.
+            if not math.isfinite(time) or time < 0:
                 raise WorkloadError(
-                    f"{path}:{lineno}: batches need >= 1 positive size"
+                    f"{path}:{lineno}: time must be finite and >= 0"
+                )
+            if not sizes or any(
+                not math.isfinite(s) or s <= 0 for s in sizes
+            ):
+                raise WorkloadError(
+                    f"{path}:{lineno}: batches need >= 1 finite positive size"
                 )
             batches.append(ArrivalBatch(time=time, sizes=sizes))
     return ArrivalTrace(tuple(batches))
-
-
-def replay_trace(
-    env: Environment,
-    trace: ArrivalTrace,
-    on_batch: Callable[[ArrivalBatch], None],
-):
-    """Process: deliver a recorded trace at its original timestamps."""
-    for batch in trace:
-        delay = batch.time - env.now
-        if delay < 0:
-            raise WorkloadError(
-                f"batch at t={batch.time} is in the past (now={env.now})"
-            )
-        if delay > 0:
-            yield env.timeout(delay)
-        on_batch(batch)

@@ -506,6 +506,29 @@ class TestKb:
         snapshot = json.loads(capsys.readouterr().out)
         assert any(f["provenance"] == "refit" for f in snapshot["facts"])
 
+    @pytest.mark.parametrize("estimates", ["static", "adaptive"])
+    def test_dag_dump_shows_node_scoped_facts(self, capsys, estimates):
+        # The estimates came from the fan-out's 16 (workflow/step, stage)
+        # facts, not from its entry application's own stages.
+        assert main(["kb", "--preset", "fanout", "--estimates", estimates,
+                     "--duration", "100", "--json"]) == 0
+        facts = json.loads(capsys.readouterr().out)["facts"]
+        assert len(facts) == 16
+        assert all(f["app"].startswith("star_fanout/") for f in facts)
+
+    def test_adaptive_dump_leaves_epoch_unchanged(self, capsys):
+        from repro.core.presets import make_preset
+        from repro.sim.session import SimulationSession
+
+        assert main(["kb", "--preset", "fanout", "--estimates", "adaptive",
+                     "--duration", "100", "--json"]) == 0
+        dumped = json.loads(capsys.readouterr().out)["epoch"]
+        session = SimulationSession(make_preset("fanout").with_overrides(
+            knowledge={"provider": "adaptive"}, simulation={"duration": 100.0}
+        ))
+        session.run(seed=0)
+        assert dumped == session.plane.epoch
+
     def test_snapshot_out_and_diff_round_trip(self, capsys, tmp_path):
         before = tmp_path / "before.json"
         after = tmp_path / "after.json"

@@ -152,14 +152,6 @@ class TestFailurePropagation:
         event.defuse()
         env.run()  # must not raise
 
-    def test_trigger_adopts_other_events_outcome(self, env):
-        source = env.event()
-        sink = env.event()
-        source.callbacks.append(sink.trigger)
-        source.succeed(7)
-        env.run()
-        assert sink.value == 7
-
 
 class TestFastLoop:
     """``run`` inlines the pop loop only when ``step`` is untouched.

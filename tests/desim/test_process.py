@@ -3,7 +3,7 @@
 import pytest
 
 from repro.desim.engine import Environment
-from repro.desim.process import AllOf, AnyOf, Interrupt, Process, ProcessError
+from repro.desim.process import Interrupt, Process, ProcessError
 
 
 class TestProcessBasics:
@@ -156,51 +156,3 @@ class TestInterrupt:
         env.process(proc(env))
         with pytest.raises(ProcessError):
             env.run()
-
-
-class TestConditions:
-    def test_all_of_waits_for_every_event(self, env):
-        def proc(env):
-            t1 = env.timeout(1, value="a")
-            t2 = env.timeout(3, value="b")
-            results = yield AllOf(env, [t1, t2])
-            return (env.now, sorted(results.values()))
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == (3.0, ["a", "b"])
-
-    def test_any_of_fires_on_first(self, env):
-        def proc(env):
-            slow = env.timeout(10, value="slow")
-            fast = env.timeout(2, value="fast")
-            results = yield AnyOf(env, [slow, fast])
-            return (env.now, list(results.values()))
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == (2.0, ["fast"])
-
-    def test_all_of_empty_fires_immediately(self, env):
-        def proc(env):
-            yield AllOf(env, [])
-            return env.now
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == 0.0
-
-    def test_all_of_fails_fast_on_failure(self, env):
-        def failer(env):
-            yield env.timeout(1)
-            raise RuntimeError("sub-process died")
-
-        def proc(env):
-            try:
-                yield AllOf(env, [env.process(failer(env)), env.timeout(50)])
-            except RuntimeError as exc:
-                return f"caught: {exc}"
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == "caught: sub-process died"

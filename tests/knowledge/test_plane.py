@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.amdahl import amdahl_time
 from repro.core.bus import EventBus, StageCompleted
-from repro.core.errors import KnowledgeBaseError
+from repro.core.errors import ConfigurationError, KnowledgeBaseError
 from repro.knowledge.kb import SCANKnowledgeBase
 from repro.knowledge.plane import (
     ESTIMATE_PROVIDERS,
@@ -21,6 +21,7 @@ from repro.knowledge.plane import (
 )
 from repro.knowledge.profiles import ProfileObservation
 from repro.ontology.scan_ontology import build_scan_ontology
+from repro.workflows.compiled import chain_of
 
 
 def fact(app="gatk", stage=0, a=2.0, b=1.0, c=0.9, **kw):
@@ -85,15 +86,25 @@ class TestKnowledgePlane:
         assert plane.install([]) == 1
         assert plane.epoch == 1
 
-    def test_seed_from_model_copies_coefficients(self, gatk_model):
+    def test_seed_from_workflow_copies_coefficients(self, gatk_model):
         plane = KnowledgePlane()
-        plane.seed_from_model(gatk_model)
+        plane.seed_from_workflow(chain_of(gatk_model))
         assert len(plane) == gatk_model.n_stages
         for stage in gatk_model.stages:
             f = plane.get(gatk_model.name, stage.index)
             assert (f.a, f.b, f.c) == (stage.a, stage.b, stage.c)
             assert f.provenance == "model"
             assert f.samples == 0
+
+    def test_seed_from_workflow_fills_only_missing_nodes(self, gatk_model):
+        plane = KnowledgePlane()
+        plane.install([fact(app=gatk_model.name, stage=0, a=9.0,
+                            provenance="refit")])
+        assert plane.seed_from_workflow(chain_of(gatk_model)) == 2
+        assert plane.get(gatk_model.name, 0).provenance == "refit"
+        assert len(plane) == gatk_model.n_stages
+        # Every node covered: nothing installed, the epoch stays put.
+        assert plane.seed_from_workflow(chain_of(gatk_model)) == 2
 
     def test_facts_sorted_and_filtered(self):
         plane = KnowledgePlane()
@@ -111,7 +122,7 @@ class TestKnowledgePlane:
 
     def test_snapshot_shape(self, gatk_model):
         plane = KnowledgePlane()
-        plane.seed_from_model(gatk_model)
+        plane.seed_from_workflow(chain_of(gatk_model))
         snap = plane.snapshot()
         assert snap["epoch"] == 1
         assert len(snap["facts"]) == gatk_model.n_stages
@@ -157,7 +168,7 @@ class TestSeedFromProfiles:
 class TestPersistence:
     def test_ontology_round_trip(self, gatk_model):
         plane = KnowledgePlane()
-        plane.seed_from_model(gatk_model)
+        plane.seed_from_workflow(chain_of(gatk_model))
         plane.install([fact(stage=0, a=2.5, b=0.5, provenance="refit",
                             samples=17, confidence=0.75)])
         ontology = build_scan_ontology(include_gene_ontology=False)
@@ -187,12 +198,12 @@ class TestPersistence:
 class TestDiffSnapshots:
     def test_identical_snapshots_diff_empty(self, gatk_model):
         plane = KnowledgePlane()
-        plane.seed_from_model(gatk_model)
+        plane.seed_from_workflow(chain_of(gatk_model))
         assert diff_snapshots(plane.snapshot(), plane.snapshot()) == []
 
     def test_changed_fact_and_epoch_reported(self, gatk_model):
         plane = KnowledgePlane()
-        plane.seed_from_model(gatk_model)
+        plane.seed_from_workflow(chain_of(gatk_model))
         before = plane.snapshot()
         plane.install([fact(app=gatk_model.name, stage=0, a=99.0,
                             provenance="refit", samples=8)])
@@ -364,7 +375,9 @@ class TestProviders:
         assert "adaptive" in names
 
     def test_static_matches_application_model_exactly(self, gatk_model):
-        provider = make_estimate_provider("static", app=gatk_model)
+        provider = make_estimate_provider(
+            "static", workflow=chain_of(gatk_model)
+        )
         assert isinstance(provider, StaticEstimateProvider)
         assert provider.epoch == 0
         assert provider.n_stages == gatk_model.n_stages
@@ -377,15 +390,16 @@ class TestProviders:
 
     def test_adaptive_cold_plane_matches_static(self, gatk_model):
         plane = KnowledgePlane()
-        adaptive = make_estimate_provider("adaptive", app=gatk_model, plane=plane)
-        static = make_estimate_provider("static", app=gatk_model)
+        chain = chain_of(gatk_model)
+        adaptive = make_estimate_provider("adaptive", workflow=chain, plane=plane)
+        static = make_estimate_provider("static", workflow=chain)
         assert len(plane) == gatk_model.n_stages  # auto-seeded
         for stage in range(gatk_model.n_stages):
             assert adaptive.eet(stage, 7.5, 4) == static.eet(stage, 7.5, 4)
 
     def test_adaptive_tracks_installed_facts(self, gatk_model):
         plane = KnowledgePlane()
-        provider = AdaptiveEstimateProvider(gatk_model, plane)
+        provider = AdaptiveEstimateProvider(chain_of(gatk_model), plane)
         before = provider.eet(0, 5.0, 1)
         epoch0 = provider.epoch
         plane.install([fact(app=gatk_model.name, stage=0, a=100.0, b=0.0,
@@ -396,7 +410,7 @@ class TestProviders:
 
     def test_adaptive_keeps_untouched_model_objects(self, gatk_model):
         plane = KnowledgePlane()
-        provider = AdaptiveEstimateProvider(gatk_model, plane)
+        provider = AdaptiveEstimateProvider(chain_of(gatk_model), plane)
         before = [provider.stage_model(i) for i in range(gatk_model.n_stages)]
         plane.install([fact(app=gatk_model.name, stage=2, a=9.0, b=1.0,
                             provenance="refit")])
@@ -408,13 +422,12 @@ class TestProviders:
                 assert after[i] is before[i]
 
     def test_workflow_adaptive_keeps_untouched_model_objects(self):
-        from repro.knowledge.plane import WorkflowAdaptiveProvider
         from repro.workflows.compiled import compile_spec
         from repro.workflows.library import make_workflow
 
         wf = compile_spec(make_workflow("star_fanout"))
         plane = KnowledgePlane()
-        provider = WorkflowAdaptiveProvider(wf, plane)
+        provider = AdaptiveEstimateProvider(wf, plane)
         before = [provider.stage_model(i) for i in range(wf.n_nodes)]
         touched = {0, wf.n_nodes - 1}
         plane.install(
@@ -432,7 +445,9 @@ class TestProviders:
 
     def test_adaptive_requires_a_plane(self, gatk_model):
         with pytest.raises(KnowledgeBaseError):
-            make_estimate_provider("adaptive", app=gatk_model, plane=None)
+            make_estimate_provider(
+                "adaptive", workflow=chain_of(gatk_model), plane=None
+            )
 
     def test_fact_provider_uses_unclamped_prediction(self):
         plane = KnowledgePlane()
@@ -477,34 +492,27 @@ class TestWorkflowProviders:
         return compile_spec(star_fanout_workflow())
 
     def test_factory_maps_kinds(self):
-        from repro.knowledge.plane import (
-            WorkflowAdaptiveProvider,
-            WorkflowStaticProvider,
-            make_workflow_provider,
-        )
-
         wf = self._fanout()
         assert isinstance(
-            make_workflow_provider("static", wf), WorkflowStaticProvider
+            make_estimate_provider("static", workflow=wf),
+            StaticEstimateProvider,
         )
         assert isinstance(
-            make_workflow_provider("adaptive", wf, plane=KnowledgePlane()),
-            WorkflowAdaptiveProvider,
+            make_estimate_provider(
+                "adaptive", workflow=wf, plane=KnowledgePlane()
+            ),
+            AdaptiveEstimateProvider,
         )
-        with pytest.raises(KnowledgeBaseError, match="workflow-scoped"):
-            make_workflow_provider("fact", wf, plane=KnowledgePlane())
+        with pytest.raises(ConfigurationError, match="static"):
+            make_estimate_provider("fact", workflow=wf, plane=KnowledgePlane())
 
     def test_adaptive_requires_plane(self):
-        from repro.knowledge.plane import WorkflowAdaptiveProvider
-
         with pytest.raises(KnowledgeBaseError):
-            WorkflowAdaptiveProvider(self._fanout(), None)
+            AdaptiveEstimateProvider(self._fanout(), None)
 
     def test_static_serves_node_models_exactly(self):
-        from repro.knowledge.plane import WorkflowStaticProvider
-
         wf = self._fanout()
-        provider = WorkflowStaticProvider(wf)
+        provider = StaticEstimateProvider(wf)
         assert provider.n_stages == wf.n_nodes
         for i in range(wf.n_nodes):
             assert provider.stage_model(i) is wf.node(i).model
@@ -513,11 +521,9 @@ class TestWorkflowProviders:
             )
 
     def test_adaptive_seeds_cold_plane_per_scope(self):
-        from repro.knowledge.plane import WorkflowAdaptiveProvider
-
         wf = self._fanout()
         plane = KnowledgePlane()
-        WorkflowAdaptiveProvider(wf, plane)
+        AdaptiveEstimateProvider(wf, plane)
         scopes = {f.app for f in plane.facts()}
         assert scopes == {
             "star_fanout/align", "star_fanout/germline",
@@ -528,12 +534,9 @@ class TestWorkflowProviders:
         """The acceptance scenario: one run's observations drive the two
         fan-out branches to DIFFERENT fitted coefficients, because facts
         are keyed by (workflow/step, app_stage) scope -- not by tool."""
-        from repro.core.bus import EventBus, StageCompleted
-        from repro.knowledge.plane import WorkflowAdaptiveProvider
-
         wf = self._fanout()
         plane = KnowledgePlane()
-        provider = WorkflowAdaptiveProvider(wf, plane)
+        provider = AdaptiveEstimateProvider(wf, plane)
         bus = EventBus()
         OnlineRefitter(plane, refit_every=4, min_samples=4).attach(bus)
 

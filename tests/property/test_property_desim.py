@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from repro.desim.engine import Environment
 from repro.desim.monitor import TimeWeightedMonitor
-from repro.desim.resources import Resource, Store
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
@@ -37,52 +36,6 @@ def test_sequential_process_time_is_sum_of_delays(delays):
     p = env.process(proc(env))
     env.run()
     assert abs(p.value - sum(delays)) < 1e-6 * max(len(delays), 1)
-
-
-@given(
-    capacity=st.integers(min_value=1, max_value=8),
-    holds=st.lists(
-        st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=30
-    ),
-)
-@settings(max_examples=30, deadline=None)
-def test_resource_never_exceeds_capacity(capacity, holds):
-    env = Environment()
-    res = Resource(env, capacity=capacity)
-    max_seen = [0]
-
-    def user(env, res, hold):
-        with res.request() as req:
-            yield req
-            max_seen[0] = max(max_seen[0], res.count)
-            yield env.timeout(hold)
-
-    for hold in holds:
-        env.process(user(env, res, hold))
-    env.run()
-    assert max_seen[0] <= capacity
-    assert res.count == 0  # everything released
-
-
-@given(items=st.lists(st.integers(), min_size=0, max_size=50))
-@settings(max_examples=50, deadline=None)
-def test_store_preserves_fifo_order_and_loses_nothing(items):
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env, store):
-        for item in items:
-            yield store.put(item)
-
-    def consumer(env, store):
-        for _ in items:
-            received.append((yield store.get()))
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert received == items
 
 
 @given(

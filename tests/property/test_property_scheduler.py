@@ -39,7 +39,7 @@ configs = st.fixed_dictionaries(
 )
 
 
-def run_session(params):
+def run_session(params, on_build=None):
     config = PlatformConfig.paper_defaults().with_overrides(
         simulation={"duration": 60.0},
         workload={
@@ -57,7 +57,7 @@ def run_session(params):
             "scaling": params["scaling"],
         },
     )
-    session = SimulationSession(config)
+    session = SimulationSession(config, on_build=on_build)
     result = session.run(seed=params["seed"])
     return session, result
 
@@ -101,7 +101,20 @@ def test_every_job_is_complete_or_in_flight(params):
 @given(params=configs)
 @settings(max_examples=25, deadline=None)
 def test_live_worker_cores_match_tier_accounting(params):
-    session, _result = run_session(params)
+    deployed = []
+
+    def record_deploys(session):
+        celar = session.scheduler.celar
+        deploy = celar.deploy
+
+        def recording(cores, tier):
+            vm = deploy(cores, tier)
+            deployed.append(vm)
+            return vm
+
+        celar.deploy = recording
+
+    session, _result = run_session(params, on_build=record_deploys)
     scheduler = session.scheduler
     pools = scheduler.pools
     alive = sum(w.cores for w in pools.idle_workers) + sum(
@@ -109,7 +122,7 @@ def test_live_worker_cores_match_tier_accounting(params):
     )
     booting = sum(
         vm.cores
-        for vm in scheduler.celar.alive_vms()
+        for vm in deployed
         if vm.state.value == "booting"
     )
     assert scheduler.infrastructure.total_cores_in_use() == alive + booting

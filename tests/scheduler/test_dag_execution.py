@@ -13,7 +13,7 @@ from repro.cloud.celar import CelarManager
 from repro.cloud.infrastructure import Infrastructure
 from repro.core.config import SchedulerConfig
 from repro.desim.engine import Environment
-from repro.knowledge.plane import StaticEstimateProvider, WorkflowStaticProvider
+from repro.knowledge.plane import StaticEstimateProvider
 from repro.scheduler.allocation import BestConstantAllocation
 from repro.scheduler.estimator import PipelineEstimator
 from repro.scheduler.rewards import TimeReward
@@ -166,12 +166,16 @@ class TestDefaultProvider:
     def test_dag_gets_workflow_scoped_provider(self, fanout):
         app = star_fanout_workflow().registry.get("star")
         estimator = PipelineEstimator(app, workflow=fanout)
-        assert isinstance(estimator.estimates, WorkflowStaticProvider)
+        assert isinstance(estimator.estimates, StaticEstimateProvider)
+        assert estimator.estimates.workflow is fanout
         assert estimator.estimates.n_stages == fanout.n_nodes
 
-    def test_chain_keeps_app_provider(self, gatk_model):
-        estimator = PipelineEstimator(gatk_model, workflow=chain_of(gatk_model))
+    def test_chain_serves_app_stage_models(self, gatk_model):
+        estimator = PipelineEstimator(gatk_model)
         assert isinstance(estimator.estimates, StaticEstimateProvider)
+        assert estimator.estimates.workflow is chain_of(gatk_model)
+        for i in range(gatk_model.n_stages):
+            assert estimator.estimates.stage_model(i) is gatk_model.stage(i)
 
 
 class TestSchedulerRunsDags:

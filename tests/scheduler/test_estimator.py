@@ -10,6 +10,7 @@ from repro.scheduler.queues import StageQueue
 from repro.scheduler.rewards import ThroughputReward, TimeReward
 from repro.scheduler.tasks import Job, StageTask
 from repro.apps.base import ExecutionPlan
+from repro.workflows.compiled import chain_of
 
 
 @pytest.fixture
@@ -91,7 +92,7 @@ class TestEETMemoEpochs:
         )
 
         plane = KnowledgePlane()
-        provider = AdaptiveEstimateProvider(gatk_model, plane)
+        provider = AdaptiveEstimateProvider(chain_of(gatk_model), plane)
         estimator = PipelineEstimator(gatk_model, estimates=provider)
         before = estimator.eet(0, 5.0, threads=1)
         plane.install([StageFact(app=gatk_model.name, stage=0,
@@ -110,7 +111,7 @@ class TestEETMemoEpochs:
         )
 
         plane = KnowledgePlane()
-        provider = AdaptiveEstimateProvider(gatk_model, plane)
+        provider = AdaptiveEstimateProvider(chain_of(gatk_model), plane)
         estimator = PipelineEstimator(gatk_model, estimates=provider)
         untouched = estimator.eet(1, 5.0, threads=2)
         estimator.eet(3, 5.0, threads=2)
@@ -130,16 +131,16 @@ class TestEETMemoEpochs:
 
     def test_bump_keeps_untouched_dag_nodes_memoised(self):
         from repro.knowledge.plane import (
+            AdaptiveEstimateProvider,
             KnowledgePlane,
             StageFact,
-            WorkflowAdaptiveProvider,
         )
         from repro.workflows.compiled import compile_spec
         from repro.workflows.library import make_workflow
 
         wf = compile_spec(make_workflow("star_fanout"))
         plane = KnowledgePlane()
-        provider = WorkflowAdaptiveProvider(wf, plane)
+        provider = AdaptiveEstimateProvider(wf, plane)
         app = wf.as_app()
         estimator = PipelineEstimator(app, estimates=provider, workflow=wf)
         before = {i: estimator.eet(i, 7.5, threads=4) for i in range(wf.n_nodes)}
@@ -164,11 +165,11 @@ class TestEETMemoEpochs:
         # FactProvider builds a new model on every stage_model call, so
         # an epoch bump can prove nothing unchanged: everything misses.
         plane = KnowledgePlane()
-        plane.seed_from_model(gatk_model)
+        plane.seed_from_workflow(chain_of(gatk_model))
         provider = FactProvider(plane, gatk_model.name)
         estimator = PipelineEstimator(gatk_model, estimates=provider)
         estimator.eet(1, 5.0)
-        plane.seed_from_model(gatk_model)
+        plane.install(plane.facts(gatk_model.name))  # same values, new epoch
         misses = estimator.cache_misses
         estimator.eet(1, 5.0)
         assert estimator.cache_misses == misses + 1
@@ -336,19 +337,19 @@ class TestChainEETRow:
 
         plane = KnowledgePlane()
         if fresh_models:
-            plane.seed_from_model(gatk_model)
+            plane.seed_from_workflow(chain_of(gatk_model))
             provider = FactProvider(plane, gatk_model.name)
         else:
-            provider = AdaptiveEstimateProvider(gatk_model, plane)
+            provider = AdaptiveEstimateProvider(chain_of(gatk_model), plane)
         est = PipelineEstimator(gatk_model, eqt_alpha=0.5, estimates=provider)
         # The second estimator sees different stage-2 facts from the start.
         other_plane = KnowledgePlane()
-        other_plane.seed_from_model(gatk_model)
+        other_plane.seed_from_workflow(chain_of(gatk_model))
         other_plane.install([StageFact(app=gatk_model.name, stage=2, a=3.0,
                                        b=1.0, c=0.5, provenance="refit")])
         other = PipelineEstimator(
             gatk_model,
-            estimates=AdaptiveEstimateProvider(gatk_model, other_plane),
+            estimates=AdaptiveEstimateProvider(chain_of(gatk_model), other_plane),
         )
         jobs = [
             Job(app=gatk_model, size=size, submit_time=0.0)

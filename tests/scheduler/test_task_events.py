@@ -38,6 +38,7 @@ def test_starts_and_finishes_alternate_per_worker(preset, duration):
     events, scheduler = _run(preset, duration)
     running: dict[int, TaskStarted] = {}
     outcomes = set()
+    losses = 0
     for event in events:
         if isinstance(event, TaskStarted):
             assert event.worker not in running, event
@@ -46,8 +47,11 @@ def test_starts_and_finishes_alternate_per_worker(preset, duration):
             started = running.pop(event.worker)
             assert (started.job, started.stage) == (event.job, event.stage)
             outcomes.add(event.outcome)
+            losses += event.outcome == "speculative_loss"
     assert len(running) == len(scheduler._executing)
     assert set(running) == {w.uid for w in scheduler._executing}
     assert "completed" in outcomes
     if preset == "chaos":
         assert {"vm_failure", "corrupted", "speculative_loss"} <= outcomes
+        # A twin cancelled while still queued never ran, so lost no race.
+        assert scheduler.speculation.lost == losses

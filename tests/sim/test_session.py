@@ -12,7 +12,7 @@ from repro.core.config import (
 )
 from repro.sim.session import SimulationSession, run_repetitions
 from repro.workload.arrivals import BatchArrivalProcess
-from repro.workload.traces import record_trace
+from repro.workload.traces import record_trace, save_trace_jsonl
 
 
 def short_config(**workload):
@@ -92,31 +92,37 @@ class TestSingleRun:
         assert SimulationSession(short_config()).run(seed=1) == captured
 
 
+def trace_config(config, tmp_path, seed):
+    """*config* replaying a 150 TU trace recorded from its own workload."""
+    trace = record_trace(
+        BatchArrivalProcess(config.workload, np.random.default_rng(seed)),
+        duration=150.0,
+    )
+    path = tmp_path / "arrivals.jsonl"
+    save_trace_jsonl(path, trace)
+    replay = config.with_overrides(
+        workload={"arrival_process": "trace", "arrival_trace": str(path)}
+    )
+    return replay, trace
+
+
 class TestTraceRuns:
-    def test_same_trace_same_arrivals(self):
-        config = short_config()
-        proc = BatchArrivalProcess(
-            config.workload, np.random.default_rng(11)
-        )
-        trace = record_trace(proc, duration=150.0)
-        a = SimulationSession(config).run_trace(trace)
-        b = SimulationSession(config).run_trace(trace)
+    def test_same_trace_same_arrivals(self, tmp_path):
+        config, trace = trace_config(short_config(), tmp_path, seed=11)
+        a = SimulationSession(config).run(seed=0)
+        b = SimulationSession(config).run(seed=0)
         assert a.submitted_runs == b.submitted_runs == trace.n_jobs
         assert a.total_reward == b.total_reward
 
-    def test_paired_policy_comparison(self):
+    def test_paired_policy_comparison(self, tmp_path):
         """Two policies on one trace: any metric difference is pure policy."""
-        config = short_config()
-        trace = record_trace(
-            BatchArrivalProcess(config.workload, np.random.default_rng(12)),
-            duration=150.0,
-        )
+        config, _trace = trace_config(short_config(), tmp_path, seed=12)
         never = SimulationSession(
             config.with_overrides(scheduler={"scaling": ScalingAlgorithm.NEVER})
-        ).run_trace(trace)
+        ).run(seed=0)
         always = SimulationSession(
             config.with_overrides(scheduler={"scaling": ScalingAlgorithm.ALWAYS})
-        ).run_trace(trace)
+        ).run(seed=0)
         assert never.submitted_runs == always.submitted_runs
         assert never.hires_public == 0
 

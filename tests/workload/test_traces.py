@@ -7,7 +7,7 @@ from repro.core.config import WorkloadConfig
 from repro.core.errors import WorkloadError
 from repro.desim.engine import Environment
 from repro.workload.arrivals import ArrivalBatch, BatchArrivalProcess
-from repro.workload.traces import ArrivalTrace, record_trace, replay_trace
+from repro.workload.traces import ArrivalTrace, record_trace
 
 
 def make_trace():
@@ -42,44 +42,6 @@ class TestTrace:
         assert trace.duration == 0.0
 
 
-class TestReplay:
-    def test_replay_preserves_timestamps(self):
-        trace = make_trace()
-        env = Environment()
-        seen = []
-        env.process(replay_trace(env, trace, lambda b: seen.append((env.now, b))))
-        env.run()
-        assert len(seen) == len(trace)
-        for (now, batch), original in zip(seen, trace):
-            assert now == pytest.approx(original.time)
-            assert batch is original
-
-    def test_replay_twice_identical(self):
-        """The paired-comparison property: two replays see the same load."""
-        trace = make_trace()
-        results = []
-        for _ in range(2):
-            env = Environment()
-            seen = []
-            env.process(replay_trace(env, trace, lambda b: seen.append(b.time)))
-            env.run()
-            results.append(seen)
-        assert results[0] == results[1]
-
-    def test_past_batch_rejected(self):
-        env = Environment()
-        env.timeout(10)
-        env.run(until=10.0)
-        trace = ArrivalTrace((ArrivalBatch(time=5.0, sizes=(1.0,)),))
-
-        def run():
-            env.process(replay_trace(env, trace, lambda b: None))
-            env.run()
-
-        with pytest.raises(WorkloadError):
-            run()
-
-
 class TestJsonlRoundTrip:
     def test_save_load_round_trip(self, tmp_path):
         from repro.workload.traces import load_trace_jsonl, save_trace_jsonl
@@ -112,6 +74,11 @@ class TestJsonlRoundTrip:
         ('{"time": 1.0, "sizes": [1.0, "big"]}', "non-numeric"),
         ('{"time": 1.0, "sizes": []}', "positive size"),
         ('{"time": 1.0, "sizes": [0.0]}', "positive size"),
+        ('{"time": NaN, "sizes": [1.0]}', "time must be finite"),
+        ('{"time": Infinity, "sizes": [1.0]}', "time must be finite"),
+        ('{"time": -1.0, "sizes": [1.0]}', "time must be finite"),
+        ('{"time": 1.0, "sizes": [NaN]}', "finite positive size"),
+        ('{"time": 1.0, "sizes": [Infinity]}', "finite positive size"),
     ])
     def test_malformed_line_names_position(self, tmp_path, line, complaint):
         from repro.workload.traces import load_trace_jsonl
