@@ -18,7 +18,8 @@ spelled out.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 from repro.core.errors import CloudError
 from repro.desim.engine import Environment
@@ -228,7 +229,7 @@ class Infrastructure:
         from repro.cloud.tiers import TIER_PLACEMENT
 
         self.placement = placement
-        self._place = TIER_PLACEMENT.create(self.placement)
+        self._order = TIER_PLACEMENT.create(self.placement)
 
     # -- tier access ------------------------------------------------------------
     @property
@@ -248,7 +249,7 @@ class Infrastructure:
                 f"unknown tier {name!r}; configured: {list(self._by_name)}"
             ) from None
 
-    @property
+    @cached_property
     def base(self) -> CloudTier:
         """The base tier: first non-elastic tier, else the first tier.
 
@@ -267,10 +268,33 @@ class Infrastructure:
 
     def cheapest_elastic(self) -> Optional[CloudTier]:
         """The cheapest elastic tier (ties keep configured order)."""
-        elastic = self.elastic_tiers()
-        if not elastic:
-            return None
-        return min(elastic, key=lambda t: t.core_cost_per_tu)
+        return self._cheapest_elastic
+
+    # Roles, prices and caps are fixed once the stack is built, so each
+    # fact placement and costing read is computed on first use and kept.
+    # ``_order_*`` are placement's try orders over all, non-elastic and
+    # elastic tiers.
+    @cached_property
+    def _cheapest_elastic(self) -> Optional[CloudTier]:
+        return min(
+            self.elastic_tiers(), key=lambda t: t.core_cost_per_tu, default=None
+        )
+
+    @cached_property
+    def _duration_caps(self) -> bool:
+        return any(t.caps().get("max_duration_tu") for t in self._tiers)
+
+    @cached_property
+    def _order_all(self) -> tuple[CloudTier, ...]:
+        return self._order(self._tiers)
+
+    @cached_property
+    def _order_fixed(self) -> tuple[CloudTier, ...]:
+        return self._order([t for t in self._tiers if not t.elastic])
+
+    @cached_property
+    def _order_elastic(self) -> tuple[CloudTier, ...]:
+        return self._order(self.elastic_tiers())
 
     @property
     def private(self) -> CloudTier:
@@ -297,24 +321,18 @@ class Infrastructure:
         ``duration_tu``, when known, lets duration-capped backends
         (serverless) reject at placement.
         """
-        candidates: Iterable[CloudTier] = (
-            self._tiers
-            if allow_public
-            else [t for t in self._tiers if not t.elastic]
-        )
-        chosen = self._place(candidates, cores, duration_tu)
-        return chosen.name if chosen is not None else None
+        order = self._order_all if allow_public else self._order_fixed
+        return _first_fitting(order, cores, duration_tu)
 
     def place_elastic(
         self, cores: int, duration_tu: Optional[float] = None
     ) -> Optional[str]:
         """Placement restricted to elastic tiers (scaling-policy side)."""
-        chosen = self._place(self.elastic_tiers(), cores, duration_tu)
-        return chosen.name if chosen is not None else None
+        return _first_fitting(self._order_elastic, cores, duration_tu)
 
     def has_duration_caps(self) -> bool:
         """Whether any tier caps per-allocation duration (serverless)."""
-        return any(t.caps().get("max_duration_tu") for t in self._tiers)
+        return self._duration_caps
 
     # -- allocation -------------------------------------------------------------
     def allocate(self, cores: int, tier) -> None:
@@ -355,3 +373,16 @@ class Infrastructure:
     def describe(self) -> list[dict]:
         """Per-tier configuration dump (``scan-sim tiers``)."""
         return [t.describe() for t in self._tiers]
+
+
+def _first_fitting(
+    order: Sequence[CloudTier], cores: int, duration_tu: Optional[float]
+) -> Optional[str]:
+    """Name of the first tier in *order* that fits *cores*, else ``None``."""
+    for tier in order:
+        if (
+            cores <= tier.cores_free
+            and tier.placement_check(cores, duration_tu) is None
+        ):
+            return tier.name
+    return None

@@ -11,7 +11,8 @@ are not.  This module turns "a tier" into a plugin family:
   a preemptible tier whose evictions are a first-class fault stream with
   price-correlated intensity.
 - :data:`TIER_PLACEMENT` -- a registry of placement policies over an
-  ordered tier stack.  ``cheapest_first`` reproduces the paper's
+  ordered tier stack.  A policy is a try order: placement takes the
+  first tier in it that fits.  ``cheapest_first`` reproduces the paper's
   private-first placement for the default configuration; ``first_fit``
   honours the configured order verbatim.
 
@@ -47,8 +48,9 @@ __all__ = [
 #: Plugin registry of tier backends: ``(env, name, **params) -> CloudTier``.
 TIER_BACKENDS: "Registry[CloudTier]" = Registry("tier_backend")
 
-#: Plugin registry of placement policies:
-#: ``() -> (tiers, cores, duration_tu) -> Optional[CloudTier]``.
+#: Plugin registry of placement policies: ``() -> (tiers) -> tuple``, the
+#: order in which placement tries *tiers*.  The stack computes each order
+#: once, on first use.
 TIER_PLACEMENT: "Registry[Any]" = Registry("tier_placement")
 
 
@@ -274,13 +276,6 @@ def _spot(
 
 
 # -- placement policies -------------------------------------------------------
-def _fits(tier: CloudTier, cores: int, duration_tu: Optional[float]) -> bool:
-    return (
-        cores <= tier.cores_free
-        and tier.placement_check(cores, duration_tu) is None
-    )
-
-
 @TIER_PLACEMENT.register("cheapest_first")
 def _cheapest_first():
     """Cheapest fitting tier wins; price ties keep configured order.
@@ -289,32 +284,16 @@ def _cheapest_first():
     paper's private-first placement.
     """
 
-    def place(
-        tiers: Iterable[CloudTier], cores: int,
-        duration_tu: Optional[float] = None,
-    ) -> Optional[CloudTier]:
-        for tier in sorted(tiers, key=lambda t: t.core_cost_per_tu):
-            if _fits(tier, cores, duration_tu):
-                return tier
-        return None
+    def order(tiers: Iterable[CloudTier]) -> tuple[CloudTier, ...]:
+        return tuple(sorted(tiers, key=lambda t: t.core_cost_per_tu))
 
-    return place
+    return order
 
 
 @TIER_PLACEMENT.register("first_fit")
 def _first_fit():
     """First fitting tier in configured order, regardless of price."""
-
-    def place(
-        tiers: Iterable[CloudTier], cores: int,
-        duration_tu: Optional[float] = None,
-    ) -> Optional[CloudTier]:
-        for tier in tiers:
-            if _fits(tier, cores, duration_tu):
-                return tier
-        return None
-
-    return place
+    return tuple
 
 
 # -- config glue --------------------------------------------------------------

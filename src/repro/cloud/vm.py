@@ -97,12 +97,6 @@ class VirtualMachine:
             self.cores = new_cores
         self.state = VMState.BOOTING
 
-    def resize(self, new_cores: int):
-        """Process: shut down, change vCPU count, restart (CELAR resize)."""
-        self.reshape(new_cores)
-        yield from self.boot()
-        return self
-
     def mark_busy(self) -> None:
         """Transition READY -> BUSY (taking a task)."""
         if self.state is not VMState.READY:

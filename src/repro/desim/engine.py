@@ -177,16 +177,11 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulated time; only the event loop advances it.
+        self.now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process = None  # set by Process during resume
-
-    # -- clock ------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
 
     @property
     def active_process(self):
@@ -216,7 +211,7 @@ class Environment:
         if event._scheduled:
             raise SimulationError(f"{event!r} is already scheduled")
         event._scheduled = True
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        heapq.heappush(self._queue, (self.now + delay, priority, self._seq, event))
         self._seq += 1
 
     def peek(self) -> float:
@@ -229,9 +224,9 @@ class Environment:
             when, _prio, _seq, event = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
-        if when < self._now:  # pragma: no cover - heap guarantees ordering
+        if when < self.now:  # pragma: no cover - heap guarantees ordering
             raise SimulationError("event scheduled in the past")
-        self._now = when
+        self.now = when
 
         callbacks, event.callbacks = event.callbacks, None
         assert callbacks is not None
@@ -263,9 +258,9 @@ class Environment:
                 until.callbacks.append(StopSimulation.callback)
             else:
                 at = float(until)
-                if at < self._now:
+                if at < self.now:
                     raise ValueError(
-                        f"until={at} lies in the past (now={self._now})"
+                        f"until={at} lies in the past (now={self.now})"
                     )
                 stop = Event(self)
                 stop._ok = True
@@ -289,7 +284,7 @@ class Environment:
                         when, _prio, _seq, event = pop(queue)
                     except IndexError:
                         raise EmptySchedule() from None
-                    self._now = when
+                    self.now = when
                     callbacks, event.callbacks = event.callbacks, None
                     for callback in callbacks:
                         callback(event)
@@ -310,4 +305,4 @@ class Environment:
         return stop_value
 
     def __repr__(self) -> str:
-        return f"<Environment now={self._now} pending={len(self._queue)}>"
+        return f"<Environment now={self.now} pending={len(self._queue)}>"

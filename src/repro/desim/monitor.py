@@ -8,9 +8,6 @@ the raw series inside one simulation; cross-run aggregation lives in
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
-
 import numpy as np
 
 __all__ = ["Monitor", "TimeWeightedMonitor", "CounterMonitor"]
@@ -110,6 +107,8 @@ class TimeWeightedMonitor:
 
     Suitable for queue lengths, busy cores, hired VMs: ``set_level`` at each
     change, then :meth:`time_average` gives the level's time-weighted mean.
+    Only the running area, duration and peak are kept, never the change
+    log, so a monitor costs the same bytes however often it changes.
     """
 
     def __init__(self, name: str = "", initial: float = 0.0, start_time: float = 0.0):
@@ -119,7 +118,6 @@ class TimeWeightedMonitor:
         self._area = 0.0
         self._duration = 0.0
         self._peak = float(initial)
-        self._changes: list[tuple[float, float]] = [(float(start_time), float(initial))]
 
     @property
     def level(self) -> float:
@@ -128,10 +126,6 @@ class TimeWeightedMonitor:
     @property
     def peak(self) -> float:
         return self._peak
-
-    @property
-    def changes(self) -> Sequence[tuple[float, float]]:
-        return tuple(self._changes)
 
     def set_level(self, time: float, level: float) -> None:
         """Record a level change at *time*."""
@@ -145,7 +139,6 @@ class TimeWeightedMonitor:
         self._last_time = time
         self._level = float(level)
         self._peak = max(self._peak, self._level)
-        self._changes.append((float(time), float(level)))
 
     def add(self, time: float, delta: float) -> None:
         """Shift the level by *delta* at *time*."""

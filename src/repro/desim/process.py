@@ -129,7 +129,13 @@ class Process(Event):
                 except StopIteration as stop:
                     self._ok = True
                     self._value = stop.value
-                    env.schedule(self)
+                    if self.callbacks:
+                        env.schedule(self)
+                    else:
+                        # Nobody waits: mark it processed now instead of
+                        # popping an empty callback list off the calendar.
+                        # A waiter that comes later continues at once.
+                        self.callbacks = None
                     return
                 except BaseException as exc:
                     self._ok = False

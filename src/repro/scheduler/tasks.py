@@ -9,12 +9,11 @@ count, as the paper's own model does (E_i is linear in d).
 
 Since the DAG refactor a job's unit of work is a
 :class:`~repro.workflows.compiled.CompiledWorkflow` node, not a pipeline
-stage index.  A plain application job still works exactly as before -- it
-lazily lowers its app into the cached chain workflow, where node ``i`` is
-stage ``i`` -- but a job constructed with an explicit workflow tracks
-completion as a *set* of finished nodes plus dependency release: a node
-becomes ready only when every parent node has completed, and independent
-branches are handed to the scheduler together.
+stage index.  A chain job (built with no workflow, or with a chain one)
+tracks progress by ``current_stage`` alone -- node ``i`` is stage ``i``
+-- while a DAG job tracks completion as a *set* of finished nodes plus
+dependency release: a node becomes ready only when every parent node has
+completed, and independent branches are handed to the scheduler together.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ class JobState(str, enum.Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageRecord:
     """What happened when one step (workflow node) of a job ran."""
 
@@ -109,9 +108,13 @@ class Job:
         #: The compiled workflow this job runs; ``None`` means "the app's
         #: own chain", lowered lazily on first access.
         self._workflow = workflow
-        #: Completed node indices, and nodes already handed to a queue.
-        self._done: set[int] = set()
-        self._released: set[int] = set()
+        #: DAG jobs only: completed node indices, and nodes already handed
+        #: to a queue.  A chain job's done nodes are ``range(current_stage)``,
+        #: so it keeps ``None`` here.  Decided once, here: the lazy
+        #: :attr:`workflow` cannot switch a running job's bookkeeping.
+        dag = workflow is not None and not workflow.is_chain
+        self._done: Optional[set[int]] = set() if dag else None
+        self._released: Optional[set[int]] = set() if dag else None
         #: ``(estimator, plan, generation, row)``: the chain ETT's
         #: per-stage EET row and what it is valid for; owned by
         #: :class:`~repro.scheduler.estimator.PipelineEstimator`.
@@ -141,6 +144,8 @@ class Job:
     @property
     def completed_steps(self) -> frozenset:
         """Indices of completed workflow nodes."""
+        if self._done is None:
+            return frozenset(range(self.current_stage))
         return frozenset(self._done)
 
     @property
@@ -169,6 +174,8 @@ class Job:
 
     def step_done(self, stage: int) -> bool:
         """Whether node *stage* has a completion record."""
+        if self._done is None:
+            return stage < self.current_stage
         return stage in self._done
 
     def start_steps(self) -> tuple[int, ...]:
@@ -177,8 +184,9 @@ class Job:
         Chain jobs start at node 0, exactly as before; DAG jobs fan every
         parentless node out at once.
         """
-        wf = self._workflow
-        entries = wf.entries if wf is not None else (0,)
+        if self._released is None:
+            return (0,)
+        entries = self._workflow.entries
         self._released.update(entries)
         return entries
 
@@ -190,13 +198,10 @@ class Job:
         ``[stage + 1]`` (or nothing at the end), matching the legacy
         next-stage enqueue.
         """
-        wf = self._workflow
-        if wf is None:
+        if self._released is None:
             nxt = stage + 1
-            if nxt < self.app.n_stages:
-                self._released.add(nxt)
-                return [nxt]
-            return []
+            return [nxt] if nxt < self.n_stages else []
+        wf = self._workflow
         ready = []
         for child in wf.node(stage).children:
             if child in self._released:
@@ -213,26 +218,26 @@ class Job:
         contract); DAG jobs may complete released branches in any order,
         but never a node twice or before its parents.
         """
-        wf = self._workflow
-        if wf is None or wf.is_chain:
+        done = self._done
+        if done is None:
             if record.stage != self.current_stage:
                 raise SchedulingError(
                     f"{self.name}: stage {record.stage} completed out of order "
                     f"(expected {self.current_stage})"
                 )
         else:
-            if record.stage in self._done:
+            if record.stage in done:
                 raise SchedulingError(
                     f"{self.name}: step {record.stage} completed twice"
                 )
-            node = wf.node(record.stage)
-            missing = [p for p in node.parents if p not in self._done]
+            node = self._workflow.node(record.stage)
+            missing = [p for p in node.parents if p not in done]
             if missing:
                 raise SchedulingError(
                     f"{self.name}: step {record.stage} completed before "
                     f"parent step(s) {missing}"
                 )
-        self._done.add(record.stage)
+            done.add(record.stage)
         self.history.append(record)
         self.current_stage += 1
 
@@ -265,7 +270,7 @@ class Job:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class StageTask:
     """One workflow node of one job, waiting in (or leaving) its queue."""
 

@@ -162,10 +162,6 @@ class WorkerPools:
         """Busy workers."""
         return len(self._busy)
 
-    def total_alive(self) -> int:
-        """Idle + busy workers."""
-        return len(self._idle) + len(self._busy)
-
     def booting_total(self) -> int:
         """Workers currently booting/resizing."""
         return sum(self.booting_for_stage.values())

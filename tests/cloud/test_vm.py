@@ -82,17 +82,6 @@ class TestResize:
         with pytest.raises(CloudError):
             vm.reshape(64)  # private has only 32
 
-    def test_resize_process_pays_penalty(self, env, infra):
-        vm = VirtualMachine(
-            env, infra, cores=4, tier="private", startup_penalty_tu=0.5
-        )
-        env.run(until=env.process(vm.boot()))
-        p = env.process(vm.resize(8))
-        env.run(until=p)
-        assert env.now == pytest.approx(1.0)  # two boots
-        assert vm.cores == 8
-        assert vm.boot_count == 2
-
 
 class TestCostAccounting:
     def test_lifetime_and_cost(self, env, infra):
