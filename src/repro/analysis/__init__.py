@@ -6,37 +6,22 @@ Table II), and reports all measurements as mean +/- one standard deviation
 over ten repetitions.  This package provides those tools from scratch:
 
 - :mod:`repro.analysis.regression` -- ordinary least squares, fit quality.
-- :mod:`repro.analysis.amdahl` -- Amdahl's-law speedup models and fitting.
-- :mod:`repro.analysis.stats` -- summary statistics, error bars, confidence
-  intervals, cross-run aggregation.
+- :mod:`repro.analysis.amdahl` -- the Amdahl's-law threading model and
+  fitting its parallel fraction.
+- :mod:`repro.analysis.stats` -- summary statistics, error bars and
+  cross-run aggregation.
 """
 
-from repro.analysis.regression import LinearFit, fit_linear, fit_affine_multi
-from repro.analysis.amdahl import (
-    amdahl_speedup,
-    amdahl_time,
-    fit_parallel_fraction,
-    optimal_threads,
-)
-from repro.analysis.stats import (
-    SummaryStats,
-    summarize,
-    aggregate_runs,
-    mean_std,
-    confidence_interval,
-)
+from repro.analysis.regression import LinearFit, fit_linear
+from repro.analysis.amdahl import amdahl_time, fit_parallel_fraction
+from repro.analysis.stats import SummaryStats, summarize, aggregate_runs
 
 __all__ = [
     "LinearFit",
     "fit_linear",
-    "fit_affine_multi",
-    "amdahl_speedup",
     "amdahl_time",
     "fit_parallel_fraction",
-    "optimal_threads",
     "SummaryStats",
     "summarize",
     "aggregate_runs",
-    "mean_std",
-    "confidence_interval",
 ]

@@ -6,8 +6,7 @@ The paper models multi-threaded stage execution as
 
 where ``c_i`` is the perfectly-parallelisable fraction of the stage and
 ``t`` the thread count (Section IV.1).  This module provides the forward
-model, its inverse (fitting ``c`` from measured speedups) and the
-reward-aware choice of thread count.
+model and its inverse (fitting ``c`` from measured speedups).
 """
 
 from __future__ import annotations
@@ -18,10 +17,7 @@ import numpy as np
 
 __all__ = [
     "amdahl_time",
-    "amdahl_speedup",
     "fit_parallel_fraction",
-    "optimal_threads",
-    "marginal_speedup_gain",
 ]
 
 
@@ -37,21 +33,6 @@ def amdahl_time(base_time: float, threads: int, parallel_fraction: float) -> flo
     if base_time < 0:
         raise ValueError(f"negative base time {base_time}")
     return parallel_fraction * base_time / threads + (1.0 - parallel_fraction) * base_time
-
-
-def amdahl_speedup(threads: int, parallel_fraction: float) -> float:
-    """Speedup ``E / T(t)`` for the paper's threading model."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    denom = parallel_fraction / threads + (1.0 - parallel_fraction)
-    return 1.0 / denom
-
-
-def max_speedup(parallel_fraction: float) -> float:
-    """Asymptotic speedup limit ``1 / (1 - c)`` (infinite threads)."""
-    if parallel_fraction >= 1.0:
-        return float("inf")
-    return 1.0 / (1.0 - parallel_fraction)
 
 
 def fit_parallel_fraction(
@@ -85,37 +66,3 @@ def fit_parallel_fraction(
         return 0.0
     return float(np.clip(slope / total, 0.0, 1.0))
 
-
-def marginal_speedup_gain(threads: int, parallel_fraction: float) -> float:
-    """Time saved (as a fraction of base time) by going t -> t+1 threads."""
-    t1 = amdahl_time(1.0, threads, parallel_fraction)
-    t2 = amdahl_time(1.0, threads + 1, parallel_fraction)
-    return t1 - t2
-
-
-def optimal_threads(
-    base_time: float,
-    parallel_fraction: float,
-    core_cost_per_tu: float,
-    reward_per_tu_saved: float,
-    allowed: Sequence[int] = (1, 2, 4, 8, 16),
-) -> int:
-    """Pick the thread count maximising (reward for time saved - core cost).
-
-    This is the "parallelism recommendation depending on the reward offered
-    by the user" of Section III-A.1.i: each extra thread costs
-    ``core_cost_per_tu`` for the (shortened) duration of the stage, while
-    each TU of latency saved earns ``reward_per_tu_saved``.
-    """
-    if not allowed:
-        raise ValueError("allowed thread counts must be non-empty")
-    best_t, best_profit = None, None
-    base = amdahl_time(base_time, 1, parallel_fraction)
-    for t in sorted(set(int(x) for x in allowed)):
-        duration = amdahl_time(base_time, t, parallel_fraction)
-        saved = base - duration
-        profit = reward_per_tu_saved * saved - core_cost_per_tu * duration * t
-        if best_profit is None or profit > best_profit + 1e-12:
-            best_t, best_profit = t, profit
-    assert best_t is not None
-    return best_t

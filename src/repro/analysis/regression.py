@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["LinearFit", "fit_linear", "fit_affine_multi"]
+__all__ = ["LinearFit", "fit_linear"]
 
 
 @dataclass(frozen=True)
@@ -75,22 +75,3 @@ def fit_linear(x: Sequence[float], y: Sequence[float]) -> LinearFit:
         residual_std=residual_std,
     )
 
-
-def fit_affine_multi(X: np.ndarray, y: Sequence[float]) -> tuple[np.ndarray, float]:
-    """Multi-feature affine fit ``y = X @ coef + intercept``.
-
-    Used when profiling models depend on several covariates (e.g. input size
-    and record count).  Returns ``(coef, intercept)`` via the normal
-    equations solved with :func:`numpy.linalg.lstsq` for numerical safety.
-    """
-    Xa = np.asarray(X, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if Xa.ndim != 2:
-        raise ValueError("X must be 2-d (n_samples, n_features)")
-    if Xa.shape[0] != ya.shape[0]:
-        raise ValueError("X and y disagree on sample count")
-    if Xa.shape[0] <= Xa.shape[1]:
-        raise ValueError("need more samples than features")
-    design = np.hstack([Xa, np.ones((Xa.shape[0], 1))])
-    solution, *_ = np.linalg.lstsq(design, ya, rcond=None)
-    return solution[:-1].copy(), float(solution[-1])

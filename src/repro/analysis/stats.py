@@ -7,7 +7,6 @@ single standard deviation either side of the mean" (paper Section IV-B).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -17,9 +16,6 @@ __all__ = [
     "SummaryStats",
     "summarize",
     "aggregate_runs",
-    "mean_std",
-    "confidence_interval",
-    "welford",
 ]
 
 
@@ -32,16 +28,6 @@ class SummaryStats:
     n: int
     minimum: float
     maximum: float
-
-    @property
-    def lower(self) -> float:
-        """Lower error bar (mean - 1 sigma), the paper's convention."""
-        return self.mean - self.std
-
-    @property
-    def upper(self) -> float:
-        """Upper error bar (mean + 1 sigma)."""
-        return self.mean + self.std
 
     def __str__(self) -> str:
         return f"{self.mean:.3f} +/- {self.std:.3f} (n={self.n})"
@@ -62,12 +48,6 @@ def summarize(values: Sequence[float]) -> SummaryStats:
     )
 
 
-def mean_std(values: Sequence[float]) -> tuple[float, float]:
-    """Convenience: (mean, sample std) of *values*."""
-    s = summarize(values)
-    return s.mean, s.std
-
-
 def aggregate_runs(
     per_run_values: Iterable[Mapping[str, float]],
 ) -> dict[str, SummaryStats]:
@@ -85,98 +65,3 @@ def aggregate_runs(
             raise ValueError(f"run {i} reports different metrics than run 1")
     return {key: summarize([run[key] for run in runs]) for key in sorted(keys)}
 
-
-def confidence_interval(
-    values: Sequence[float], level: float = 0.95
-) -> tuple[float, float]:
-    """Normal-approximation confidence interval for the mean.
-
-    Uses the z quantile (not t): adequate for the n=10 repetition counts used
-    here, and keeps the implementation dependency-free.
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    s = summarize(values)
-    if s.n == 1:
-        return (s.mean, s.mean)
-    z = _normal_quantile(0.5 + level / 2.0)
-    half = z * s.std / math.sqrt(s.n)
-    return (s.mean - half, s.mean + half)
-
-
-def welford() -> "RunningStats":
-    """A fresh online-statistics accumulator (Welford's algorithm)."""
-    return RunningStats()
-
-
-class RunningStats:
-    """Online mean/variance via Welford's algorithm.
-
-    Used by the scheduler's queue-time estimator, where observations arrive
-    one at a time during a simulation and storing them all would be wasteful.
-    """
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def push(self, value: float) -> None:
-        """Fold one observation into the running statistics."""
-        self._n += 1
-        delta = value - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (value - self._mean)
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self._n else float("nan")
-
-    @property
-    def variance(self) -> float:
-        if self._n < 2:
-            return 0.0
-        return self._m2 / (self._n - 1)
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-
-def _normal_quantile(p: float) -> float:
-    """Inverse standard-normal CDF (Acklam's rational approximation).
-
-    Max absolute error ~1.15e-9 over (0, 1); implemented here to avoid a
-    hard scipy dependency in the core library.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    # Coefficients for the rational approximations.
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1
-        )
-    if p <= p_high:
-        q = p - 0.5
-        r = q * q
-        return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1
-        )
-    q = math.sqrt(-2 * math.log(1 - p))
-    return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-        (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1
-    )

@@ -14,8 +14,7 @@ stage to stage" -- an :class:`ExecutionPlan` captures exactly that choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
 
 from repro.analysis.amdahl import amdahl_time
 from repro.genomics.datasets import DataFormat
@@ -68,11 +67,6 @@ class StageModel:
             raise ValueError(f"threads must be >= 1, got {threads}")
         return 1.0 / (self.c / threads + (1.0 - self.c))
 
-    @property
-    def effectively_parallel(self) -> bool:
-        """Whether threads ever help meaningfully (c above noise floor)."""
-        return self.c > 0.05
-
 
 @dataclass(frozen=True)
 class ApplicationModel:
@@ -112,20 +106,6 @@ class ApplicationModel:
         """The stage model at *index*."""
         return self.stages[index]
 
-    def sequential_time(self, d: float) -> float:
-        """Total single-threaded pipeline time for input size *d*."""
-        return sum(s.execution_time(d) for s in self.stages)
-
-    def planned_time(self, plan: "ExecutionPlan", d: float) -> float:
-        """Total pipeline time under *plan* (ignoring queueing)."""
-        if len(plan.threads) != self.n_stages:
-            raise ValueError(
-                f"plan has {len(plan.threads)} stages, app has {self.n_stages}"
-            )
-        return sum(
-            s.threaded_time(t, d) for s, t in zip(self.stages, plan.threads)
-        )
-
     def core_stages(self, plan: "ExecutionPlan") -> int:
         """Total cores-across-stages for *plan* (Figure 5's x-axis)."""
         return sum(plan.threads)
@@ -155,25 +135,9 @@ class ExecutionPlan:
     def uniform(cls, n_stages: int, threads: int = 1) -> "ExecutionPlan":
         return cls(tuple([threads] * n_stages))
 
-    @classmethod
-    def from_list(cls, threads: Iterable[int]) -> "ExecutionPlan":
-        return cls(tuple(int(t) for t in threads))
-
     @property
     def total_cores(self) -> int:
         return sum(self.threads)
-
-    @property
-    def max_threads(self) -> int:
-        return max(self.threads)
-
-    def with_stage(self, index: int, threads: int) -> "ExecutionPlan":
-        """A copy with one stage's thread count replaced."""
-        if not 0 <= index < len(self.threads):
-            raise IndexError(f"stage {index} out of range")
-        updated = list(self.threads)
-        updated[index] = threads
-        return ExecutionPlan(tuple(updated))
 
     def __iter__(self):
         return iter(self.threads)

@@ -81,10 +81,6 @@ class ShardPlan:
         """Sum of shard sizes (equals the parent size)."""
         return sum(s.size_gb for s in self.shards)
 
-    def total_records(self) -> int:
-        """Sum of shard record counts (equals the parent count)."""
-        return sum(s.records for s in self.shards)
-
 
 def split_counts(total: int, parts: int) -> list[int]:
     """Split *total* items into *parts* near-equal positive counts.

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -527,6 +528,12 @@ def cmd_submit(args: argparse.Namespace) -> int:
         fmt = DataFormat(args.format)
     except ValueError:
         print(f"unknown format {args.format!r}", file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.size_gb) and args.size_gb > 0):
+        print(
+            f"scan-sim: size_gb must be positive and finite, got {args.size_gb}",
+            file=sys.stderr,
+        )
         return 2
     platform = SCANPlatform(PlatformConfig.paper_defaults())
     platform.bootstrap_knowledge()

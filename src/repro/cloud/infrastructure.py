@@ -272,8 +272,7 @@ class Infrastructure:
 
     # Roles, prices and caps are fixed once the stack is built, so each
     # fact placement and costing read is computed on first use and kept.
-    # ``_order_*`` are placement's try orders over all, non-elastic and
-    # elastic tiers.
+    # ``_order_*`` are placement's try orders over all and elastic tiers.
     @cached_property
     def _cheapest_elastic(self) -> Optional[CloudTier]:
         return min(
@@ -287,10 +286,6 @@ class Infrastructure:
     @cached_property
     def _order_all(self) -> tuple[CloudTier, ...]:
         return self._order(self._tiers)
-
-    @cached_property
-    def _order_fixed(self) -> tuple[CloudTier, ...]:
-        return self._order([t for t in self._tiers if not t.elastic])
 
     @cached_property
     def _order_elastic(self) -> tuple[CloudTier, ...]:
@@ -308,21 +303,15 @@ class Infrastructure:
 
     # -- placement --------------------------------------------------------------
     def place(
-        self,
-        cores: int,
-        allow_public: bool = True,
-        duration_tu: Optional[float] = None,
+        self, cores: int, duration_tu: Optional[float] = None
     ) -> Optional[str]:
         """Pick a tier for *cores* via the placement policy.
 
         Returns the tier name, or ``None`` when nothing fits.  Does not
-        allocate.  ``allow_public=False`` restricts placement to
-        non-elastic tiers (the legacy "private only" query).
-        ``duration_tu``, when known, lets duration-capped backends
-        (serverless) reject at placement.
+        allocate.  ``duration_tu``, when known, lets duration-capped
+        backends (serverless) reject at placement.
         """
-        order = self._order_all if allow_public else self._order_fixed
-        return _first_fitting(order, cores, duration_tu)
+        return _first_fitting(self._order_all, cores, duration_tu)
 
     def place_elastic(
         self, cores: int, duration_tu: Optional[float] = None
@@ -347,10 +336,6 @@ class Infrastructure:
         """Attach the event bus to every tier (placement rejections)."""
         for t in self._tiers:
             t.bind_bus(bus)
-
-    @property
-    def private_full(self) -> bool:
-        return self.base.cores_free == 0
 
     # -- accounting -------------------------------------------------------------
     def total_cores_in_use(self) -> int:

@@ -98,13 +98,6 @@ class SharedFilesystem:
         """Remove *path*; True if it existed."""
         return self._files.pop(path, None) is not None
 
-    def listdir(self, prefix: str = "/") -> list[FileMeta]:
-        """Metadata of files under *prefix*, sorted by path."""
-        return sorted(
-            (m for p, m in self._files.items() if p.startswith(prefix)),
-            key=lambda m: m.path,
-        )
-
     def total_size_gb(self) -> float:
         """Sum of stored file sizes (GB)."""
         return sum(m.size_gb for m in self._files.values())
@@ -155,11 +148,6 @@ class ReplicatedKVStore:
         if self.read_latency_tu > 0:
             yield self.env.timeout(self.read_latency_tu)
         self.reads += 1
-        entry = self._data.get(key)
-        return entry[1] if entry is not None else default
-
-    def get_now(self, key: str, default: Any = None) -> Any:
-        """Zero-latency read for in-process bookkeeping paths."""
         entry = self._data.get(key)
         return entry[1] if entry is not None else default
 

@@ -341,18 +341,6 @@ class EventBus:
         self._handlers.setdefault(event_type, []).append(handler)
         return handler
 
-    def unsubscribe(self, event_type: Type[Any], handler: Handler) -> None:
-        """Remove one subscription; unknown handlers are ignored."""
-        handlers = self._handlers.get(event_type)
-        if handlers is None:
-            return
-        try:
-            handlers.remove(handler)
-        except ValueError:
-            return
-        if not handlers:
-            del self._handlers[event_type]
-
     def publish(self, event: Any) -> None:
         """Deliver *event* to its subscribers (no-op without any)."""
         handlers = self._handlers.get(type(event))
@@ -370,10 +358,6 @@ class EventBus:
     def active(self) -> bool:
         """Whether any subscription exists at all."""
         return bool(self._handlers)
-
-    def subscriptions(self) -> Dict[str, int]:
-        """Handler counts by event-type name (diagnostics)."""
-        return {t.__name__: len(h) for t, h in self._handlers.items()}
 
 
 # -- generic subscribers ----------------------------------------------------

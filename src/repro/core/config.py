@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -296,6 +297,15 @@ class WorkloadConfig:
 
     def validate(self) -> None:
         """Raise ConfigurationError on invalid fields."""
+        _require_finite(
+            self,
+            "mean_interarrival",
+            "jobs_per_arrival_mean",
+            "jobs_per_arrival_var",
+            "job_size_mean",
+            "job_size_var",
+            "size_unit_gb",
+        )
         if self.size_unit_gb <= 0:
             raise ConfigurationError("size_unit_gb must be positive")
         if self.mean_interarrival <= 0:
@@ -582,6 +592,7 @@ class SimulationConfig:
 
     def validate(self) -> None:
         """Raise ConfigurationError on invalid fields."""
+        _require_finite(self, "duration", "warmup")
         if self.duration <= 0:
             raise ConfigurationError("duration must be positive")
         if self.repetitions < 1:
@@ -640,6 +651,14 @@ _ENUM_REGISTRY_KINDS: dict[str, str] = {
 _TUPLE_DATACLASS_FIELDS: dict[str, type] = {
     "tiers": TierConfig,
 }
+
+
+def _require_finite(section: Any, *names: str) -> None:
+    """Refuse NaN and infinite values, which pass every ``<= 0`` check."""
+    for name in names:
+        value = getattr(section, name)
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
 def _section_to_dict(section: Any) -> dict[str, Any]:

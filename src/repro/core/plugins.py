@@ -93,12 +93,6 @@ class Registry(Generic[T]):
         self._factories[name] = factory
         return factory
 
-    def unregister(self, name: str) -> None:
-        """Remove *name*; unknown names raise :class:`ConfigurationError`."""
-        if name not in self._factories:
-            raise self._unknown(name)
-        del self._factories[name]
-
     # -- lookup ------------------------------------------------------------
     def get(self, name: str) -> Callable[..., T]:
         """The factory registered under *name* (no instantiation)."""

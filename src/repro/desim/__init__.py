@@ -10,7 +10,9 @@ a hybrid cloud; this package provides:
   primitive schedulable events.
 - :class:`~repro.desim.process.Process` -- generator-based cooperative
   processes (``yield env.timeout(3)`` style).
-- :mod:`~repro.desim.monitor` -- time-series instrumentation.
+- :mod:`~repro.desim.monitor` -- observation series and time-weighted
+  levels (:class:`~repro.desim.monitor.Monitor`,
+  :class:`~repro.desim.monitor.TimeWeightedMonitor`).
 - :mod:`~repro.desim.rng` -- deterministic named random streams.
 
 Worker pools, core accounting and task queues are modelled by the
@@ -26,7 +28,7 @@ from repro.desim.engine import (
     SimulationError,
 )
 from repro.desim.process import Process, Interrupt, ProcessError
-from repro.desim.monitor import Monitor, TimeWeightedMonitor, CounterMonitor
+from repro.desim.monitor import Monitor, TimeWeightedMonitor
 from repro.desim.rng import RandomStreams
 
 __all__ = [
@@ -41,6 +43,5 @@ __all__ = [
     "ProcessError",
     "Monitor",
     "TimeWeightedMonitor",
-    "CounterMonitor",
     "RandomStreams",
 ]

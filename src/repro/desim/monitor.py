@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Monitor", "TimeWeightedMonitor", "CounterMonitor"]
+__all__ = ["Monitor", "TimeWeightedMonitor"]
 
 
 class Monitor:
@@ -166,24 +166,3 @@ class TimeWeightedMonitor:
             area += self._level * (until - self._last_time)
         return area
 
-
-class CounterMonitor:
-    """Named event counters (tasks completed, VMs started, shards created)."""
-
-    def __init__(self) -> None:
-        self._counts: dict[str, int] = {}
-
-    def increment(self, key: str, by: int = 1) -> None:
-        """Add *by* to the named counter."""
-        self._counts[key] = self._counts.get(key, 0) + by
-
-    def __getitem__(self, key: str) -> int:
-        return self._counts.get(key, 0)
-
-    def as_dict(self) -> dict[str, int]:
-        """A snapshot copy of all counters."""
-        return dict(self._counts)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
-        return f"<CounterMonitor {inner}>"

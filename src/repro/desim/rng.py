@@ -62,23 +62,6 @@ class RandomStreams:
         """Names of the streams created so far, sorted."""
         return iter(sorted(self._streams))
 
-    def spawn(self, name: str, seed_offset: int = 0) -> "RandomStreams":
-        """A new independent RandomStreams keyed off this one.
-
-        Used to give each repetition of a simulation session its own root
-        while staying a pure function of (root seed, name, offset).
-        """
-        words = _name_words(name)
-        mix = (self._seed * 1_000_003 + seed_offset) & 0xFFFFFFFF
-        derived = np.random.SeedSequence(
-            entropy=self._root.entropy, spawn_key=tuple(words) + (mix,)
-        )
-        child = RandomStreams(0)
-        child._seed = mix
-        child._root = derived
-        child._streams = {}
-        return child
-
 
 def _name_words(name: str) -> list[int]:
     """Hash *name* into a list of stable non-negative 32-bit words.

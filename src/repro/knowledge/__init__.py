@@ -23,7 +23,7 @@ from repro.knowledge.profiles import (
     StageProfile,
     ApplicationProfile,
 )
-from repro.knowledge.kb import SCANKnowledgeBase, PersistentKnowledgeBase
+from repro.knowledge.kb import SCANKnowledgeBase
 from repro.knowledge.advisor import ShardAdvisor, ShardAdvice
 from repro.knowledge.log_ingest import KnowledgeIngestor
 
@@ -32,7 +32,6 @@ __all__ = [
     "StageProfile",
     "ApplicationProfile",
     "SCANKnowledgeBase",
-    "PersistentKnowledgeBase",
     "ShardAdvisor",
     "ShardAdvice",
     "KnowledgeIngestor",

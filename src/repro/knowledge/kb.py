@@ -9,6 +9,10 @@ Observations enter twice, deliberately:
 2. As **profile observations** feeding the regression fits
    (:mod:`repro.knowledge.profiles`), which is what the scheduler's
    estimator and the shard advisor consume numerically.
+
+Knowledge leaves a run as the knowledge plane's JSON snapshot
+(:meth:`repro.knowledge.plane.KnowledgePlane.snapshot`, written by
+``scan-sim kb --snapshot-out``); this store is not persisted.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from repro.ontology.scan_ontology import (
 )
 from repro.ontology.sparql import execute_query
 
-__all__ = ["SCANKnowledgeBase", "PersistentKnowledgeBase"]
+__all__ = ["SCANKnowledgeBase"]
 
 
 class SCANKnowledgeBase:
@@ -71,10 +75,6 @@ class SCANKnowledgeBase:
             stage=obs.stage,
         )
         return name
-
-    def bulk_record(self, observations: Iterable[ProfileObservation]) -> list[str]:
-        """Record many observations; returns their names."""
-        return [self.record_observation(o) for o in observations]
 
     def profile(self, app: str) -> ApplicationProfile:
         """The (mutable) quantitative profile for *app*."""
@@ -176,91 +176,7 @@ class SCANKnowledgeBase:
         """
         return self.query(sparql)
 
-    def resource_requirements(self, app: str) -> dict[str, float]:
-        """Aggregate CPU/RAM requirements seen for *app* (max over runs)."""
-        rows = self.ranked_instances(app)
-        if not rows:
-            raise KnowledgeBaseError(f"no instances recorded for {app!r}")
-        return {
-            "cpu": max(float(r.get("cpu", 1)) for r in rows),
-            "ram_gb": max(float(r.get("ram", 1.0)) for r in rows),
-        }
-
     def instance_count(self, app: Optional[str] = None) -> int:
         """Number of Application individuals (optionally for one app)."""
         return len(self.ontology.application_instances(app))
 
-
-def _trailing_int(name: str) -> int:
-    """The numeric suffix of an individual name like 'GATK12' (0 if none)."""
-    digits = ""
-    for char in reversed(name):
-        if char.isdigit():
-            digits = char + digits
-        else:
-            break
-    return int(digits) if digits else 0
-
-
-class PersistentKnowledgeBase(SCANKnowledgeBase):
-    """A knowledge base that round-trips through Turtle on disk.
-
-    The paper's KB is durable -- "the knowledge base will be expanded by
-    using information from logs of each task running on the SCAN platform"
-    across runs.  ``save()`` writes the semantic store as Turtle;
-    ``load()`` rebuilds a KB from it, reconstructing the quantitative
-    profiles and the GATK1/GATK2/... naming counters from the stored
-    Application individuals.
-    """
-
-    def save(self, path) -> int:
-        """Write the semantic store to *path* (Turtle); returns triples."""
-        from pathlib import Path
-
-        from repro.ontology.serializer import to_turtle
-
-        text = to_turtle(self.ontology.store)
-        Path(path).write_text(text, encoding="utf-8")
-        return len(self.ontology.store)
-
-    @classmethod
-    def load(cls, path) -> "PersistentKnowledgeBase":
-        """Rebuild a knowledge base from a Turtle file."""
-        from pathlib import Path
-
-        from repro.ontology.serializer import parse_turtle
-
-        kb = cls()
-        parse_turtle(Path(path).read_text(encoding="utf-8"), kb.ontology.store)
-        kb._rebuild_profiles()
-        return kb
-
-    def _rebuild_profiles(self) -> None:
-        """Reconstruct profiles/counters from stored Application individuals."""
-        max_suffix: dict[str, int] = {}
-        for ind in self.ontology.application_instances():
-            app = ind.get("appName")
-            stage = ind.get("stage")
-            threads = ind.get("threads")
-            size = ind.get("inputFileSize")
-            etime = ind.get("eTime")
-            if app is None:
-                continue
-            max_suffix[app] = max(
-                max_suffix.get(app, 0), _trailing_int(ind.local_name)
-            )
-            if None in (stage, threads, size, etime):
-                continue  # hand-authored individual without profile fields
-            self.profile(app).add(
-                ProfileObservation(
-                    app=str(app),
-                    stage=int(stage),
-                    input_gb=float(size),
-                    threads=int(threads),
-                    execution_time=float(etime),
-                    cpu=int(ind.get("CPU", threads)),
-                    ram_gb=float(ind.get("RAM", 4.0)),
-                )
-            )
-        for app, suffix in max_suffix.items():
-            self._instance_counter[app] = itertools.count(suffix + 1)

@@ -10,8 +10,9 @@ private side-channels, and log ingestion was an offline afterthought.
 
 :class:`KnowledgePlane` closes that loop.  It is an epoch-stamped store of
 :class:`StageFact` records (coefficients + provenance + sample counts +
-confidence), persisted through the ontology triple store, and queried by
-*all three* consumers through one :class:`EstimateProvider` protocol:
+confidence), saved and compared as a JSON snapshot (:meth:`snapshot`,
+:func:`diff_snapshots`), and queried by *all three* consumers through one
+:class:`EstimateProvider` protocol:
 
 - the scheduler's :class:`~repro.scheduler.estimator.PipelineEstimator`
   (EET/ETT, Eq. 2) -- whose memo is invalidated by plane epoch bumps
@@ -266,93 +267,12 @@ class KnowledgePlane:
         """Applications with at least one fact, sorted."""
         return sorted({app for app, _ in self._facts})
 
-    def stage_models(self, app: str) -> list[StageModel]:
-        """Clamped stage models for *app*, ordered by stage index."""
-        facts = self.facts(app)
-        if not facts:
-            raise KnowledgeBaseError(f"knowledge plane has no facts for {app!r}")
-        return [fact.to_stage_model() for fact in facts]
-
     def snapshot(self) -> dict[str, Any]:
         """A JSON-able snapshot: epoch + every fact (``scan-sim kb``)."""
         return {
             "epoch": self._epoch,
             "facts": [fact.as_dict() for fact in self.facts()],
         }
-
-    # -- persistence (ontology triple store) ---------------------------------
-    def persist(self, ontology: Any) -> int:
-        """Write every fact as a ``PerformanceFact`` individual.
-
-        *ontology* is a :class:`~repro.ontology.scan_ontology.ScanOntology`;
-        the facts ride the same triple store (and Turtle serialisation) as
-        the paper's GATK1/GATK2/... profiling individuals.  Returns the
-        number of individuals written.
-        """
-        cls = _fact_class(ontology)
-        for fact in self.facts():
-            ind = ontology.domain.individual(
-                f"Fact_{fact.app}_stage{fact.stage}", cls
-            )
-            ind.set("appName", fact.app)
-            ind.set("stage", int(fact.stage))
-            ind.set("coefA", float(fact.a))
-            ind.set("coefB", float(fact.b))
-            ind.set("coefC", -1.0 if fact.c is None else float(fact.c))
-            ind.set("RAM", float(fact.ram_gb))
-            ind.set("provenance", fact.provenance)
-            ind.set("samples", int(fact.samples))
-            ind.set("confidence", float(fact.confidence))
-            ind.set("factEpoch", int(fact.epoch))
-        return len(self._facts)
-
-    @classmethod
-    def restore(cls, ontology: Any) -> "KnowledgePlane":
-        """Rebuild a plane from ``PerformanceFact`` individuals."""
-        plane = cls()
-        fact_cls = ontology.domain.get_class("PerformanceFact")
-        if fact_cls is None:
-            return plane
-        facts = []
-        for ind in fact_cls.individuals():
-            app = ind.get("appName")
-            stage = ind.get("stage")
-            if app is None or stage is None:
-                continue
-            c_raw = float(ind.get("coefC", -1.0))
-            facts.append(
-                StageFact(
-                    app=str(app),
-                    stage=int(stage),
-                    a=float(ind.get("coefA", 0.0)),
-                    b=float(ind.get("coefB", 0.0)),
-                    c=None if c_raw < 0 else c_raw,
-                    ram_gb=float(ind.get("RAM", 4.0)),
-                    provenance=str(ind.get("provenance", "model")),
-                    samples=int(ind.get("samples", 0)),
-                    confidence=float(ind.get("confidence", 1.0)),
-                )
-            )
-        plane.install(facts)
-        return plane
-
-
-def _fact_class(ontology: Any):
-    """The (declared-on-demand) ``PerformanceFact`` ontology class."""
-    cls = ontology.domain.get_class("PerformanceFact")
-    if cls is None:
-        cls = ontology.domain.declare_class("PerformanceFact")
-        for prop in (
-            "coefA",
-            "coefB",
-            "coefC",
-            "provenance",
-            "samples",
-            "confidence",
-            "factEpoch",
-        ):
-            ontology.domain.declare_datatype_property(prop, domain=cls)
-    return cls
 
 
 def diff_snapshots(

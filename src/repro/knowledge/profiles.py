@@ -17,7 +17,7 @@ fit over multi-threaded runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.analysis.amdahl import amdahl_time, fit_parallel_fraction
 from repro.analysis.regression import LinearFit, fit_linear
@@ -180,15 +180,3 @@ class ApplicationProfile:
 
     def __len__(self) -> int:
         return sum(len(p) for p in self._stages.values())
-
-    def total_predicted_time(self, input_gb: float, threads_per_stage: Iterable[int]) -> float:
-        """Predicted whole-pipeline time under per-stage thread counts."""
-        threads = list(threads_per_stage)
-        indices = self.stage_indices
-        if len(threads) != len(indices):
-            raise KnowledgeBaseError(
-                f"{len(threads)} thread counts for {len(indices)} profiled stages"
-            )
-        return sum(
-            self.stage(i).predict(input_gb, t) for i, t in zip(indices, threads)
-        )

@@ -13,8 +13,8 @@ and Protege; this package is a from-scratch equivalent:
 - :mod:`repro.ontology.sparql` -- tokenizer, parser and executor for the
   SPARQL subset used by the Data Broker (SELECT / WHERE / OPTIONAL /
   FILTER / ORDER BY / LIMIT / DISTINCT).
-- :mod:`repro.ontology.serializer` -- Turtle-style and RDF/XML-style
-  serialization (matching the paper's OWL listings).
+- :mod:`repro.ontology.serializer` -- RDF/XML-style serialization
+  (matching the paper's OWL listings).
 - :mod:`repro.ontology.gene_ontology` -- the Gene Ontology subset the SCAN
   ontology extends.
 - :mod:`repro.ontology.scan_ontology` -- the SCAN domain ontology, cloud
@@ -43,7 +43,7 @@ from repro.ontology.sparql import (
     reset_cache_stats,
     clear_caches,
 )
-from repro.ontology.serializer import to_turtle, to_rdfxml
+from repro.ontology.serializer import to_rdfxml
 from repro.ontology.scan_ontology import (
     SCAN,
     build_scan_ontology,
@@ -72,7 +72,6 @@ __all__ = [
     "cache_stats",
     "reset_cache_stats",
     "clear_caches",
-    "to_turtle",
     "to_rdfxml",
     "SCAN",
     "build_scan_ontology",

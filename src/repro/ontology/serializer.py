@@ -1,18 +1,12 @@
-"""Serialization of triple stores: Turtle-style and RDF/XML-style.
+"""RDF/XML-style serialization of triple stores.
 
-The RDF/XML writer mirrors the paper's OWL listings (Section III-A.1.i),
-emitting ``owl:NamedIndividual`` blocks with datatype-property children like
+The writer mirrors the paper's OWL listings (Section III-A.1.i), emitting
+``owl:NamedIndividual`` blocks with datatype-property children like
 ``<scan-ontology:inputFileSize>10</scan-ontology:inputFileSize>``.
-
-:func:`parse_turtle` reads the Turtle subset :func:`to_turtle` emits, so a
-knowledge base can round-trip through disk -- the paper's KB persists and
-grows across platform runs.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Iterable
 from xml.sax.saxutils import escape
 
 from repro.ontology.triples import (
@@ -25,56 +19,7 @@ from repro.ontology.triples import (
     TripleStore,
 )
 
-__all__ = ["to_turtle", "to_rdfxml", "parse_turtle", "TurtleParseError"]
-
-
-def to_turtle(store: TripleStore) -> str:
-    """Serialize *store* in a Turtle-like syntax, grouped by subject."""
-    lines: list[str] = []
-    for prefix, base in sorted(store.prefixes.items()):
-        lines.append(f"@prefix {prefix}: <{base}> .")
-    if lines:
-        lines.append("")
-
-    by_subject: dict[Term, list] = {}
-    for triple in store:
-        by_subject.setdefault(triple.subject, []).append(triple)
-
-    for subject in sorted(by_subject, key=_term_sort_key):
-        triples = sorted(
-            by_subject[subject],
-            key=lambda t: (str(t.predicate), _term_sort_key(t.object)),
-        )
-        subj_text = _turtle_term(store, subject)
-        lines.append(subj_text)
-        for i, triple in enumerate(triples):
-            sep = " ." if i == len(triples) - 1 else " ;"
-            pred = _turtle_term(store, triple.predicate)
-            obj = _turtle_term(store, triple.object)
-            lines.append(f"    {pred} {obj}{sep}")
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
-
-
-def _turtle_term(store: TripleStore, term: Term) -> str:
-    if isinstance(term, IRI):
-        if term == RDF.type:
-            return "a"
-        compact = store.shrink(term)
-        if compact != str(term):
-            return compact
-        return f"<{term}>"
-    if isinstance(term, Literal):
-        value = term.value
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, (int, float)):
-            return repr(value)
-        escaped = str(value).replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    raise TypeError(f"unserializable term {term!r}")
+__all__ = ["to_rdfxml"]
 
 
 def _term_sort_key(term: Term) -> str:
@@ -144,136 +89,3 @@ def _qname(store: TripleStore, iri: IRI, default_prefix: str) -> str:
         return compact
     return f"{default_prefix}:{iri.local_name}"
 
-
-class TurtleParseError(ValueError):
-    """Malformed Turtle input (for the subset this library emits)."""
-
-
-_TURTLE_TOKEN = re.compile(
-    r"""
-    (?P<PREFIX>@prefix)
-  | (?P<IRIREF><[^<>\s]*>)
-  | (?P<STRING>"(?:[^"\\]|\\.)*")
-  | (?P<NUMBER>[+-]?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?))
-  | (?P<BNODE>_:[\w-]+)
-  | (?P<PNAME>[^\W\d][\w.-]*:[\w.%-]*)
-  | (?P<KEYWORD>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<PUNCT>[;,.])
-  | (?P<WS>\s+)
-  | (?P<COMMENT>\#[^\n]*)
-    """,
-    re.VERBOSE,
-)
-
-
-def parse_turtle(text: str, store: TripleStore | None = None) -> TripleStore:
-    """Parse Turtle text (the :func:`to_turtle` subset) into a store.
-
-    Supports ``@prefix`` declarations, subject blocks with ``;``-separated
-    predicate-object lists, the ``a`` keyword, IRIs, prefixed names, blank
-    nodes and numeric/boolean/string literals.
-    """
-    out = store if store is not None else TripleStore()
-    prefixes = dict(out.prefixes)
-
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TURTLE_TOKEN.match(text, pos)
-        if match is None:
-            raise TurtleParseError(
-                f"unexpected character {text[pos]!r} at offset {pos}"
-            )
-        kind = match.lastgroup
-        assert kind is not None
-        if kind not in ("WS", "COMMENT"):
-            tokens.append((kind, match.group()))
-        pos = match.end()
-
-    idx = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else (None, "")
-
-    def advance():
-        nonlocal idx
-        token = peek()
-        idx += 1
-        return token
-
-    def expect_punct(char: str) -> None:
-        kind, value = advance()
-        if kind != "PUNCT" or value != char:
-            raise TurtleParseError(f"expected {char!r}, got {value!r}")
-
-    def parse_term(as_subject: bool = False):
-        kind, value = advance()
-        if kind == "IRIREF":
-            return IRI(value[1:-1])
-        if kind == "PNAME":
-            prefix, local = value.split(":", 1)
-            try:
-                return IRI(prefixes[prefix] + local)
-            except KeyError:
-                raise TurtleParseError(f"unknown prefix {prefix!r}") from None
-        if kind == "BNODE":
-            return BlankNode(value[2:])
-        if as_subject:
-            raise TurtleParseError(f"invalid subject {value!r}")
-        if kind == "STRING":
-            body = value[1:-1]
-            return Literal(
-                body.replace('\\"', '"').replace("\\\\", "\\")
-            )
-        if kind == "NUMBER":
-            if re.fullmatch(r"[+-]?\d+", value):
-                return Literal(int(value))
-            return Literal(float(value))
-        if kind == "KEYWORD":
-            if value == "a":
-                return RDF.type
-            if value in ("true", "false"):
-                return Literal(value == "true")
-        raise TurtleParseError(f"unexpected token {value!r}")
-
-    while idx < len(tokens):
-        kind, value = peek()
-        if kind == "PREFIX":
-            advance()
-            pk, pv = advance()
-            if pk != "PNAME" or not pv.endswith(":"):
-                raise TurtleParseError(f"bad prefix name {pv!r}")
-            ik, iv = advance()
-            if ik != "IRIREF":
-                raise TurtleParseError("expected <IRI> in @prefix")
-            expect_punct(".")
-            prefix = pv[:-1]
-            prefixes[prefix] = iv[1:-1]
-            out.bind_prefix(prefix, iv[1:-1])
-            continue
-
-        subject = parse_term(as_subject=True)
-        while True:
-            predicate = parse_term()
-            if not isinstance(predicate, IRI):
-                raise TurtleParseError(f"predicate must be an IRI, got {predicate!r}")
-            while True:
-                obj = parse_term()
-                out.add(subject, predicate, obj)
-                k, v = peek()
-                if k == "PUNCT" and v == ",":
-                    advance()
-                    continue
-                break
-            k, v = advance()
-            if k == "PUNCT" and v == ";":
-                # Trailing ';' before '.' is legal Turtle.
-                k2, v2 = peek()
-                if k2 == "PUNCT" and v2 == ".":
-                    advance()
-                    break
-                continue
-            if k == "PUNCT" and v == ".":
-                break
-            raise TurtleParseError(f"expected ';' or '.', got {v!r}")
-    return out

@@ -272,18 +272,6 @@ class TripleStore:
         self._epoch += 1
         return True
 
-    def remove_matching(
-        self,
-        subject: Optional[Any] = None,
-        predicate: Optional[Any] = None,
-        obj: Optional[Any] = None,
-    ) -> int:
-        """Remove all triples matching the wildcard pattern; returns count."""
-        victims = list(self.match(subject, predicate, obj))
-        for t in victims:
-            self.remove(t.subject, t.predicate, t.object)
-        return len(victims)
-
     # -- queries ------------------------------------------------------------
     def __len__(self) -> int:
         return self._size

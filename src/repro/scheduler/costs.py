@@ -56,10 +56,6 @@ class TieredCostFunction:
         """The elastic overflow reference price (cheapest elastic tier)."""
         return self._overflow_tier().core_cost_per_tu
 
-    def current_rate(self) -> float:
-        """Spend rate of everything currently hired (CU/TU)."""
-        return self.infrastructure.cost_rate()
-
     def marginal_core_cost(self, cores: int) -> float:
         """Per-core price of the cheapest tier that can fit *cores* now."""
         tier = self.infrastructure.place(cores)
@@ -69,25 +65,6 @@ class TieredCostFunction:
             # momentarily full).
             return self.public_core_cost
         return self.infrastructure.tier(tier).core_cost_per_tu
-
-    def hire_cost(
-        self,
-        cores: int,
-        duration_tu: float,
-        tier,
-        startup_penalty_tu: float = 0.0,
-    ) -> float:
-        """Cost of hiring *cores* on *tier* for a task of *duration_tu*.
-
-        The startup penalty bills at the same rate -- the VM exists (and is
-        charged for) while it boots.
-        """
-        if cores < 1:
-            raise ValueError("cores must be >= 1")
-        if duration_tu < 0 or startup_penalty_tu < 0:
-            raise ValueError("durations must be >= 0")
-        rate = self.infrastructure.tier(tier).core_cost_per_tu
-        return cores * rate * (duration_tu + startup_penalty_tu)
 
     def premium(
         self,
@@ -111,11 +88,3 @@ class TieredCostFunction:
         )
         diff = rate - self.base_core_cost
         return cores * (diff * duration_tu + rate * startup_penalty_tu)
-
-    def public_premium(
-        self, cores: int, duration_tu: float, startup_penalty_tu: float = 0.0
-    ) -> float:
-        """Legacy name: :meth:`premium` against the elastic reference."""
-        return self.premium(
-            cores, duration_tu, startup_penalty_tu=startup_penalty_tu
-        )

@@ -301,12 +301,6 @@ class PipelineEstimator:
                     best = d
         return best
 
-    def remaining_time(
-        self, job: Job, now: float, threads_per_stage: Optional[Sequence[int]] = None
-    ) -> float:
-        """ETT minus elapsed: the forward-looking part only."""
-        return self.ett(job, now, threads_per_stage) - job.elapsed(now)
-
 
 def marginal_value_at_ett(
     reward: RewardFunction,

@@ -152,17 +152,3 @@ class LearnedAllocation:
         # estimator's memoised EET path (with the static provider this is
         # the analytical stage model's exact floats).
         return ctx.estimator.eet(stage, job.input_gb, threads)
-
-    # -- introspection ------------------------------------------------------------
-    def arm_table(self) -> dict[tuple[int, int, int], tuple[int, float]]:
-        """Snapshot of (stage, band, threads) -> (pulls, mean duration)."""
-        return {
-            key: (arm.pulls, arm.mean_duration)
-            for key, arm in sorted(self._arms.items())
-        }
-
-    @property
-    def exploration_fraction(self) -> float:
-        if self.decisions == 0:
-            return 0.0
-        return self.explorations / self.decisions

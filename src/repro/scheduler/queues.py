@@ -64,14 +64,6 @@ class StageQueue:
         self.length_monitor.set_level(now, len(self._tasks))
         return task
 
-    def waiting_records(self) -> float:
-        """Total records waiting (used by load metrics)."""
-        return sum(t.size for t in self._tasks)
-
-    def mean_length(self, until: float) -> float:
-        """Time-weighted mean queue length up to *until*."""
-        return self.length_monitor.time_average(until)
-
 
 class QueueSet:
     """One queue per pipeline stage."""

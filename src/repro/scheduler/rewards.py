@@ -87,12 +87,6 @@ class TimeReward:
         """CU gained per TU saved: d * Rpenalty (constant)."""
         return records * self.rpenalty
 
-    def breakeven_latency(self) -> float:
-        """Latency at which the reward crosses zero."""
-        if self.rpenalty == 0:
-            return float("inf")
-        return self.rmax / self.rpenalty
-
     def __repr__(self) -> str:
         return f"TimeReward(rmax={self.rmax}, rpenalty={self.rpenalty})"
 

@@ -796,21 +796,6 @@ class SCANScheduler:
             return 0.0
         return self.profit() / len(self.completed_jobs)
 
-    def reward_to_cost_ratio(self) -> float:
-        """Figure 5's y-axis."""
-        cost = self.total_cost()
-        if cost <= 0:
-            return 0.0
-        return self.total_reward / cost
-
-    def mean_core_stages_per_run(self) -> float:
-        """Figure 5's x-axis: mean total cores-across-stages per run."""
-        if not self.completed_jobs:
-            return 0.0
-        return sum(j.core_stages() for j in self.completed_jobs) / len(
-            self.completed_jobs
-        )
-
     def mean_latency(self) -> float:
         """Mean pipeline latency over completed jobs (TU)."""
         if not self.completed_jobs:

@@ -59,10 +59,6 @@ class StageRecord:
     attempts: int = 1
 
     @property
-    def queue_wait(self) -> float:
-        return self.started_at - self.queued_at
-
-    @property
     def duration(self) -> float:
         return self.finished_at - self.started_at
 

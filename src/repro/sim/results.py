@@ -207,9 +207,6 @@ class RecoveredResults:
     #: Completed records for an already-completed key (ignored, first wins).
     duplicate_records: int = 0
 
-    def completed_keys(self) -> set[tuple[int, int]]:
-        return set(self.completed)
-
 
 class ResultStore:
     """The sweep's result log: sweep header and per-repetition records in,
@@ -363,11 +360,6 @@ class SweepAggregator:
     @property
     def done_cells(self) -> int:
         return len(self._finalized)
-
-    @property
-    def pending_cells(self) -> int:
-        """Cells with at least one run folded but not yet complete."""
-        return len(self._partial)
 
     def add(self, record: ResultRecord) -> Optional[Any]:
         """Fold one record; returns the cell's row when it completes."""

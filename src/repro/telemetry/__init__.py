@@ -31,9 +31,7 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    absorb_counter_monitor,
     absorb_monitor,
-    absorb_time_weighted,
 )
 from repro.telemetry.tracing import (
     LANE_CONTROL,
@@ -56,9 +54,7 @@ __all__ = [
     "SpanTracer",
     "TU_TO_US",
     "TelemetryHub",
-    "absorb_counter_monitor",
     "absorb_monitor",
-    "absorb_time_weighted",
     "decision_label",
     "lane_for_stage",
     "lane_for_worker",

@@ -12,7 +12,7 @@ the reward function alone, proving the log is sufficient to explain it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.scheduler.estimator import _latency_free_delay_cost
@@ -49,9 +49,6 @@ class ScalingDecisionRecord:
     decision: str
     explanation: Optional[DecisionExplanation] = None
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 class DecisionAuditLog:
     """Append-only record of scaling decisions, capped to bound memory."""
@@ -79,18 +76,6 @@ class DecisionAuditLog:
     @property
     def records(self) -> tuple[ScalingDecisionRecord, ...]:
         return tuple(self._records)
-
-    def of_decision(self, label: str) -> list[ScalingDecisionRecord]:
-        """All retained records with the given decision label."""
-        return [r for r in self._records if r.decision == label]
-
-    def write_jsonl(self, path: str) -> None:
-        """One JSON object per decision, in arrival order."""
-        import json
-
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self._records:
-                fh.write(json.dumps(record.as_dict()) + "\n")
 
 
 def replay_decision(

@@ -7,11 +7,9 @@ histograms -- each optionally labelled, collected in a
 :class:`MetricsRegistry` whose :meth:`~MetricsRegistry.expose` renders the
 Prometheus text exposition format (text/plain; version 0.0.4).
 
-Adapters absorb the simulation's existing instrumentation
-(:class:`~repro.desim.monitor.Monitor`,
-:class:`~repro.desim.monitor.TimeWeightedMonitor`,
-:class:`~repro.desim.monitor.CounterMonitor`) so a session's series land
-in the same registry as the live scheduler counters.
+:func:`absorb_monitor` summarises a :class:`~repro.desim.monitor.Monitor`
+into gauges, so a session's series land in the same registry as the live
+scheduler counters.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import math
 import re
 from typing import Mapping, Optional, Sequence
 
-from repro.desim.monitor import CounterMonitor, Monitor, TimeWeightedMonitor
+from repro.desim.monitor import Monitor
 
 __all__ = [
     "Counter",
@@ -30,8 +28,6 @@ __all__ = [
     "LATENCY_BUCKETS_TU",
     "POP_LATENCY_BUCKETS_S",
     "absorb_monitor",
-    "absorb_time_weighted",
-    "absorb_counter_monitor",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -139,9 +135,6 @@ class Gauge(_Metric):
     def inc(self, by: float = 1.0, **labels: str) -> None:
         key = self._key(labels)
         self._values[key] = self._values.get(key, 0.0) + by
-
-    def dec(self, by: float = 1.0, **labels: str) -> None:
-        self.inc(-by, **labels)
 
     def value(self, **labels: str) -> float:
         return self._values.get(self._key(labels), 0.0)
@@ -302,32 +295,3 @@ def absorb_monitor(
     for stat, value in summary.items():
         gauge.set(value, stat=stat)
 
-
-def absorb_time_weighted(
-    registry: MetricsRegistry,
-    monitor: TimeWeightedMonitor,
-    name: str,
-    now: float,
-    help: str = "",
-) -> None:
-    """Absorb a :class:`TimeWeightedMonitor`: level, peak, mean, integral."""
-    gauge = registry.gauge(
-        name, help or f"time-weighted series {monitor.name!r}", labelnames=("stat",)
-    )
-    gauge.set(monitor.level, stat="level")
-    gauge.set(monitor.peak, stat="peak")
-    gauge.set(monitor.time_average(now), stat="time_average")
-    gauge.set(monitor.integral(now), stat="integral")
-
-
-def absorb_counter_monitor(
-    registry: MetricsRegistry, monitor: CounterMonitor, name: str, help: str = ""
-) -> None:
-    """Absorb a :class:`CounterMonitor` as one labelled counter family."""
-    counter = registry.counter(
-        name, help or "event counters", labelnames=("event",)
-    )
-    for key, value in monitor.as_dict().items():
-        already = counter.value(event=key)
-        if value > already:
-            counter.inc(value - already, event=key)

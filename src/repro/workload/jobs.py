@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.apps.base import ApplicationModel
 from repro.scheduler.tasks import Job
@@ -54,9 +54,3 @@ class JobFactory:
     def from_batch(self, batch: ArrivalBatch) -> list[Job]:
         """One job per size in the batch, submitted at the batch time."""
         return [self.make_job(size, batch.time) for size in batch.sizes]
-
-    def from_sizes(
-        self, sizes: Iterable[float], submit_time: float
-    ) -> list[Job]:
-        """One job per size, all at *submit_time*."""
-        return [self.make_job(s, submit_time) for s in sizes]

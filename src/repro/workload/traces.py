@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from repro.core.errors import WorkloadError
 from repro.desim.engine import Environment
@@ -61,21 +61,6 @@ class ArrivalTrace:
     @property
     def duration(self) -> float:
         return self.batches[-1].time if self.batches else 0.0
-
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """JSON-friendly batch dicts."""
-        return [
-            {"time": b.time, "sizes": list(b.sizes)} for b in self.batches
-        ]
-
-    @classmethod
-    def from_dicts(cls, rows: Iterable[dict[str, Any]]) -> "ArrivalTrace":
-        return cls(
-            tuple(
-                ArrivalBatch(time=float(r["time"]), sizes=tuple(float(s) for s in r["sizes"]))
-                for r in rows
-            )
-        )
 
 
 class TraceArrivalProcess:

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.amdahl import (
-    amdahl_speedup,
-    amdahl_time,
-    fit_parallel_fraction,
-    marginal_speedup_gain,
-    max_speedup,
-    optimal_threads,
-)
+from repro.analysis.amdahl import amdahl_time, fit_parallel_fraction
 
 
 class TestAmdahlTime:
@@ -42,26 +35,6 @@ class TestAmdahlTime:
             amdahl_time(-1.0, 2, 0.5)
 
 
-class TestSpeedup:
-    def test_speedup_bounded_by_amdahl_limit(self):
-        c = 0.89  # stage 1 of Table II
-        for t in (2, 4, 8, 16, 1024):
-            assert amdahl_speedup(t, c) < max_speedup(c)
-
-    def test_limit_for_c_09(self):
-        assert max_speedup(0.9) == pytest.approx(10.0)
-
-    def test_limit_infinite_for_fully_parallel(self):
-        assert max_speedup(1.0) == float("inf")
-
-    def test_speedup_times_time_is_base(self):
-        base = 42.0
-        for t in (2, 4, 8):
-            assert amdahl_time(base, t, 0.6) * amdahl_speedup(t, 0.6) == (
-                pytest.approx(base)
-            )
-
-
 class TestFitParallelFraction:
     @pytest.mark.parametrize("c_true", [0.02, 0.25, 0.69, 0.89, 0.97])
     def test_recovers_known_fraction(self, c_true):
@@ -89,57 +62,3 @@ class TestFitParallelFraction:
         with pytest.raises(ValueError):
             fit_parallel_fraction([4, 4, 4], [10.0, 10.0, 10.0])
 
-
-class TestOptimalThreads:
-    def test_free_cores_max_threads(self):
-        t = optimal_threads(
-            base_time=100.0,
-            parallel_fraction=0.9,
-            core_cost_per_tu=0.0,
-            reward_per_tu_saved=10.0,
-        )
-        assert t == 16
-
-    def test_worthless_time_single_thread(self):
-        t = optimal_threads(
-            base_time=100.0,
-            parallel_fraction=0.9,
-            core_cost_per_tu=5.0,
-            reward_per_tu_saved=0.0,
-        )
-        assert t == 1
-
-    def test_serial_stage_never_threads(self):
-        t = optimal_threads(
-            base_time=100.0,
-            parallel_fraction=0.02,  # Table II stage 2
-            core_cost_per_tu=5.0,
-            reward_per_tu_saved=75.0,
-        )
-        assert t == 1
-
-    def test_intermediate_tradeoff_picks_middle(self):
-        t = optimal_threads(
-            base_time=100.0,
-            parallel_fraction=0.79,  # stage 4
-            core_cost_per_tu=5.0,
-            reward_per_tu_saved=60.0,
-        )
-        assert t in (2, 4, 8)
-
-    def test_higher_reward_never_fewer_threads(self):
-        prev = 1
-        for reward in (0.0, 20.0, 50.0, 100.0, 400.0):
-            t = optimal_threads(100.0, 0.85, 5.0, reward)
-            assert t >= prev
-            prev = t
-
-    def test_empty_choices_rejected(self):
-        with pytest.raises(ValueError):
-            optimal_threads(10.0, 0.5, 1.0, 1.0, allowed=())
-
-
-class TestMarginalGain:
-    def test_gain_decreasing_in_threads(self):
-        gains = [marginal_speedup_gain(t, 0.9) for t in range(1, 16)]
-        assert all(a > b for a, b in zip(gains, gains[1:]))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.regression import fit_affine_multi, fit_linear
+from repro.analysis.regression import fit_linear
 
 
 def reference_fit(x, y):
@@ -119,20 +119,3 @@ class TestFitLinearMatchesReference:
             return
         assert fit_linear(array("d", xs), array("d", ys)) == fit_linear(xs, ys)
 
-
-class TestFitAffineMulti:
-    def test_two_feature_plane_recovered(self):
-        rng = np.random.default_rng(1)
-        X = rng.uniform(0, 10, size=(50, 2))
-        y = 1.5 * X[:, 0] - 0.5 * X[:, 1] + 4.0
-        coef, intercept = fit_affine_multi(X, y)
-        assert np.allclose(coef, [1.5, -0.5])
-        assert intercept == pytest.approx(4.0)
-
-    def test_underdetermined_rejected(self):
-        with pytest.raises(ValueError):
-            fit_affine_multi(np.ones((2, 2)), [1.0, 2.0])
-
-    def test_wrong_dims_rejected(self):
-        with pytest.raises(ValueError):
-            fit_affine_multi(np.ones(5), [1] * 5)

@@ -36,10 +36,6 @@ class TestStageModel:
         assert stage.speedup(1) == pytest.approx(1.0)
         assert stage.speedup(16) == pytest.approx(1 / (0.9 / 16 + 0.1))
 
-    def test_effectively_parallel_threshold(self):
-        assert make_stage(c=0.5).effectively_parallel
-        assert not make_stage(c=0.02).effectively_parallel
-
     def test_invalid_c_rejected(self):
         with pytest.raises(ValueError):
             make_stage(c=1.5)
@@ -78,20 +74,6 @@ class TestApplicationModel:
     def test_worker_class_defaults_to_name(self):
         assert self.make_app().worker_class == "app"
 
-    def test_sequential_time_sums_stages(self):
-        app = self.make_app(3)
-        assert app.sequential_time(2.0) == pytest.approx(3 * 3.0)
-
-    def test_planned_time_less_than_sequential(self):
-        app = self.make_app(3)
-        plan = ExecutionPlan.uniform(3, threads=4)
-        assert app.planned_time(plan, 2.0) < app.sequential_time(2.0)
-
-    def test_planned_time_wrong_length_rejected(self):
-        app = self.make_app(3)
-        with pytest.raises(ValueError):
-            app.planned_time(ExecutionPlan.uniform(2), 2.0)
-
     def test_core_stages(self):
         app = self.make_app(3)
         assert app.core_stages(ExecutionPlan((1, 4, 16))) == 21
@@ -113,20 +95,6 @@ class TestExecutionPlan:
         assert plan.threads == (2,) * 7
         assert plan.total_cores == 14
 
-    def test_from_list_coerces_ints(self):
-        plan = ExecutionPlan.from_list([1.0, 2.0])
-        assert plan.threads == (1, 2)
-
-    def test_with_stage_replaces_one(self):
-        plan = ExecutionPlan((1, 1, 1))
-        plan2 = plan.with_stage(1, 8)
-        assert plan2.threads == (1, 8, 1)
-        assert plan.threads == (1, 1, 1)  # original untouched
-
-    def test_with_stage_bounds(self):
-        with pytest.raises(IndexError):
-            ExecutionPlan((1,)).with_stage(5, 2)
-
     def test_zero_threads_rejected(self):
         with pytest.raises(ValueError):
             ExecutionPlan((1, 0))
@@ -139,4 +107,3 @@ class TestExecutionPlan:
         plan = ExecutionPlan((1, 2, 4))
         assert list(plan) == [1, 2, 4]
         assert len(plan) == 3
-        assert plan.max_threads == 4

@@ -37,7 +37,7 @@ class TestTable2Model:
         # sum(a_i * 5 + b_i) with Table II values.
         total_a = sum(a for _n, a, _b, _c, _r in GATK_STAGES)
         total_b = sum(b for _n, _a, b, _c, _r in GATK_STAGES)
-        assert gatk_model.sequential_time(5.0) == pytest.approx(
+        assert sum(s.execution_time(5.0) for s in gatk_model.stages) == pytest.approx(
             total_a * 5 + total_b
         )
 

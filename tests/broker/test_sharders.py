@@ -54,7 +54,7 @@ class TestShardDescriptor:
         dataset = DatasetDescriptor.from_size("s", DataFormat.BAM, 17.3)
         plan = shard_descriptor(dataset, shard_gb=2.0)
         assert plan.total_size_gb() == pytest.approx(17.3)
-        assert plan.total_records() == dataset.records
+        assert sum(s.records for s in plan.shards) == dataset.records
 
     def test_shard_indices_sequential(self):
         dataset = DatasetDescriptor.from_size("s", DataFormat.BAM, 10.0)

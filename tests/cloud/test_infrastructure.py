@@ -86,12 +86,6 @@ class TestInfrastructure:
     def test_public_when_private_full(self, infra):
         infra.allocate(16, "private")
         assert infra.place(8) == "public"
-        assert infra.place(8, allow_public=False) is None
-
-    def test_private_full_flag(self, infra):
-        assert not infra.private_full
-        infra.allocate(16, "private")
-        assert infra.private_full
 
     def test_cost_rate_mixes_tiers(self, infra):
         infra.allocate(10, "private")

@@ -78,6 +78,13 @@ class TestRun:
         assert main(["run", "--duration", "60", "--seed", "1", "--quiet"]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_infinite_duration_rejected(self, capsys):
+        # An infinite horizon would never return; validation refuses it.
+        assert main(["run", "--duration", "inf"]) == 2
+        assert capsys.readouterr().err == (
+            "scan-sim: duration must be finite, got inf\n"
+        )
+
     def test_quiet_keeps_json(self, capsys):
         code = main(
             ["run", "--duration", "60", "--seed", "1", "--quiet", "--json"]
@@ -321,6 +328,13 @@ class TestSubmit:
 
     def test_bad_format_error(self, capsys):
         assert main(["submit", "--format", "weird"]) == 2
+
+    @pytest.mark.parametrize("size", ["-1", "0", "nan", "inf", "1e400"])
+    def test_bad_size_is_one_line_error(self, capsys, size):
+        assert main(["submit", "--size-gb", size]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scan-sim: size_gb must be positive and finite")
+        assert "Traceback" not in err
 
 
 class TestTable2:

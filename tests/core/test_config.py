@@ -1,5 +1,7 @@
 """Tests for the configuration dataclasses (Tables I and III)."""
 
+import math
+
 import pytest
 
 from repro.core.config import (
@@ -98,6 +100,25 @@ class TestValidation:
             SimulationConfig(duration=0.0).validate()
         with pytest.raises(ConfigurationError):
             SimulationConfig(warmup=20_000.0).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "section, name",
+        [
+            (SimulationConfig, "duration"),
+            (SimulationConfig, "warmup"),
+            (WorkloadConfig, "mean_interarrival"),
+            (WorkloadConfig, "size_unit_gb"),
+            (WorkloadConfig, "jobs_per_arrival_mean"),
+            (WorkloadConfig, "job_size_mean"),
+            (WorkloadConfig, "jobs_per_arrival_var"),
+            (WorkloadConfig, "job_size_var"),
+        ],
+    )
+    def test_non_finite_rejected(self, section, name, value):
+        # NaN and +inf pass a ``<= 0`` check; each must name its field.
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            section(**{name: value}).validate()
 
     def test_platform_validates_recursively(self):
         config = PlatformConfig(reward=RewardConfig(rmax=-1.0))

@@ -38,14 +38,14 @@ class TestPresets:
         with pytest.raises(ConfigurationError, match="smoke"):
             make_preset("missing")
 
-    def test_out_of_tree_preset_registration(self):
+    def test_out_of_tree_preset_registration(self, monkeypatch):
+        # Register into a copy of the global table, restored afterwards.
+        monkeypatch.setattr(PRESETS, "_factories", dict(PRESETS._factories))
+
         @PRESETS.register("test-tiny")
         def _tiny():
             return PlatformConfig.paper_defaults().with_overrides(
                 simulation={"duration": 50.0}
             )
 
-        try:
-            assert make_preset("test-tiny").simulation.duration == 50.0
-        finally:
-            PRESETS.unregister("test-tiny")
+        assert make_preset("test-tiny").simulation.duration == 50.0

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.desim.monitor import CounterMonitor, Monitor, TimeWeightedMonitor
+from repro.desim.monitor import Monitor, TimeWeightedMonitor
 
 
 class TestMonitor:
@@ -107,19 +107,3 @@ class TestTimeWeightedMonitor:
         m = TimeWeightedMonitor(initial=9.0)
         assert m.time_average() == 9.0
 
-
-class TestCounterMonitor:
-    def test_increment_and_read(self):
-        c = CounterMonitor()
-        c.increment("tasks")
-        c.increment("tasks", by=4)
-        assert c["tasks"] == 5
-        assert c["missing"] == 0
-
-    def test_as_dict_snapshot(self):
-        c = CounterMonitor()
-        c.increment("a")
-        snapshot = c.as_dict()
-        c.increment("a")
-        assert snapshot == {"a": 1}
-        assert c["a"] == 2

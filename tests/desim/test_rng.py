@@ -45,19 +45,6 @@ class TestRandomStreams:
         a2 = rs2.stream("clean").normal(size=4)
         assert np.allclose(a1, a2)
 
-    def test_spawn_derives_independent_child(self):
-        parent = RandomStreams(9)
-        child1 = parent.spawn("rep", seed_offset=1)
-        child2 = parent.spawn("rep", seed_offset=2)
-        a = child1.stream("arrivals").normal(size=5)
-        b = child2.stream("arrivals").normal(size=5)
-        assert not np.allclose(a, b)
-
-    def test_spawn_reproducible(self):
-        a = RandomStreams(9).spawn("rep", 3).stream("x").normal(size=5)
-        b = RandomStreams(9).spawn("rep", 3).stream("x").normal(size=5)
-        assert np.allclose(a, b)
-
     def test_names_lists_created_streams(self):
         rs = RandomStreams(1)
         rs.stream("b")

@@ -63,8 +63,9 @@ class TestKnowledgeDriven:
         )
         assert advice.n_shards > 1
         # Makespan with shards must beat the single-shard pipeline time.
-        single_task = advisor.kb.profile("gatk").total_predicted_time(
-            40.0, [1] * 7
+        profile = advisor.kb.profile("gatk")
+        single_task = sum(
+            profile.stage(i).predict(40.0, 1) for i in profile.stage_indices
         )
         assert advice.predicted_makespan < single_task
 

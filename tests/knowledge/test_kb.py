@@ -42,10 +42,6 @@ class TestRecording:
         assert kb.has_profile("gatk")
         assert len(kb.profile("gatk")) == 1
 
-    def test_bulk_record(self, kb):
-        names = kb.bulk_record([observation(), observation()])
-        assert len(names) == 2
-
     def test_instance_count(self, kb):
         kb.record_observation(observation(app="gatk"))
         kb.record_observation(observation(app="bwa"))
@@ -101,16 +97,6 @@ class TestQueries:
         kb.record_observation(observation(app="gatk"))
         kb.record_observation(observation(app="bwa"))
         assert len(kb.ranked_instances("gatk")) == 1
-
-    def test_resource_requirements(self, kb):
-        kb.record_observation(observation())
-        reqs = kb.resource_requirements("gatk")
-        assert reqs["cpu"] == 8.0
-        assert reqs["ram_gb"] == 4.0
-
-    def test_resource_requirements_missing_app(self, kb):
-        with pytest.raises(KnowledgeBaseError):
-            kb.resource_requirements("nope")
 
     def test_raw_sparql_query(self, kb):
         kb.record_observation(observation(size=10.0))

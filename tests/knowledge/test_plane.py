@@ -20,7 +20,6 @@ from repro.knowledge.plane import (
     make_estimate_provider,
 )
 from repro.knowledge.profiles import ProfileObservation
-from repro.ontology.scan_ontology import build_scan_ontology
 from repro.workflows.compiled import chain_of
 
 
@@ -116,10 +115,6 @@ class TestKnowledgePlane:
         assert [f.stage for f in plane.facts("bwa")] == [0, 1]
         assert plane.apps() == ["bwa", "gatk"]
 
-    def test_stage_models_requires_facts(self):
-        with pytest.raises(KnowledgeBaseError):
-            KnowledgePlane().stage_models("gatk")
-
     def test_snapshot_shape(self, gatk_model):
         plane = KnowledgePlane()
         plane.seed_from_workflow(chain_of(gatk_model))
@@ -163,36 +158,6 @@ class TestSeedFromProfiles:
         f = plane.get("gatk", 0)
         assert f.provenance == "refit"
         assert f.a == 9.0
-
-
-class TestPersistence:
-    def test_ontology_round_trip(self, gatk_model):
-        plane = KnowledgePlane()
-        plane.seed_from_workflow(chain_of(gatk_model))
-        plane.install([fact(stage=0, a=2.5, b=0.5, provenance="refit",
-                            samples=17, confidence=0.75)])
-        ontology = build_scan_ontology(include_gene_ontology=False)
-        written = plane.persist(ontology)
-        assert written == len(plane)
-        restored = KnowledgePlane.restore(ontology)
-        assert len(restored) == len(plane)
-        for before in plane.facts():
-            after = restored.get(before.app, before.stage)
-            assert (after.a, after.b, after.c) == (before.a, before.b, before.c)
-            assert after.provenance == before.provenance
-            assert after.samples == before.samples
-            assert after.confidence == before.confidence
-
-    def test_none_c_survives_round_trip(self):
-        plane = KnowledgePlane()
-        plane.install([fact(c=None)])
-        ontology = build_scan_ontology(include_gene_ontology=False)
-        plane.persist(ontology)
-        assert KnowledgePlane.restore(ontology).get("gatk", 0).c is None
-
-    def test_restore_from_bare_ontology_is_empty(self):
-        ontology = build_scan_ontology(include_gene_ontology=False)
-        assert len(KnowledgePlane.restore(ontology)) == 0
 
 
 class TestDiffSnapshots:

@@ -126,18 +126,3 @@ class TestApplicationProfile:
         profile = ApplicationProfile("gatk")
         with pytest.raises(KnowledgeBaseError):
             profile.add(obs(app="bwa"))
-
-    def test_total_predicted_time(self):
-        profile = ApplicationProfile("gatk")
-        for stage in (0, 1):
-            for size in (1.0, 5.0):
-                profile.add(obs(stage=stage, input_gb=size, time=size * (stage + 1)))
-        total = profile.total_predicted_time(4.0, [1, 1])
-        assert total == pytest.approx(4.0 + 8.0)
-
-    def test_thread_list_length_checked(self):
-        profile = ApplicationProfile("gatk")
-        profile.add(obs(stage=0, input_gb=1.0, time=1.0))
-        profile.add(obs(stage=0, input_gb=2.0, time=2.0))
-        with pytest.raises(KnowledgeBaseError):
-            profile.total_predicted_time(1.0, [1, 1])

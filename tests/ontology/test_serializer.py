@@ -1,8 +1,8 @@
-"""Tests for Turtle/RDF-XML serialization."""
+"""Tests for RDF/XML serialization."""
 
 import pytest
 
-from repro.ontology.serializer import to_rdfxml, to_turtle
+from repro.ontology.serializer import to_rdfxml
 from repro.ontology.scan_ontology import (
     add_application_instance,
     build_scan_ontology,
@@ -20,36 +20,6 @@ def scan_with_gatk():
         e_time=180, cpu=8, ram=4, steps=1,
     )
     return onto
-
-
-class TestTurtle:
-    def test_prefixes_emitted(self, scan_with_gatk):
-        text = to_turtle(scan_with_gatk.store)
-        assert "@prefix scan:" in text or "@prefix scan-ontology:" in text
-
-    def test_rdf_type_shortened_to_a(self):
-        store = TripleStore()
-        store.add(EX.x, RDF.type, OWL.Class)
-        text = to_turtle(store)
-        assert " a " in text
-
-    def test_literals_rendered(self):
-        store = TripleStore()
-        store.add(EX.x, EX.count, 5)
-        store.add(EX.x, EX.rate, 2.5)
-        store.add(EX.x, EX.flag, True)
-        store.add(EX.x, EX.label, 'say "hi"')
-        text = to_turtle(store)
-        assert "5" in text and "2.5" in text and "true" in text
-        assert '\\"hi\\"' in text
-
-    def test_grouped_by_subject(self):
-        store = TripleStore()
-        store.add(EX.x, EX.p1, 1)
-        store.add(EX.x, EX.p2, 2)
-        text = to_turtle(store)
-        # One subject block: the subject IRI appears once.
-        assert text.count(str(EX.x)) == 1
 
 
 class TestRdfXml:

@@ -71,14 +71,6 @@ class TestTripleStoreMutation:
         assert not store.remove(EX.a, EX.p, EX.b)
         assert len(store) == 0
 
-    def test_remove_matching_wildcard(self):
-        store = TripleStore()
-        store.add(EX.a, EX.p, 1)
-        store.add(EX.a, EX.p, 2)
-        store.add(EX.b, EX.p, 3)
-        assert store.remove_matching(EX.a, None, None) == 2
-        assert len(store) == 1
-
     def test_bare_string_object_becomes_literal(self):
         store = TripleStore()
         store.add(EX.a, EX.p, "hello")

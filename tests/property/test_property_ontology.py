@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ontology.serializer import parse_turtle, to_turtle
 from repro.ontology.sparql import execute_query
 from repro.ontology.triples import IRI, Literal, Namespace, TripleStore
 
@@ -42,14 +41,6 @@ def build_store(triples):
 
 def as_set(store):
     return {(t.subject, t.predicate, t.object) for t in store}
-
-
-@given(triples=st.lists(_triples, max_size=40))
-@settings(max_examples=100, deadline=None)
-def test_turtle_roundtrip_arbitrary_stores(triples):
-    store = build_store(triples)
-    back = parse_turtle(to_turtle(store))
-    assert as_set(back) == as_set(store)
 
 
 @given(triples=st.lists(_triples, max_size=40))

@@ -137,7 +137,7 @@ class TestRoundTrip:
         } == want_completed
         assert set(state.failed) == want_failed
         # The resume skip-set survives the round trip bit-for-bit.
-        assert state.completed_keys() == live.completed_keys()
+        assert set(state.completed) == set(live.completed)
 
 
 class TestTornTail:

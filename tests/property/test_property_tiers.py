@@ -84,13 +84,8 @@ def test_cached_tier_facts_match_a_per_call_reference(specs, placement, data):
     for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
         cores = data.draw(st.integers(min_value=1, max_value=24))
         duration = data.draw(st.none() | st.floats(min_value=0.5, max_value=80.0))
-        allow_public = data.draw(st.booleans())
-        expected = _reference_place(
-            tiers if allow_public else fixed, placement, cores, duration
-        )
-        assert infra.place(
-            cores, allow_public=allow_public, duration_tu=duration
-        ) == expected
+        expected = _reference_place(tiers, placement, cores, duration)
+        assert infra.place(cores, duration_tu=duration) == expected
         assert infra.place_elastic(cores, duration) == _reference_place(
             elastic, placement, cores, duration
         )

@@ -138,7 +138,10 @@ class TestFindBestConstantPlan:
         plan = find_best_constant_plan(gatk_model, reward, 5.0, 5.0)
 
         def profit(p):
-            latency = gatk_model.planned_time(p, 5.0)
+            latency = sum(
+                s.threaded_time(t, 5.0)
+                for s, t in zip(gatk_model.stages, p.threads)
+            )
             cost = sum(
                 5.0 * t * s.threaded_time(t, 5.0)
                 for s, t in zip(gatk_model.stages, p.threads)

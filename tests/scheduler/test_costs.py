@@ -30,26 +30,9 @@ class TestMarginalCost:
         assert TieredCostFunction(infra).marginal_core_cost(1) == 50.0
 
 
-class TestHireCost:
-    def test_basic(self, costs):
-        assert costs.hire_cost(4, 10.0, "private") == pytest.approx(200.0)
-
-    def test_startup_penalty_billed(self, costs):
-        with_boot = costs.hire_cost(
-            4, 10.0, "public", startup_penalty_tu=0.5
-        )
-        assert with_boot == pytest.approx(4 * 50.0 * 10.5)
-
-    def test_validation(self, costs):
-        with pytest.raises(ValueError):
-            costs.hire_cost(0, 1.0, "private")
-        with pytest.raises(ValueError):
-            costs.hire_cost(1, -1.0, "private")
-
-
 class TestPublicPremium:
     def test_premium_is_price_difference_plus_boot(self, costs):
-        premium = costs.public_premium(2, 10.0, startup_penalty_tu=0.5)
+        premium = costs.premium(2, 10.0, startup_penalty_tu=0.5)
         expected = 2 * ((50.0 - 5.0) * 10.0 + 50.0 * 0.5)
         assert premium == pytest.approx(expected)
 
@@ -59,11 +42,11 @@ class TestPublicPremium:
             public_cores=10, public_cost=20.0,
         )
         costs = TieredCostFunction(infra)
-        assert costs.public_premium(1, 5.0) == pytest.approx(0.0)
+        assert costs.premium(1, 5.0) == pytest.approx(0.0)
 
 
 class TestCurrentRate:
     def test_tracks_live_allocations(self, costs):
         costs.infrastructure.allocate(4, "private")
         costs.infrastructure.allocate(1, "public")
-        assert costs.current_rate() == pytest.approx(4 * 5.0 + 50.0)
+        assert costs.infrastructure.cost_rate() == pytest.approx(4 * 5.0 + 50.0)

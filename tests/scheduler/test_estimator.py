@@ -239,8 +239,8 @@ class TestETT:
 
     def test_remaining_time_excludes_elapsed(self, estimator, gatk_model):
         job = make_job(gatk_model, submit=0.0)
-        r0 = estimator.remaining_time(job, now=0.0)
-        r10 = estimator.remaining_time(job, now=10.0)
+        r0 = estimator.ett(job, 0.0) - job.elapsed(0.0)
+        r10 = estimator.ett(job, 10.0) - job.elapsed(10.0)
         assert r0 == pytest.approx(r10)
 
     def test_ett_uses_input_gb(self, estimator, gatk_model):
@@ -252,14 +252,12 @@ class TestETT:
 class TestThreadsOverrideLength:
     """A ``threads_per_stage`` override must cover every stage."""
 
-    @pytest.mark.parametrize("method", ["ett", "remaining_time"])
-    def test_short_override_on_chain(self, estimator, gatk_model, method):
+    def test_short_override_on_chain(self, estimator, gatk_model):
         job = make_job(gatk_model)
         with pytest.raises(SchedulingError, match=r"has 2 entries for 7 stages"):
-            getattr(estimator, method)(job, 1.0, threads_per_stage=[1, 2])
+            estimator.ett(job, 1.0, threads_per_stage=[1, 2])
 
-    @pytest.mark.parametrize("method", ["ett", "remaining_time"])
-    def test_short_override_on_dag(self, method):
+    def test_short_override_on_dag(self):
         from repro.workflows.compiled import compile_spec
         from repro.workflows.library import make_workflow
 
@@ -272,7 +270,7 @@ class TestThreadsOverrideLength:
             SchedulingError,
             match=rf"has {wf.n_nodes - 1} entries for {wf.n_nodes} stages",
         ):
-            getattr(estimator, method)(job, 1.0, threads_per_stage=short)
+            estimator.ett(job, 1.0, threads_per_stage=short)
 
 
 def _reference_chain_ett(estimator, job, now, threads_per_stage=None):

@@ -105,21 +105,13 @@ class TestLearning:
             learner.threads_for_stage(job, 0, ctx)
             learner.observe_completion(job, 0, 1, 1.0)
         assert learner.explorations > 0
-        assert learner.exploration_fraction < 1.0  # decayed below initial
+        # Decayed below the initial epsilon: some choices were greedy.
+        assert learner.explorations < learner.decisions
 
     def test_negative_duration_rejected(self, gatk_model):
         learner = LearnedAllocation()
         with pytest.raises(SchedulingError):
             learner.observe_completion(job_of(gatk_model), 0, 1, -1.0)
-
-    def test_arm_table_snapshot(self, gatk_model):
-        learner = LearnedAllocation()
-        job = job_of(gatk_model)
-        learner.observe_completion(job, 2, 4, 7.5)
-        table = learner.arm_table()
-        ((stage, _band, threads), (pulls, mean)) = next(iter(table.items()))
-        assert (stage, threads, pulls) == (2, 4, 1)
-        assert mean == 7.5
 
 
 class TestIntegration:
@@ -141,7 +133,6 @@ class TestIntegration:
         learner = session.scheduler.allocation
         assert isinstance(learner, LearnedAllocation)
         assert learner.decisions > 0
-        assert len(learner.arm_table()) > 0
 
     def test_validation(self):
         with pytest.raises(SchedulingError):

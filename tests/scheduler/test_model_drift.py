@@ -91,7 +91,10 @@ class TestActualApp:
         session = SimulationSession(config, actual_app=slow)
         session.run(seed=3)
         learner = session.scheduler.allocation
-        table = learner.arm_table()
+        table = {
+            key: (arm.pulls, arm.mean_duration)
+            for key, arm in learner._arms.items()
+        }
         assert table  # observations happened
         # Any observed single-thread duration must match the SLOW model at
         # some plausible size, i.e. exceed the believed model's duration.

@@ -50,19 +50,13 @@ class TestStageQueue:
         assert q.dispatched_total == 1
         assert len(q) == 1
 
-    def test_waiting_records(self, gatk_model):
-        q = StageQueue(0)
-        for size in (2.0, 3.0):
-            q.push(task_for(Job(app=gatk_model, size=size, submit_time=0.0), 0), 0.0)
-        assert q.waiting_records() == pytest.approx(5.0)
-
     def test_mean_length_time_weighted(self, job, gatk_model):
         q = StageQueue(0, start_time=0.0)
         q.push(task_for(job, 0), now=0.0)  # length 1 from t=0
         q.push(task_for(Job(app=gatk_model, size=1.0, submit_time=0.0), 0), now=5.0)
         q.pop(now=10.0)  # length 2 during [5,10)
         # avg over [0,10): (1*5 + 2*5)/10 = 1.5
-        assert q.mean_length(until=10.0) == pytest.approx(1.5)
+        assert q.length_monitor.time_average(10.0) == pytest.approx(1.5)
 
     def test_iteration_front_to_back(self, gatk_model):
         q = StageQueue(0)

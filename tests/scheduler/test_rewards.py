@@ -35,11 +35,11 @@ class TestTimeReward:
 
     def test_breakeven_latency(self):
         r = TimeReward(rmax=400.0, rpenalty=15.0)
-        assert r.breakeven_latency() == pytest.approx(400.0 / 15.0)
-        assert r(r.breakeven_latency(), 7.0) == pytest.approx(0.0, abs=1e-9)
+        assert r(400.0 / 15.0, 7.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_penalty_never_breaks_even(self):
-        assert TimeReward(rpenalty=0.0).breakeven_latency() == float("inf")
+        r = TimeReward(rpenalty=0.0)
+        assert r(1e9, 7.0) == r(0.0, 7.0) > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -81,7 +81,6 @@ class TestJob:
 class TestStageRecord:
     def test_derived_durations(self):
         r = record(0, start=20.0, end=33.0, queued=15.0)
-        assert r.queue_wait == pytest.approx(5.0)
         assert r.duration == pytest.approx(13.0)
 
 

@@ -280,7 +280,7 @@ class TestOpenResultStream:
         store.record(completed(0, 0))
         store.record(failed(0, 1))
         state = open_result_stream(store, meta_for(), resume=True)
-        assert state.completed_keys() == {(0, 0)}
+        assert set(state.completed) == {(0, 0)}
         assert set(state.failed) == {(0, 1)}
 
     def test_mismatched_meta_refused(self):
@@ -310,9 +310,9 @@ class TestSweepAggregator:
     def test_partial_state_released_on_finalize(self):
         agg = SweepAggregator(CELLS, repetitions=2)
         agg.add(completed(0, 0))
-        assert agg.pending_cells == 1
+        assert len(agg._partial) == 1
         agg.add(completed(0, 1))
-        assert agg.pending_cells == 0
+        assert len(agg._partial) == 0
 
     def test_failed_records_ignored(self):
         agg = SweepAggregator(CELLS, repetitions=1)

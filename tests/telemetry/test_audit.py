@@ -1,7 +1,5 @@
 """Tests for the scheduler decision audit log and its replay."""
 
-import json
-
 import pytest
 
 from repro.core.config import PlatformConfig
@@ -44,7 +42,6 @@ class TestAuditLog:
         assert len(log) == 2
         assert log.counts == {"wait": 1, "hire_public": 1}
         assert [r.task_uid for r in log] == [1, 2]
-        assert [r.task_uid for r in log.of_decision("hire_public")] == [2]
 
     def test_cap_drops_but_keeps_counting(self):
         log = DecisionAuditLog(max_records=2)
@@ -53,15 +50,6 @@ class TestAuditLog:
         assert len(log) == 2
         assert log.dropped == 3
         assert log.counts["wait"] == 5
-
-    def test_write_jsonl(self, tmp_path):
-        log = DecisionAuditLog()
-        log.add(_record(None, decision="wait"))
-        path = tmp_path / "audit.jsonl"
-        log.write_jsonl(str(path))
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["decision"] == "wait"
 
 
 class TestReplay:
@@ -163,7 +151,7 @@ class TestEndToEndReplay:
 
     def test_hire_now_decision_replays_to_same_choice(self, session):
         audit = session.telemetry.audit
-        hires = audit.of_decision("hire_public")
+        hires = [r for r in audit if r.decision == "hire_public"]
         assert hires, "stressed run should hire from the public tier"
         reward = make_reward(session.config.reward)
         record = hires[0]

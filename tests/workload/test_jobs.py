@@ -32,11 +32,9 @@ class TestJobFactory:
         job = JobFactory(gatk_model).make_job(5.0, 0.0)
         assert job.input_gb == job.size
 
-    def test_from_sizes(self, gatk_model):
+    def test_name_prefix(self, gatk_model):
         factory = JobFactory(gatk_model, name_prefix="exp")
-        jobs = factory.from_sizes([1.0, 2.0], submit_time=3.0)
-        assert jobs[0].name.startswith("exp-")
-        assert len(jobs) == 2
+        assert factory.make_job(1.0, 3.0).name.startswith("exp-")
 
     def test_bad_unit_rejected(self, gatk_model):
         with pytest.raises(ValueError):

@@ -31,11 +31,6 @@ class TestTrace:
                 )
             )
 
-    def test_dict_roundtrip(self):
-        trace = make_trace()
-        back = ArrivalTrace.from_dicts(trace.to_dicts())
-        assert back == trace
-
     def test_empty_trace(self):
         trace = ArrivalTrace(())
         assert len(trace) == 0
