@@ -33,12 +33,14 @@ from __future__ import annotations
 import io
 import json
 import os
-import sqlite3
 import threading
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, SCANError
 from repro.core.plugins import Registry
+
+if TYPE_CHECKING:  # sqlite3 loads only when a SQLite ledger is opened
+    import sqlite3
 
 __all__ = [
     "Ledger",
@@ -185,6 +187,8 @@ class SqliteLedger(Ledger):
     """One append-only table of JSON rows, read back in rowid order."""
 
     def __init__(self, path: str) -> None:
+        import sqlite3
+
         self.path = path
         self._lock = threading.Lock()
         if path != ":memory:":

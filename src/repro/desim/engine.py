@@ -304,5 +304,24 @@ class Environment:
             stop_value = None
         return stop_value
 
+    def close(self) -> None:
+        """Abandon the run: empty the calendar and every waiting process.
+
+        Each queued event loses its callbacks, and the generator of every
+        process resumed by one is closed where it waits.  A finished run
+        thereby holds no suspended frame and no callback cycle, so its
+        components die by reference counting once the caller drops them.
+        The clock stays where the run left it.
+        """
+        from repro.desim.process import Process
+
+        queue, self._queue = self._queue, []
+        for _when, _prio, _seq, event in queue:
+            callbacks, event.callbacks = event.callbacks, []
+            for callback in callbacks:
+                process = getattr(callback, "__self__", None)
+                if isinstance(process, Process):
+                    process._generator.close()
+
     def __repr__(self) -> str:
         return f"<Environment now={self.now} pending={len(self._queue)}>"

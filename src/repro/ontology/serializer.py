@@ -7,8 +7,6 @@ The writer mirrors the paper's OWL listings (Section III-A.1.i), emitting
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from repro.ontology.triples import (
     BlankNode,
     IRI,
@@ -36,6 +34,10 @@ def to_rdfxml(store: TripleStore, ontology_prefix: str = "scan-ontology") -> str
     Only ``owl:NamedIndividual`` subjects are emitted (that is what the
     paper's listings show); class/property declarations are skipped.
     """
+    # Imported here: xml.sax pulls in urllib, http and ssl, which nothing
+    # else on a simulation's import path needs.
+    from xml.sax.saxutils import escape
+
     base = store.prefixes.get(ontology_prefix)
     lines: list[str] = ['<?xml version="1.0"?>']
     ns_attrs = [

@@ -119,6 +119,10 @@ class DeadLetterQueue:
         self._entries.append(entry)
         return entry
 
+    def on_dead_lettered(self, event: Any) -> None:
+        """Bus subscriber for :class:`~repro.core.bus.TaskDeadLettered`."""
+        self.push(event.task, event.reason, event.time)
+
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -189,7 +189,7 @@ class SCANScheduler:
         #: itself a subscriber now -- the scheduler announces exhaustion,
         #: the queue quarantines.
         self.bus = bus if bus is not None else EventBus()
-        self.bus.subscribe(TaskDeadLettered, self._on_dead_letter)
+        self.bus.subscribe(TaskDeadLettered, self.dead_letters.on_dead_lettered)
         self.pools = WorkerPools(
             env,
             celar,
@@ -231,6 +231,19 @@ class SCANScheduler:
             raise SchedulingError("scheduler already started")
         self._started = True
         self.env.process(self.pools.start_reaper())
+
+    def close(self) -> None:
+        """Unhook the pools' and the speculative executor's callbacks.
+
+        They are the only edges from the scheduler's parts back to the
+        scheduler itself, so once its environment is closed as well
+        (:meth:`Environment.close`) a finished platform is acyclic.
+        Counters, queues, job lists and bus subscriptions stay as the run
+        left them.
+        """
+        self.pools.on_available = None
+        self.pools.on_worker_failed = None
+        self.speculation.on_launch = None
 
     # -- submission ----------------------------------------------------------------
     def submit(self, job: Job) -> Job:
@@ -411,10 +424,6 @@ class SCANScheduler:
                     decision,
                 )
             )
-
-    def _on_dead_letter(self, event: TaskDeadLettered) -> None:
-        """Built-in subscriber: quarantine exhausted tasks."""
-        self.dead_letters.push(event.task, event.reason, event.time)
 
     def _schedule_redispatch(self, stage: int, delay: float) -> None:
         def waker():
@@ -614,6 +623,7 @@ class SCANScheduler:
         try:
             yield self.env.timeout(duration)
         except Interrupt as intr:
+            self._executing.pop(worker, None)
             if intr.cause == _SPECULATIVE_LOSS:
                 # The twin finished first; this worker is fine -- free it.
                 self.speculation.lost += 1
@@ -631,8 +641,9 @@ class SCANScheduler:
                 return
             self._handle_failed_attempt(task, reason="vm-failure")
             return
-        finally:
-            self._executing.pop(worker, None)
+        # Not a ``finally``: closing an abandoned run's process
+        # (Environment.close) must leave the books as the run left them.
+        self._executing.pop(worker, None)
 
         finished_at = self.env.now
         if group is not None and group.resolved:
@@ -733,9 +744,8 @@ class SCANScheduler:
         now = self.env.now
         self.speculation.discard(task)
         if self.retry_policy.exhausted(task.attempt):
-            # Quarantining is a subscription: the scheduler's own
-            # _on_dead_letter handler feeds self.dead_letters (always
-            # subscribed, so no `in bus` guard here).
+            # Quarantining is a subscription: self.dead_letters listens
+            # for this event (always subscribed, so no `in bus` guard).
             self.bus.publish(
                 TaskDeadLettered(
                     now, job.name, stage, task.attempt, reason, task

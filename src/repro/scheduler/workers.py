@@ -264,10 +264,14 @@ class WorkerPools:
         waited on this boot must re-decide even (especially) when the
         worker never arrives, or it would stall forever.
         """
+        # Not a ``finally``: closing an abandoned run's process
+        # (Environment.close) must leave the books as the run left them.
         try:
             yield from worker.vm.boot()
-        finally:
+        except Exception:
             self._finish_boot_slot(stage)
+            raise
+        self._finish_boot_slot(stage)
         if WorkerBooted in self.bus:
             self.bus.publish(
                 WorkerBooted(

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Container, Iterator, Optional, Sequence
 
@@ -409,6 +408,10 @@ def _run_pool(
     :data:`TASK_RETRY`; with a result store, those are dead-lettered into
     it as ``failed`` records, so the next resume schedules them again.
     """
+    # Imported here: a serial sweep or a single session never loads
+    # concurrent.futures (and with it multiprocessing).
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     pending = dict(tasks)
     attempts = {key: 0 for key in pending}
     retried = 0

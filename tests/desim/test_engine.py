@@ -226,3 +226,47 @@ class TestFastLoop:
         env.run(until=1.5)
         assert env.now == 1.5
         assert [value for _, value in trace] == [0.0, 1.0, 1.0]
+
+
+class TestClose:
+    """``close`` abandons a run: an empty calendar and no live frame."""
+
+    def test_close_empties_the_calendar_and_keeps_the_clock(self, env):
+        fired = []
+        env.timeout(5.0).callbacks.append(fired.append)
+        env.run(until=2.0)
+        env.close()
+        assert env.peek() == float("inf")
+        assert env.now == 2.0
+        env.run()  # nothing left to fire
+        assert fired == []
+
+    def test_close_closes_every_waiting_process(self, env):
+        exits = []
+
+        def sleeper(delay):
+            try:
+                yield env.timeout(delay)
+            except GeneratorExit:
+                exits.append(delay)
+                raise
+
+        processes = [env.process(sleeper(d)) for d in (3.0, 7.0)]
+        env.run(until=1.0)
+        env.close()
+        assert sorted(exits) == [3.0, 7.0]
+        # Closed, not finished: neither process produced a value.
+        assert all(p.is_alive for p in processes)
+        assert all(p._generator.gi_frame is None for p in processes)
+
+    def test_close_closes_a_process_that_never_started(self, env):
+        started = []
+
+        def body():
+            started.append(True)
+            yield env.timeout(1.0)
+
+        process = env.process(body())
+        env.close()
+        assert started == []
+        assert process._generator.gi_frame is None

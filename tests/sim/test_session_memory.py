@@ -1,8 +1,8 @@
 """What a session keeps per simulated task: the memory regression gate.
 
-A finished session's object graph is cyclic, so a process running many
-sessions (a sweep) carries several dead ones until a full collection;
-per-session bytes set its footprint.  These tests pin two savings --
+A finished session is torn down and freed by reference counting (see
+``tests/sim/test_session_lifecycle.py``), so what a session allocates
+while it runs sets a sweep process's peak.  These tests pin two savings --
 monitors keep no change log, chain jobs keep no per-job sets -- and a
 ceiling on one whole session's traced peak.  (That a finished process
 with no waiter leaves no calendar entry is pinned in
