@@ -9,7 +9,9 @@ and compares its deterministic counters exactly against
 ``benchmarks/perf_counters.json``.  The simulation workloads report every
 counter in ``perfbench.sims.DETERMINISTIC_COUNTERS`` (event counts, EET
 memo hits, provider calls, placements, bus publishes, scaling decisions,
-pool acquires); ``service_mixed`` reports its queue pushes and ledger
+pool acquires) and ``desim.processes``, the generator processes started
+after assembly (the arrival process alone: stage executions, boots and
+fault timers are calendar callbacks); ``service_mixed`` reports its queue pushes and ledger
 appends, the two counters ``perfbench.service`` checks repeat across its
 traced runs.  The counters depend only on the seed and the code, never on
 the host, so any difference means the change moved the simulated
@@ -37,6 +39,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE = os.path.join(ROOT, "benchmarks", "perf_counters.json")
 SIM_WORKLOADS = ("chain_paper", "dag_adaptive", "tiers_chaos")
 SERVICE_COUNTERS = ("service.queue.push.calls", "service.store.appends")
+PROCESS_COUNTER = "desim.processes"
 SEED = 1
 
 
@@ -45,7 +48,7 @@ def _counter_names() -> dict:
     sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
     from perfbench.sims import DETERMINISTIC_COUNTERS
 
-    names = {w: DETERMINISTIC_COUNTERS for w in SIM_WORKLOADS}
+    names = {w: DETERMINISTIC_COUNTERS + (PROCESS_COUNTER,) for w in SIM_WORKLOADS}
     names["service_mixed"] = SERVICE_COUNTERS
     return names
 

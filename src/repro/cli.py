@@ -605,6 +605,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         server.stop()
+        platform.close()
     return 0
 
 

@@ -79,8 +79,9 @@ class CelarManager:
 
         Allocation is synchronous so a scheduling decision's capacity check
         cannot race against other decisions taken before the boot process
-        runs.  Call ``env.process(vm.boot())`` (or let the worker pool do
-        it) to bring the VM to READY.
+        runs.  The worker pool brings the VM to READY: ``vm.begin_boot()``
+        returns the penalty, and ``vm.finish_boot()`` ends it once that
+        much simulated time has passed.
 
         ``cores`` must be one of the allowed instance sizes (use
         :meth:`fit_size` to round up).  Tiers with per-allocation latency

@@ -61,20 +61,22 @@ class VirtualMachine:
         self.boot_count = 0
         infrastructure.allocate(cores, self.tier)
 
-    def boot(self):
-        """Process: pay the startup penalty, then become READY.
+    def begin_boot(self) -> float:
+        """Start a (re)boot: BOOTING now; returns the penalty to wait (TU).
 
-        Yields; run it via ``env.process(vm.boot())``.
+        The caller waits the penalty out on the calendar and then calls
+        :meth:`finish_boot`; with a zero penalty it finishes at once.
         """
         if self.state is VMState.TERMINATED:
             raise CloudError(f"VM {self.uid} is terminated")
         self.state = VMState.BOOTING
         self.boot_count += 1
-        if self.startup_penalty_tu > 0:
-            yield self.env.timeout(self.startup_penalty_tu)
+        return self.startup_penalty_tu
+
+    def finish_boot(self) -> None:
+        """End a boot: READY, unless the VM was terminated meanwhile."""
         if self.state is not VMState.TERMINATED:
             self.state = VMState.READY
-        return self
 
     def reshape(self, new_cores: int) -> None:
         """Synchronously change the vCPU count (settles core accounting).
@@ -82,7 +84,8 @@ class VirtualMachine:
         Separate from the reboot so callers can claim capacity at decision
         time -- between a scheduling decision and the boot process running,
         other decisions fire, and check-then-allocate must not race.
-        A reboot (:meth:`boot`) must follow before the VM serves work.
+        A reboot (:meth:`begin_boot`, then :meth:`finish_boot`) must
+        follow before the VM serves work.
         """
         if self.state is VMState.TERMINATED:
             raise CloudError(f"VM {self.uid} is terminated")

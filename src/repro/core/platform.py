@@ -81,6 +81,7 @@ class SCANPlatform:
         request = platform.submit_analysis(dataset)
         platform.run(until=200.0)
         print(request.is_complete, platform.metrics())
+        platform.close()                        # tear down when done
     """
 
     def __init__(
@@ -210,6 +211,19 @@ class SCANPlatform:
                 )
             self.env.step()
         self._finalize_requests()
+
+    def close(self) -> None:
+        """Tear the deployment down, as the end of a session run does.
+
+        The environment is closed (calendar emptied, in-flight staging
+        processes closed where they wait) and the scheduler unhooks the
+        callbacks that point back at it, so a dropped facade holds no
+        reference cycle and dies by reference counting.  Requests,
+        metrics and the knowledge base stay readable; the deployment
+        cannot be run further.
+        """
+        self.env.close()
+        self.scheduler.close()
 
     def _finalize_requests(self) -> None:
         for request in self.requests:

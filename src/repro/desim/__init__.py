@@ -5,7 +5,8 @@ of SimPy, built as the substrate for the SCAN cloud simulation.  The paper's
 evaluation (Section IV) is a discrete-event simulation of GATK pipelines on
 a hybrid cloud; this package provides:
 
-- :class:`~repro.desim.engine.Environment` -- the event loop and clock.
+- :class:`~repro.desim.engine.Environment` -- the event loop and clock;
+  ``defer`` runs a callback from the calendar at the current instant.
 - :class:`~repro.desim.engine.Event`, :class:`~repro.desim.engine.Timeout` --
   primitive schedulable events.
 - :class:`~repro.desim.process.Process` -- generator-based cooperative

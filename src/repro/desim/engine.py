@@ -197,6 +197,25 @@ class Environment:
         """Create a :class:`Timeout` that fires ``delay`` from now."""
         return Timeout(self, delay, value)
 
+    def defer(self, callback: Callable[[Event], None], value: Any = None) -> Event:
+        """Call *callback* from the calendar at the current instant.
+
+        Schedules an URGENT event at ``now`` whose value is *value* and
+        whose only callback is *callback*: the hop a new process makes
+        before its body runs.  Deferred callbacks of one instant run in
+        the order they were deferred, after the URGENT events already
+        queued for it and ahead of every NORMAL event of that instant.
+        A callback that needs to wait ``d`` more time units appends its
+        continuation to ``env.timeout(d, value).callbacks``.
+        """
+        event = Event(self)
+        event._value = value
+        event.callbacks = [callback]
+        event._scheduled = True
+        heapq.heappush(self._queue, (self.now, URGENT, self._seq, event))
+        self._seq += 1
+        return event
+
     def process(self, generator) -> "Any":
         """Spawn a :class:`~repro.desim.process.Process` from *generator*."""
         from repro.desim.process import Process

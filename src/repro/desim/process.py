@@ -3,9 +3,11 @@
 A :class:`Process` drives a Python generator: each ``yield``ed event suspends
 the process until the event fires, at which point the event's value is sent
 back into the generator (or its exception thrown, for failed events).  This
-is the same programming model as SimPy and is how every active entity in the
-SCAN simulation (workers, the scheduler loop, arrival processes, VM boot
-sequences) is expressed.
+is the same programming model as SimPy.  In the SCAN simulation only the
+long-lived loops are processes (the arrival process and the idle-worker
+reaper); per-task steps -- stage executions, VM boots, fault timers -- run
+as :meth:`Environment.defer <repro.desim.engine.Environment.defer>`
+callbacks chained through timeouts, which cost no generator frame.
 """
 
 from __future__ import annotations
@@ -61,11 +63,7 @@ class Process(Event):
         self._target: Event | None = None
         # Kick off the process via an initialisation event so that the body
         # does not run until the event loop is turning.
-        init = Event(env)
-        init._ok = True
-        init._value = None
-        env.schedule(init, priority=URGENT)
-        init.callbacks.append(self._resume)
+        env.defer(self._resume)
 
     @property
     def target(self) -> Event | None:

@@ -31,7 +31,7 @@ from repro.core.errors import SchedulingError
 from repro.scheduler.tasks import StageTask
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.desim.process import Process
+    from repro.desim.engine import Environment, Event
     from repro.scheduler.workers import Worker
 
 __all__ = [
@@ -205,17 +205,32 @@ class CircuitBreaker:
 
 
 # -- speculative re-execution -------------------------------------------------
-@dataclass
 class ExecutionAttempt:
-    """One live execution of a stage task on a worker."""
+    """One execution of a stage task on a worker, from dispatch to its end.
 
-    task: StageTask
-    worker: "Worker"
-    process: "Process"
+    The scheduler drives it with calendar callbacks (start, finish,
+    interrupt) that receive it as their event's value, so it needs no
+    process and holds no reference to the scheduler.  ``running`` is True
+    from dispatch until its finish or interrupt has been handled, or until
+    it is dropped unstarted.
+    """
 
-    @property
-    def running(self) -> bool:
-        return self.process.is_alive
+    __slots__ = (
+        "task", "worker", "group", "started_at", "threads", "duration",
+        "stage_input", "running",
+    )
+
+    def __init__(self, task: StageTask, worker: "Worker") -> None:
+        self.task = task
+        self.worker = worker
+        #: The speculation group it belongs to while it runs; None when no
+        #: twin can exist, for a stale twin, and once it has ended.
+        self.group: Optional[ExecutionGroup] = None
+        self.started_at = 0.0
+        self.threads = 0
+        self.duration = 0.0
+        self.stage_input = 0.0
+        self.running = True
 
 
 @dataclass
@@ -248,8 +263,9 @@ class ExecutionGroup:
 class SpeculativeExecutor:
     """Straggler watchdog + first-finisher-wins twin bookkeeping.
 
-    The scheduler registers every execution here (cheap when speculation
-    is off: one dict entry per in-flight stage).  When a watched task runs
+    The scheduler registers every execution here while a twin can
+    launch at all (speculation on and stragglers injected; otherwise it
+    skips the executor).  When a watched task runs
     past ``straggler_factor x`` its predicted duration, the executor asks
     the scheduler (via ``on_launch``) to enqueue exactly one speculative
     duplicate.  Whichever attempt finishes first resolves the group; the
@@ -278,16 +294,15 @@ class SpeculativeExecutor:
     def key_for(task: StageTask) -> tuple[int, int]:
         return (task.job.uid, task.stage)
 
-    def register(
-        self, task: StageTask, worker: "Worker", process: "Process"
-    ) -> Optional[ExecutionGroup]:
-        """Track a starting execution; None for a stale speculative one.
+    def register(self, attempt: ExecutionAttempt) -> Optional[ExecutionGroup]:
+        """Track a starting execution and set its ``group``.
 
-        A speculative attempt whose group already resolved (or vanished)
-        must not run -- the caller releases its worker unstarted.
+        Returns the group, or None for a stale speculative attempt: one
+        whose group already resolved (or vanished) must not run -- the
+        caller releases its worker unstarted.
         """
+        task = attempt.task
         key = self.key_for(task)
-        attempt = ExecutionAttempt(task=task, worker=worker, process=process)
         if task.speculative:
             group = self._groups.get(key)
             if group is None or group.resolved:
@@ -295,22 +310,32 @@ class SpeculativeExecutor:
             group.speculative = attempt
             if group.pending_speculative is task:
                 group.pending_speculative = None
-            return group
-        group = ExecutionGroup(key=key, primary=attempt)
-        self._groups[key] = group
+        else:
+            group = ExecutionGroup(key=key, primary=attempt)
+            self._groups[key] = group
+        attempt.group = group
         return group
 
-    def watchdog(self, env, group: ExecutionGroup, predicted_duration: float):
-        """Process: launch one speculative duplicate if the primary lags.
+    def watch(
+        self, env: "Environment", group: ExecutionGroup, predicted_duration: float
+    ) -> None:
+        """Arm the straggler watchdog for a starting primary.
 
-        Armed when the primary starts; fires once at the straggler
-        deadline.  A primary that already finished (or died, or spawned a
-        twin some other way) makes this a no-op.
+        It is armed one URGENT hop from now and fires once, at the
+        straggler deadline, launching one speculative duplicate if the
+        primary still lags.  A primary that already finished (or died, or
+        spawned a twin some other way) makes it a no-op.
         """
+        env.defer(self._arm, (group, predicted_duration))
+
+    def _arm(self, event: "Event") -> None:
+        group, predicted_duration = event.value
         deadline = self.straggler_factor * predicted_duration
-        if deadline <= 0:
-            return
-        yield env.timeout(deadline)
+        if deadline > 0:
+            event.env.timeout(deadline, group).callbacks.append(self._deadline)
+
+    def _deadline(self, event: "Event") -> None:
+        group = event.value
         if not self.enabled or group.resolved:
             return
         if group.speculative is not None or group.pending_speculative is not None:
@@ -324,7 +349,7 @@ class SpeculativeExecutor:
         duplicate = StageTask(
             job=task.job,
             stage=task.stage,
-            enqueued_at=env.now,
+            enqueued_at=event.env.now,
             attempt=task.attempt,
             first_enqueued_at=task.first_enqueued_at,
             speculative=True,

@@ -37,7 +37,6 @@ from repro.apps.base import ApplicationModel
 from repro.cloud.celar import CelarManager
 from repro.cloud.faults import FaultInjector
 from repro.cloud.infrastructure import Infrastructure
-from repro.desim.process import Interrupt
 from repro.core.bus import (
     DeployFailed,
     EventBus,
@@ -58,7 +57,7 @@ from repro.core.bus import (
 )
 from repro.core.config import ResilienceConfig, SchedulerConfig
 from repro.core.errors import SchedulingError, TransientDeployError
-from repro.desim.engine import Environment
+from repro.desim.engine import Environment, Event
 from repro.knowledge.plane import EstimateProvider
 from repro.scheduler.allocation import AllocationContext, AllocationPolicy
 from repro.scheduler.costs import TieredCostFunction
@@ -67,6 +66,7 @@ from repro.scheduler.queues import QueueSet
 from repro.scheduler.resilience import (
     CircuitBreaker,
     DeadLetterQueue,
+    ExecutionAttempt,
     RetryPolicy,
     SpeculativeExecutor,
 )
@@ -165,6 +165,14 @@ class SCANScheduler:
             straggler_factor=self.resilience.straggler_factor,
             on_launch=self._launch_speculative,
         )
+        #: Whether a speculative twin can ever launch: the straggler
+        #: watchdog is armed only with speculation on and stragglers
+        #: injected.  Otherwise executions skip the executor entirely.
+        self._speculates = (
+            self.speculation.enabled
+            and faults is not None
+            and faults.stragglers_enabled
+        )
 
         self.queues = QueueSet(self.n_steps, start_time=env.now)
         self.estimator = PipelineEstimator(
@@ -174,7 +182,9 @@ class SCANScheduler:
             workflow=self.workflow,
         )
         self.costs = TieredCostFunction(infrastructure)
-        self._executing: dict[Worker, object] = {}
+        #: Every started, unfinished execution, by its worker.  An
+        #: interrupted one stays until its interrupt is delivered.
+        self._executing: dict[Worker, ExecutionAttempt] = {}
         self.task_retries = 0
         self.deploy_failures = 0
 
@@ -239,11 +249,14 @@ class SCANScheduler:
         scheduler itself, so once its environment is closed as well
         (:meth:`Environment.close`) a finished platform is acyclic.
         Counters, queues, job lists and bus subscriptions stay as the run
-        left them.
+        left them.  An execution abandoned in flight still belongs to its
+        speculation group, which points back at it; that cycle is cut too.
         """
         self.pools.on_available = None
         self.pools.on_worker_failed = None
         self.speculation.on_launch = None
+        for run in self._executing.values():
+            run.group = None
 
     # -- submission ----------------------------------------------------------------
     def submit(self, job: Job) -> Job:
@@ -343,9 +356,9 @@ class SCANScheduler:
                         self.env.now, worker.uid, worker.tier, worker.cores
                     )
                 )
-        process = self._executing.pop(worker, None)
-        if process is not None and getattr(process, "is_alive", False):
-            process.interrupt("vm-failure")
+        run = self._executing.get(worker)
+        if run is not None and run.running:
+            self._interrupt(run, "vm-failure")
 
     def _breaker_guards(self, tier: str) -> bool:
         """Whether the deploy circuit breaker watches this tier.
@@ -425,19 +438,30 @@ class SCANScheduler:
                 )
             )
 
-    def _schedule_redispatch(self, stage: int, delay: float) -> None:
-        def waker():
-            yield self.env.timeout(max(delay, 0.0))
-            self._dispatch(stage)
+    def _after(self, delay: float, callback, value) -> None:
+        """Call *callback* with an event carrying *value* in *delay* TU.
 
-        self.env.process(waker())
+        The timer is set one URGENT hop from now, where a process's body
+        would set it, so it takes the same place on the calendar.
+        """
+        self.env.defer(self._set_timer, (delay, callback, value))
+
+    def _set_timer(self, event: Event) -> None:
+        delay, callback, value = event.value
+        self.env.timeout(delay, value).callbacks.append(callback)
+
+    def _schedule_redispatch(self, stage: int, delay: float) -> None:
+        self._after(max(delay, 0.0), self._redispatch, stage)
 
     def _schedule_redispatch_all(self, delay: float) -> None:
-        def waker():
-            yield self.env.timeout(max(delay, 0.0))
-            self._on_worker_available()
+        self._after(max(delay, 0.0), self._redispatch, None)
 
-        self.env.process(waker())
+    def _redispatch(self, event: Event) -> None:
+        """Timer callback: re-run one stage's dispatch (None: every queue)."""
+        if event.value is None:
+            self._on_worker_available()
+        else:
+            self._dispatch(event.value)
 
     def _dispatch(self, stage: int) -> None:
         """Serve the front of one stage queue as far as resources allow."""
@@ -469,7 +493,7 @@ class SCANScheduler:
             worker = self.pools.acquire(self._worker_class(stage), cores)
             if worker is not None:
                 queue.pop(self.env.now)
-                self.env.process(self._execute(task, worker))
+                self.env.defer(self._start_run, ExecutionAttempt(task, worker))
                 continue
 
             # A worker is already on its way for this stage's front task.
@@ -542,21 +566,30 @@ class SCANScheduler:
                     return
             return
 
-    def _execute(self, task: StageTask, worker: Worker):
-        """Process: run one stage task to completion on *worker*."""
+    # -- execution -------------------------------------------------------------
+    # One execution is three calendar callbacks over an ExecutionAttempt:
+    # _start_run one URGENT hop after dispatch, then _finish_run when the
+    # task's duration has passed, unless an URGENT _interrupted (VM
+    # failure, lost speculative race) is delivered first.
+    def _start_run(self, event: Event) -> None:
+        """Calendar callback: start one dispatched execution."""
+        run: ExecutionAttempt = event.value
+        task, worker = run.task, run.worker
         job, stage = task.job, task.stage
-        # The race window between dispatch and process start: a twin may
-        # have resolved the stage (or dead-lettered the job) meanwhile.
+        # The race window between dispatch and start: a twin may have
+        # resolved the stage (or dead-lettered the job) meanwhile.
         if task.cancelled or job.is_failed:
+            run.running = False
             self.pools.release_unstarted(worker)
             return
-        group = self.speculation.register(
-            task, worker, self.env.active_process
-        )
-        if task.speculative and group is None:
-            # Stale duplicate: the primary finished before we started.
-            self.pools.release_unstarted(worker)
-            return
+        group = None
+        if self._speculates:
+            group = self.speculation.register(run)
+            if task.speculative and group is None:
+                # Stale duplicate: the primary finished before we started.
+                run.running = False
+                self.pools.release_unstarted(worker)
+                return
 
         started_at = self.env.now
         if task.threads is None:
@@ -582,6 +615,10 @@ class SCANScheduler:
             if multiplier > 1.0:
                 straggled = True
                 duration *= multiplier
+        run.started_at = started_at
+        run.threads = threads
+        run.duration = duration
+        run.stage_input = stage_input
         self.pools.start(worker, started_at + duration)
         if TaskStarted in self.bus:
             self.bus.publish(
@@ -605,44 +642,58 @@ class SCANScheduler:
                 )
             )
 
-        # Arm the straggler watchdog for primaries when stragglers can
-        # occur; it launches at most one speculative duplicate.
-        if (
-            group is not None
-            and not task.speculative
-            and self.speculation.enabled
-            and self.faults is not None
-            and self.faults.stragglers_enabled
-        ):
+        # Arm the straggler watchdog for primaries (a group exists only
+        # when stragglers can occur); it launches at most one
+        # speculative duplicate.
+        if group is not None and not task.speculative:
             predicted = self.estimator.eet(stage, stage_input, threads)
-            self.env.process(
-                self.speculation.watchdog(self.env, group, predicted)
-            )
+            self.speculation.watch(self.env, group, predicted)
 
-        self._executing[worker] = self.env.active_process
-        try:
-            yield self.env.timeout(duration)
-        except Interrupt as intr:
-            self._executing.pop(worker, None)
-            if intr.cause == _SPECULATIVE_LOSS:
-                # The twin finished first; this worker is fine -- free it.
-                self.speculation.lost += 1
-                self._publish_finished(job, stage, "speculative_loss", worker)
-                self.pools.release(worker)
-                return
-            # The worker's VM died mid-task (failure injection): nothing
-            # was produced.  If a twin is still running the stage survives
-            # on it; otherwise the attempt failed and the retry/dead-letter
-            # machinery takes over.
-            self._publish_finished(job, stage, "vm_failure", worker)
-            if group is not None and self.speculation.twin_survives(
-                group, task
-            ):
-                return
-            self._handle_failed_attempt(task, reason="vm-failure")
+        self._executing[worker] = run
+        self.env.timeout(duration, run).callbacks.append(self._finish_run)
+
+    def _interrupt(self, run: ExecutionAttempt, cause: str) -> None:
+        """Stop a running execution at this instant.
+
+        Delivered as an URGENT event, so it beats a finish due at the same
+        instant; delivered after the finish, it dissolves.
+        """
+        self.env.defer(self._interrupted, (run, cause))
+
+    def _interrupted(self, event: Event) -> None:
+        """Calendar callback: an interrupt reaches its execution."""
+        run, cause = event.value
+        if not run.running:
+            return  # finished first: the interrupt dissolves
+        run.running = False
+        task, worker, group = run.task, run.worker, run.group
+        run.group = None
+        job, stage = task.job, task.stage
+        self._executing.pop(worker, None)
+        if cause == _SPECULATIVE_LOSS:
+            # The twin finished first; this worker is fine -- free it.
+            self.speculation.lost += 1
+            self._publish_finished(job, stage, "speculative_loss", worker)
+            self.pools.release(worker)
             return
-        # Not a ``finally``: closing an abandoned run's process
-        # (Environment.close) must leave the books as the run left them.
+        # The worker's VM died mid-task (failure injection): nothing
+        # was produced.  If a twin is still running the stage survives
+        # on it; otherwise the attempt failed and the retry/dead-letter
+        # machinery takes over.
+        self._publish_finished(job, stage, "vm_failure", worker)
+        if group is not None and self.speculation.twin_survives(group, task):
+            return
+        self._handle_failed_attempt(task, reason="vm-failure")
+
+    def _finish_run(self, event: Event) -> None:
+        """Timer callback: an execution's duration has passed."""
+        run: ExecutionAttempt = event.value
+        if not run.running:
+            return  # an interrupt ended it first
+        run.running = False
+        task, worker, group = run.task, run.worker, run.group
+        run.group = None
+        job, stage = task.job, task.stage
         self._executing.pop(worker, None)
 
         finished_at = self.env.now
@@ -681,9 +732,9 @@ class SCANScheduler:
                     if task.first_enqueued_at is not None
                     else task.enqueued_at
                 ),
-                started_at=started_at,
+                started_at=run.started_at,
                 finished_at=finished_at,
-                threads=threads,
+                threads=run.threads,
                 tier=worker.tier,
                 attempts=task.attempt,
             )
@@ -699,25 +750,26 @@ class SCANScheduler:
         # publish ("{workflow}/{step}", stage) so the refitter sharpens
         # each branch independently.
         if StageCompleted in self.bus:
+            node = self.workflow.node(stage)
             self.bus.publish(
                 StageCompleted(
                     finished_at,
                     job.name,
                     node.scope,
                     node.app_stage,
-                    stage_input,
-                    threads,
-                    duration,
+                    run.stage_input,
+                    run.threads,
+                    run.duration,
                     job,
                     tier=worker.tier,
                 )
             )
 
         self.pools.release(worker)
-        if loser is not None and loser.process.is_alive:
+        if loser is not None and loser.running:
             # Interrupt the losing twin AFTER our own bookkeeping: its
             # handler releases its worker and returns.
-            loser.process.interrupt(_SPECULATIVE_LOSS)
+            self._interrupt(loser, _SPECULATIVE_LOSS)
 
         if job.current_stage >= job.n_stages:
             latency = finished_at - job.submit_time
@@ -765,13 +817,13 @@ class SCANScheduler:
                 )
             )
         if delay > 0:
-            self.env.process(self._retry_later(task, delay))
+            self._after(delay, self._retry_later, task)
         else:
             self._requeue_retry(task)
 
-    def _retry_later(self, task: StageTask, delay: float):
-        yield self.env.timeout(delay)
-        self._requeue_retry(task)
+    def _retry_later(self, event: Event) -> None:
+        """Timer callback: the backoff elapsed; re-enqueue the task."""
+        self._requeue_retry(event.value)
 
     def _requeue_retry(self, task: StageTask) -> None:
         job, stage = task.job, task.stage

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left, insort
 from collections import Counter
 from typing import Callable, Optional
 
@@ -27,7 +28,7 @@ from repro.cloud.faults import FaultInjector
 from repro.cloud.vm import VirtualMachine, VMState
 from repro.core.bus import EventBus, WorkerBooted
 from repro.core.errors import SchedulingError
-from repro.desim.engine import Environment
+from repro.desim.engine import Environment, Event
 
 __all__ = ["Worker", "WorkerPools"]
 
@@ -100,6 +101,9 @@ class WorkerPools:
         #: the same order, so :meth:`acquire` is one lookup.
         self._idle: dict[Worker, None] = {}
         self._idle_by_shape: dict[tuple[str, int], dict[Worker, None]] = {}
+        #: Per class, the core counts of its idle shapes in ascending
+        #: order (the keys of ``_idle_by_shape``), for :meth:`repool_candidate`.
+        self._idle_cores: dict[str, list[int]] = {}
         self._busy: set[Worker] = set()
         #: Per (class, cores) shape, a min-heap of ``(busy_until, uid,
         #: worker)`` pushed by :meth:`start`.  Deletion is lazy: an entry
@@ -146,6 +150,7 @@ class WorkerPools:
         pool = self._idle_by_shape.get(shape)
         if pool is None:
             pool = self._idle_by_shape[shape] = {}
+            insort(self._idle_cores.setdefault(worker.worker_class, []), worker.cores)
         pool[worker] = None
 
     def _idle_remove(self, worker: Worker) -> None:
@@ -157,6 +162,7 @@ class WorkerPools:
         del pool[worker]
         if not pool:
             del self._idle_by_shape[shape]
+            self._idle_cores[worker.worker_class].remove(worker.cores)
 
     def busy_total(self) -> int:
         """Busy workers."""
@@ -193,20 +199,21 @@ class WorkerPools:
         capacity); a growing resize is offered only if its tier can absorb
         the extra cores.
         """
-        # Shapes nearest first, growing ones last; the key is unique per
-        # core count, and each shape's pool is in idle order.
-        shapes = sorted(
-            (c for cls, c in self._idle_by_shape if cls == worker_class),
-            key=lambda c: (c < cores, abs(c - cores)),
-        )
-        for shape_cores in shapes:
+        # Shapes nearest first, growing ones last, each shape's pool in
+        # idle order.  The smallest shape of at least *cores* wins outright:
+        # same shape, different pool semantics still needs the restart
+        # (a thread-count change is a VCPU reconfiguration in the paper's
+        # CELAR flow), but it is always feasible.
+        shapes = self._idle_cores.get(worker_class)
+        if not shapes:
+            return None
+        at = bisect_left(shapes, cores)
+        if at < len(shapes):
+            return next(iter(self._idle_by_shape[(worker_class, shapes[at])]))
+        # Every shape is smaller: the largest grows least.
+        for shape_cores in reversed(shapes):
             pool = self._idle_by_shape[(worker_class, shape_cores)]
             delta = cores - shape_cores
-            if delta <= 0:
-                # Same shape, different pool semantics: still needs the
-                # restart (thread-count change is a VCPU reconfiguration in
-                # the paper's CELAR flow), but always feasible.
-                return next(iter(pool))
             fits: dict[str, bool] = {}
             for worker in pool:
                 fit = fits.get(worker.tier)
@@ -221,8 +228,8 @@ class WorkerPools:
         """Resize an idle worker for a new role (restart penalty).
 
         The reshape (and its core-delta accounting) happens synchronously;
-        the reboot runs as a background process and the worker re-enters
-        the idle pool when READY.
+        the reboot runs from the calendar and the worker re-enters the
+        idle pool when READY.
         """
         if worker not in self._idle:
             raise SchedulingError(f"{worker!r} is not idle; cannot repool")
@@ -231,7 +238,7 @@ class WorkerPools:
         self.celar.begin_resize(worker.vm, cores)
         self.booting_for_stage[stage] += 1
         self.repools += 1
-        self.env.process(self._boot_and_attach(worker, stage))
+        self.env.defer(self._begin_boot, (worker, stage))
         return worker
 
     def hire(self, worker_class: str, cores: int, tier: str, stage: int) -> Worker:
@@ -244,7 +251,7 @@ class WorkerPools:
         worker = Worker(vm, worker_class)
         self.booting_for_stage[stage] += 1
         self.hires[vm.tier] += 1
-        self.env.process(self._boot_and_attach(worker, stage))
+        self.env.defer(self._begin_boot, (worker, stage))
         return worker
 
     def _finish_boot_slot(self, stage: int) -> None:
@@ -253,8 +260,22 @@ class WorkerPools:
         if self.booting_for_stage[stage] <= 0:
             del self.booting_for_stage[stage]
 
-    def _boot_and_attach(self, worker: Worker, stage: int):
-        """Process: boot a claimed worker, then offer it to the pool.
+    def _begin_boot(self, event: Event) -> None:
+        """Calendar callback: boot a claimed worker, then :meth:`_attach` it.
+
+        The boot starts one URGENT hop after the hire or repool, as a new
+        process's body would, and :meth:`_attach` runs once the VM's
+        startup penalty has passed (at once when it is zero).
+        """
+        worker, _stage = event.value
+        penalty = worker.vm.begin_boot()
+        if penalty > 0:
+            self.env.timeout(penalty, event.value).callbacks.append(self._attach)
+        else:
+            self._attach(event)
+
+    def _attach(self, event: Event) -> None:
+        """Calendar callback: a boot ended; offer the worker to the pool.
 
         Three exits: the happy path attaches the worker; an injected boot
         failure terminates it (counted in ``boot_failures``); a crash
@@ -264,13 +285,8 @@ class WorkerPools:
         waited on this boot must re-decide even (especially) when the
         worker never arrives, or it would stall forever.
         """
-        # Not a ``finally``: closing an abandoned run's process
-        # (Environment.close) must leave the books as the run left them.
-        try:
-            yield from worker.vm.boot()
-        except Exception:
-            self._finish_boot_slot(stage)
-            raise
+        worker, stage = event.value
+        worker.vm.finish_boot()
         self._finish_boot_slot(stage)
         if WorkerBooted in self.bus:
             self.bus.publish(
@@ -288,46 +304,31 @@ class WorkerPools:
         if worker.vm.alive:
             if self._crashes_enabled and not worker.doom_armed:
                 worker.doom_armed = True
-                self.env.process(self._doom(worker))
+                self.env.defer(self._arm_doom, worker)
             eviction_mtbf = self._eviction_mtbf(worker)
             if eviction_mtbf is not None and not worker.eviction_armed:
                 worker.eviction_armed = True
-                self.env.process(self._evict(worker, eviction_mtbf))
+                self.env.defer(self._arm_eviction, (worker, eviction_mtbf))
             self._make_available(worker)
         elif self.on_available is not None:
             self.on_available()
 
-    def _doom(self, worker: Worker):
-        """Process: kill the worker's VM after its drawn lifetime.
+    def _arm_doom(self, event: Event) -> None:
+        """Calendar callback: draw the worker's lifetime, then :meth:`_doom`.
 
         Exponential lifetimes are memoryless, so one timer per worker is
         the exact model regardless of repools/reboots in between.
         """
         assert self.injector is not None
+        worker = event.value
         lifetime = self.injector.draw_lifetime(worker.tier)
-        yield self.env.timeout(lifetime)
-        if not worker.vm.alive:
-            return  # already reaped/terminated: nothing to kill
-        if worker.vm.state is VMState.BOOTING:
-            # Mid-repool death: the worker sits in neither pool (repool
-            # removed it from idle).  Terminate now; _boot_and_attach sees
-            # the dead VM when the boot timeout elapses and notifies the
-            # waiting stage itself.
-            self.failed += 1
-            self.celar.terminate(worker.vm)
-            return
-        self.failed += 1
-        was_busy = worker in self._busy
-        if worker in self._idle:
-            self._idle_remove(worker)
-        self._busy.discard(worker)
-        self.celar.terminate(worker.vm)
-        if was_busy and self.on_worker_failed is not None:
-            self.on_worker_failed(worker)
-        # Freed capacity (and a possibly-lost worker) can change dispatch
-        # decisions either way.
-        if self.on_available is not None:
-            self.on_available()
+        self.env.timeout(lifetime, worker).callbacks.append(self._doom)
+
+    def _doom(self, event: Event) -> None:
+        """Calendar callback: the drawn lifetime is over; kill the VM."""
+        worker = event.value
+        if worker.vm.alive:  # else already reaped/terminated
+            self._kill(worker)
 
     def _eviction_mtbf(self, worker: Worker) -> Optional[float]:
         """The worker tier's eviction MTBF, if evictions apply to it.
@@ -340,17 +341,23 @@ class WorkerPools:
         tier = self.celar.infrastructure.tier(worker.tier)
         return getattr(tier, "effective_eviction_mtbf", None)
 
-    def _evict(self, worker: Worker, mtbf_tu: float):
-        """Process: the provider reclaims a spot worker after an
-        exponential lifetime drawn from the ``faults.spot`` stream.
+    def _arm_eviction(self, event: Event) -> None:
+        """Calendar callback: draw when the provider reclaims a spot
+        worker (an exponential lifetime from the ``faults.spot`` stream),
+        then :meth:`_evict`."""
+        assert self.injector is not None
+        worker, mtbf_tu = event.value
+        lifetime = self.injector.draw_eviction(mtbf_tu)
+        self.env.timeout(lifetime, worker).callbacks.append(self._evict)
 
-        Mirrors :meth:`_doom` exactly -- a busy victim's task is
+    def _evict(self, event: Event) -> None:
+        """Calendar callback: the provider reclaims the worker.
+
+        Killed exactly as by :meth:`_doom` -- a busy victim's task is
         interrupted via ``on_worker_failed`` and flows through the
         scheduler's retry / dead-letter resilience path.
         """
-        assert self.injector is not None
-        lifetime = self.injector.draw_eviction(mtbf_tu)
-        yield self.env.timeout(lifetime)
+        worker = event.value
         if not worker.vm.alive:
             return
         worker.evicted = True
@@ -359,11 +366,18 @@ class WorkerPools:
         if record is not None:
             record()
         self.evicted += 1
+        self._kill(worker)
+
+    def _kill(self, worker: Worker) -> None:
+        """Terminate a live worker's VM wherever it is in its lifecycle."""
+        self.failed += 1
         if worker.vm.state is VMState.BOOTING:
-            self.failed += 1
+            # Mid-repool death: the worker sits in neither pool (repool
+            # removed it from idle).  Terminate now; _attach sees the dead
+            # VM when the boot penalty elapses and notifies the waiting
+            # stage itself.
             self.celar.terminate(worker.vm)
             return
-        self.failed += 1
         was_busy = worker in self._busy
         if worker in self._idle:
             self._idle_remove(worker)
@@ -371,6 +385,8 @@ class WorkerPools:
         self.celar.terminate(worker.vm)
         if was_busy and self.on_worker_failed is not None:
             self.on_worker_failed(worker)
+        # Freed capacity (and a possibly-lost worker) can change dispatch
+        # decisions either way.
         if self.on_available is not None:
             self.on_available()
 

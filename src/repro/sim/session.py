@@ -126,7 +126,7 @@ class SimulationSession:
         snapshot = self._arm_warmup(env, scheduler)
         self._run_engine(env, cfg.simulation.duration, hub)
         result = self._collect(scheduler, actual_seed, snapshot, hub)
-        # Teardown: abandon the processes still in flight and unhook the
+        # Teardown: abandon the work still in flight and unhook the
         # scheduler's callbacks, so the finished platform holds no cycle
         # and dies by reference counting once the caller drops it.
         env.close()

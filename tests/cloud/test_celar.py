@@ -39,7 +39,8 @@ class TestManager:
 
     def test_resize_through_catalog_only(self, env, celar):
         vm = celar.deploy(4, "private")
-        env.run(until=env.process(vm.boot()))
+        env.run(until=vm.begin_boot())
+        vm.finish_boot()
         with pytest.raises(CloudError):
             celar.begin_resize(vm, 5)
         celar.begin_resize(vm, 8)

@@ -12,6 +12,12 @@ def infra(env):
     return Infrastructure(env, private_cores=32, public_cores=100)
 
 
+def boot(env, vm):
+    """Run a boot to its end: BOOTING for the startup penalty, then READY."""
+    env.run(until=env.now + vm.begin_boot())
+    vm.finish_boot()
+
+
 class TestLifecycle:
     def test_hire_allocates_cores_immediately(self, env, infra):
         vm = VirtualMachine(env, infra, cores=8, tier="private")
@@ -22,8 +28,7 @@ class TestLifecycle:
         vm = VirtualMachine(
             env, infra, cores=4, tier="private", startup_penalty_tu=0.5
         )
-        p = env.process(vm.boot())
-        env.run(until=p)
+        boot(env, vm)
         assert env.now == pytest.approx(0.5)
         assert vm.state is VMState.READY
         assert vm.boot_count == 1
@@ -32,14 +37,13 @@ class TestLifecycle:
         vm = VirtualMachine(
             env, infra, cores=4, tier="private", startup_penalty_tu=0.0
         )
-        p = env.process(vm.boot())
-        env.run(until=p)
+        boot(env, vm)
         assert env.now == 0.0
         assert vm.state is VMState.READY
 
     def test_busy_idle_transitions(self, env, infra):
         vm = VirtualMachine(env, infra, cores=4, tier="private")
-        env.run(until=env.process(vm.boot()))
+        boot(env, vm)
         vm.mark_busy()
         assert vm.state is VMState.BUSY
         vm.mark_idle()
@@ -61,8 +65,15 @@ class TestLifecycle:
         vm = VirtualMachine(env, infra, cores=4, tier="private")
         vm.terminate()
         with pytest.raises(CloudError):
-            env.process(vm.boot())
-            env.run()
+            vm.begin_boot()
+        assert vm.boot_count == 0
+
+    def test_terminated_mid_boot_stays_terminated(self, env, infra):
+        vm = VirtualMachine(env, infra, cores=4, tier="private")
+        vm.begin_boot()
+        vm.terminate()
+        vm.finish_boot()
+        assert vm.state is VMState.TERMINATED
 
     def test_minimum_core_count(self, env, infra):
         with pytest.raises(CloudError):

@@ -7,7 +7,9 @@ Regenerate it (only for an intentional behaviour change) with::
     PYTHONPATH=src python -m tests.core.test_platform
 """
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -251,6 +253,44 @@ def test_facade_run_matches_golden(preset):
     assert json.dumps(actual, sort_keys=True) == json.dumps(
         expected, sort_keys=True
     )
+
+
+@pytest.mark.parametrize("preset", ["paper", "chaos", "fanout"])
+def test_a_closed_dropped_facade_dies_without_the_collector(preset):
+    """``close`` tears the deployment down as a session run's end does,
+    so nothing but reference counting is needed to free it."""
+    gc.collect()
+    gc.disable()
+    try:
+        platform = SCANPlatform(make_preset(preset))
+        platform.bootstrap_knowledge()
+        request = platform.submit_analysis(
+            DatasetDescriptor.from_size("wgs", DataFormat.FASTQ, 50.0)
+        )
+        platform.run(until=3.0)
+        scheduler = platform.scheduler
+        pools = scheduler.pools
+        assert scheduler._executing  # work is in flight at teardown
+        workers = [*pools.idle_workers, *pools.busy_workers]
+        refs = {
+            name: weakref.ref(part)
+            for name, part in (
+                ("platform", platform),
+                ("env", platform.env),
+                ("scheduler", scheduler),
+                ("pools", pools),
+                ("stager", platform.stager),
+                ("kb", platform.kb),
+                ("job", request.jobs[-1]),
+                ("worker", workers[0]),
+            )
+        }
+        platform.close()
+        assert pools.on_available is None
+        del platform, scheduler, pools, workers, request
+        assert sorted(n for n, ref in refs.items() if ref() is not None) == []
+    finally:
+        gc.enable()
 
 
 if __name__ == "__main__":  # regeneration entry point

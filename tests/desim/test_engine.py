@@ -270,3 +270,47 @@ class TestClose:
         env.close()
         assert started == []
         assert process._generator.gi_frame is None
+
+
+class TestDefer:
+    """``defer`` runs a callback from the calendar at the current instant."""
+
+    def test_fifo_among_urgents_and_ahead_of_same_time_timeouts(self, env):
+        order = []
+        env.timeout(0).callbacks.append(lambda e: order.append("timeout"))
+        for name in "abc":
+            env.defer(lambda e: order.append(e.value), name)
+        env.run()
+        assert order == ["a", "b", "c", "timeout"]
+
+    def test_a_deferral_beats_normals_queued_earlier_for_its_instant(self, env):
+        order = []
+
+        def first(_event):
+            order.append("first")
+            env.defer(lambda e: order.append(("deferred", env.now)))
+
+        env.timeout(5.0).callbacks.append(first)
+        env.timeout(5.0).callbacks.append(lambda e: order.append("second"))
+        env.run()
+        assert order == ["first", ("deferred", 5.0), "second"]
+
+    def test_a_process_starts_with_the_same_hop(self, env):
+        order = []
+
+        def body():
+            order.append("process")
+            yield env.timeout(0)
+
+        env.defer(lambda e: order.append("before"))
+        env.process(body())
+        env.defer(lambda e: order.append("after"))
+        env.run()
+        assert order == ["before", "process", "after"]
+
+    def test_close_drops_a_pending_deferral(self, env):
+        fired = []
+        event = env.defer(fired.append, "x")
+        env.close()
+        env.run()
+        assert fired == [] and event.callbacks == []

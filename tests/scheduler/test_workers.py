@@ -393,6 +393,10 @@ class TestIdleOrderMatchesListReference:
                 ref[:] = [w for w in ref if w.alive]
             assert pools.idle_workers == tuple(ref)
             for cls in ("gatk", "bwa"):
+                # repool_candidate's sorted core counts mirror the shapes.
+                assert pools._idle_cores.get(cls, []) == sorted(
+                    c for k, c in pools._idle_by_shape if k == cls
+                )
                 for cores in (2, 4, 8):
                     for penalty in (0.0, 0.5):
                         assert pools.estimate_wait(
