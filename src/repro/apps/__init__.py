@@ -24,7 +24,7 @@ from repro.apps.gatk import (
 )
 from repro.apps.bwa import build_bwa_model, SeedAndExtendAligner
 from repro.apps.mutect import build_mutect_model, SomaticCaller
-from repro.apps.maxquant import build_maxquant_model, PeptideSearchEngine
+from repro.apps.maxquant import build_maxquant_model
 from repro.apps.cellprofiler import build_cellprofiler_model
 from repro.apps.cytoscape import build_cytoscape_model, NetworkIntegrator
 from repro.apps.registry import ApplicationRegistry, default_registry
@@ -41,7 +41,6 @@ __all__ = [
     "build_mutect_model",
     "SomaticCaller",
     "build_maxquant_model",
-    "PeptideSearchEngine",
     "build_cellprofiler_model",
     "build_cytoscape_model",
     "NetworkIntegrator",

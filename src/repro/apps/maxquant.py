@@ -2,62 +2,15 @@
 
 Paper Section III lists MaxQuant among the platform's tools, and Figure 2
 shows proteomics inputs (``/input/protein/m1.mgf``).  The analytical model
-is a 3-stage pipeline over MGF spectra; the executable miniature,
-:class:`PeptideSearchEngine`, matches spectra against an in-silico peptide
-database by precursor mass (the kernel of any database search engine).
+is a 3-stage pipeline over MGF spectra.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 from repro.apps.base import ApplicationModel, StageModel
 from repro.genomics.datasets import DataFormat
-from repro.genomics.formats.mgf import MgfSpectrum
 
-__all__ = [
-    "build_maxquant_model",
-    "PeptideSearchEngine",
-    "PeptideMatch",
-    "peptide_mass",
-    "digest_trypsin",
-]
-
-#: Monoisotopic residue masses (Da).
-RESIDUE_MASS = {
-    "G": 57.02146, "A": 71.03711, "S": 87.03203, "P": 97.05276,
-    "V": 99.06841, "T": 101.04768, "C": 103.00919, "L": 113.08406,
-    "I": 113.08406, "N": 114.04293, "D": 115.02694, "Q": 128.05858,
-    "K": 128.09496, "E": 129.04259, "M": 131.04049, "H": 137.05891,
-    "F": 147.06841, "R": 156.10111, "Y": 163.06333, "W": 186.07931,
-}
-_WATER = 18.01056
-_PROTON = 1.00728
-
-
-def peptide_mass(sequence: str) -> float:
-    """Monoisotopic neutral mass of a peptide."""
-    try:
-        return sum(RESIDUE_MASS[res] for res in sequence) + _WATER
-    except KeyError as exc:
-        raise ValueError(f"unknown residue {exc.args[0]!r} in {sequence!r}") from None
-
-
-def digest_trypsin(protein: str, min_length: int = 6, max_length: int = 30) -> list[str]:
-    """In-silico tryptic digest: cleave after K/R except before P."""
-    peptides: list[str] = []
-    current: list[str] = []
-    for i, res in enumerate(protein):
-        current.append(res)
-        nxt = protein[i + 1] if i + 1 < len(protein) else ""
-        if res in "KR" and nxt != "P":
-            peptides.append("".join(current))
-            current = []
-    if current:
-        peptides.append("".join(current))
-    return [p for p in peptides if min_length <= len(p) <= max_length]
+__all__ = ["build_maxquant_model"]
 
 
 def build_maxquant_model() -> ApplicationModel:
@@ -75,62 +28,3 @@ def build_maxquant_model() -> ApplicationModel:
         worker_class="maxquant",
         description="Proteomics search engine: MGF spectra in, peptide IDs out.",
     )
-
-
-@dataclass(frozen=True)
-class PeptideMatch:
-    """One spectrum-to-peptide identification."""
-
-    spectrum_title: str
-    peptide: str
-    mass_error_ppm: float
-
-
-class PeptideSearchEngine:
-    """Precursor-mass database search over tryptic peptides."""
-
-    def __init__(self, proteins: Iterable[str], tolerance_ppm: float = 20.0) -> None:
-        if tolerance_ppm <= 0:
-            raise ValueError("tolerance_ppm must be positive")
-        self.tolerance_ppm = tolerance_ppm
-        entries: list[tuple[float, str]] = []
-        seen: set[str] = set()
-        for protein in proteins:
-            for peptide in digest_trypsin(protein):
-                if peptide not in seen:
-                    seen.add(peptide)
-                    entries.append((peptide_mass(peptide), peptide))
-        if not entries:
-            raise ValueError("the protein database digested to zero peptides")
-        entries.sort()
-        self._masses = [m for m, _ in entries]
-        self._peptides = [p for _, p in entries]
-
-    def __len__(self) -> int:
-        return len(self._peptides)
-
-    def search(self, spectrum: MgfSpectrum) -> PeptideMatch | None:
-        """Best identification for *spectrum*, or None if nothing matches."""
-        neutral = spectrum.pepmass * abs(spectrum.charge) - _PROTON * abs(spectrum.charge)
-        window = neutral * self.tolerance_ppm * 1e-6
-        lo = bisect_left(self._masses, neutral - window)
-        hi = bisect_right(self._masses, neutral + window)
-        best: PeptideMatch | None = None
-        for idx in range(lo, hi):
-            error_ppm = (self._masses[idx] - neutral) / neutral * 1e6
-            if best is None or abs(error_ppm) < abs(best.mass_error_ppm):
-                best = PeptideMatch(
-                    spectrum_title=spectrum.title,
-                    peptide=self._peptides[idx],
-                    mass_error_ppm=error_ppm,
-                )
-        return best
-
-    def search_all(self, spectra: Iterable[MgfSpectrum]) -> list[PeptideMatch]:
-        """Identifications for every matchable spectrum."""
-        out = []
-        for spectrum in spectra:
-            match = self.search(spectrum)
-            if match is not None:
-                out.append(match)
-        return out

@@ -12,7 +12,7 @@ III-A.1).
   BAM blocks, SAM/VCF records, MGF spectra).
 - :mod:`repro.broker.merger` -- the inverse: merge shard outputs (e.g. the
   VariantsToVCF merge of per-shard VCFs).
-- :mod:`repro.broker.staging` -- stage shard files into the shared
+- :mod:`repro.broker.staging` -- prefetch shard files into the shared
   filesystem ahead of need ("upload required genome reference files just
   before they are needed").
 - :mod:`repro.broker.broker` -- :class:`DataBroker`: queries the knowledge

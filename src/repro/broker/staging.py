@@ -5,17 +5,15 @@ with the progress of analysis execution.  For example, it could upload
 required genome reference files just before they are needed to avoid a
 long waiting time" (paper Section I).
 
-:class:`DataStager` moves datasets into the simulated shared filesystem,
-optionally *prefetching*: staging stage i+1's reference data while stage i
-still computes, so the transfer overlaps compute instead of blocking it.
+:class:`DataStager` *prefetches* datasets into the simulated shared
+filesystem: each transfer runs as a background process, so it overlaps
+compute instead of blocking it.  The facade prefetches every shard as it
+submits the shard's job.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.cloud.storage import SharedFilesystem
-from repro.core.errors import BrokerError
 from repro.desim.engine import Environment
 from repro.desim.process import Process
 from repro.genomics.datasets import DatasetDescriptor
@@ -31,33 +29,12 @@ class DataStager:
         self.filesystem = filesystem
         self._prefetches: dict[str, Process] = {}
         self.staged_count = 0
-        self.prefetch_hits = 0
-
-    def stage(self, dataset: DatasetDescriptor):
-        """Process: make *dataset* available; completes when transferred.
-
-        If a prefetch for the same path is in flight (or already done),
-        this waits for / reuses it instead of transferring again.
-        """
-        pending = self._prefetches.get(dataset.path)
-        if pending is not None:
-            self.prefetch_hits += 1
-            if pending.is_alive:
-                yield pending
-            return self.filesystem.stat(dataset.path)
-        if self.filesystem.exists(dataset.path):
-            self.prefetch_hits += 1
-            return self.filesystem.stat(dataset.path)
-        meta = yield from self.filesystem.write(
-            dataset.path, dataset.size_gb, data_type=dataset.format.value
-        )
-        self.staged_count += 1
-        return meta
 
     def prefetch(self, dataset: DatasetDescriptor) -> Process:
         """Start staging *dataset* in the background; returns the process.
 
-        A later :meth:`stage` of the same path will piggyback on it.
+        A second prefetch of the same path returns the first one's process;
+        a path already in the filesystem is not transferred again.
         """
         existing = self._prefetches.get(dataset.path)
         if existing is not None:
@@ -72,10 +49,3 @@ class DataStager:
                 dataset.path, dataset.size_gb, data_type=dataset.format.value
             )
             self.staged_count += 1
-
-    def evict(self, dataset: DatasetDescriptor) -> bool:
-        """Drop a staged dataset (e.g. consumed intermediate output)."""
-        if dataset.path in self._prefetches and self._prefetches[dataset.path].is_alive:
-            raise BrokerError(f"cannot evict {dataset.path}: prefetch in flight")
-        self._prefetches.pop(dataset.path, None)
-        return self.filesystem.delete(dataset.path)

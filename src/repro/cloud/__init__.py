@@ -14,8 +14,8 @@ pluggable backends, plus the pieces the prototype ran on:
   restart penalty paid when CELAR resizes a worker's vCPU count.
 - :mod:`repro.cloud.celar` -- the CELAR elasticity middleware stand-in
   (the Manager: deploy, resize, terminate).
-- :mod:`repro.cloud.storage` -- shared-filesystem (CIFS stand-in) and
-  replicated key-value store (Cassandra stand-in) models.
+- :mod:`repro.cloud.storage` -- the shared-filesystem (CIFS stand-in)
+  model.
 """
 
 from repro.cloud.infrastructure import CloudTier, Infrastructure
@@ -29,7 +29,7 @@ from repro.cloud.tiers import (
 from repro.cloud.vm import VirtualMachine, VMState
 from repro.cloud.faults import FaultPlan, FaultInjector
 from repro.cloud.celar import CelarManager
-from repro.cloud.storage import SharedFilesystem, ReplicatedKVStore, TransferError
+from repro.cloud.storage import SharedFilesystem, TransferError
 
 __all__ = [
     "CloudTier",
@@ -45,6 +45,5 @@ __all__ = [
     "FaultInjector",
     "CelarManager",
     "SharedFilesystem",
-    "ReplicatedKVStore",
     "TransferError",
 ]

@@ -284,16 +284,6 @@ class WorkloadConfig:
     #: hiring is necessary", 3.0 = private tier "rarely if ever fully
     #: occupied").
     size_unit_gb: float = 1.0
-    #: Arrival generator (an ``ARRIVAL_PROCESSES`` registry key);
-    #: ``"batch_poisson"`` is the paper's stochastic process, ``"trace"``
-    #: replays a recorded JSONL arrival log.
-    arrival_process: str = "batch_poisson"
-    #: Path of the JSONL trace replayed by ``arrival_process = "trace"``.
-    arrival_trace: str = ""
-
-    # Serialized sparsely (omitted at their defaults) so configs recorded
-    # before these knobs existed fingerprint and round-trip unchanged.
-    _SPARSE_FIELDS = frozenset({"arrival_process", "arrival_trace"})
 
     def validate(self) -> None:
         """Raise ConfigurationError on invalid fields."""
@@ -316,12 +306,6 @@ class WorkloadConfig:
             raise ConfigurationError("variances must be >= 0")
         if self.job_size_mean <= 0:
             raise ConfigurationError("job_size_mean must be positive")
-        if not self.arrival_process:
-            raise ConfigurationError("arrival_process must be named")
-        if self.arrival_process == "trace" and not self.arrival_trace:
-            raise ConfigurationError(
-                "arrival_process 'trace' needs arrival_trace (a JSONL path)"
-            )
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ __all__ = [
     "KnowledgeBaseError",
     "CloudError",
     "TransientDeployError",
-    "WorkloadError",
 ]
 
 
@@ -46,6 +45,3 @@ class TransientDeployError(CloudError):
     treating it as a scheduling invariant violation.
     """
 
-
-class WorkloadError(SCANError):
-    """Workload generation/trace failure."""

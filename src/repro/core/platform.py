@@ -28,7 +28,7 @@ from typing import Optional
 from repro.apps.registry import ApplicationRegistry
 from repro.broker.broker import BrokeredJob, DataBroker
 from repro.broker.staging import DataStager
-from repro.cloud.storage import ReplicatedKVStore, SharedFilesystem
+from repro.cloud.storage import SharedFilesystem
 from repro.core.config import PlatformConfig
 from repro.core.errors import SCANError
 from repro.desim.engine import Environment
@@ -104,6 +104,7 @@ class SCANPlatform:
         built = builder.build(
             self.env, RandomStreams(self.config.simulation.seed), self.telemetry
         )
+        self._built = built
         self.registry = builder.registry
         self.app = builder.app
         #: The compiled DAG every request's jobs run (None: the app's chain).
@@ -126,7 +127,6 @@ class SCANPlatform:
 
         # Facade-only parts: storage, the knowledge base and the broker.
         self.filesystem = SharedFilesystem(self.env)
-        self.kv_store = ReplicatedKVStore(self.env)
         self.stager = DataStager(self.env, self.filesystem)
         self.kb = SCANKnowledgeBase()
         # Task logs reach the KB as the bus's StageCompleted events.
@@ -222,8 +222,7 @@ class SCANPlatform:
         metrics and the knowledge base stay readable; the deployment
         cannot be run further.
         """
-        self.env.close()
-        self.scheduler.close()
+        self._built.close()
 
     def _finalize_requests(self) -> None:
         for request in self.requests:

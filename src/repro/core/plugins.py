@@ -155,7 +155,6 @@ def all_registries() -> Dict[str, "Registry[Any]"]:
         "repro.core.presets",
         "repro.knowledge.plane",
         "repro.service.queue",
-        "repro.workload.arrivals",
         "repro.workflows.library",
     ):
         importlib.import_module(module)

@@ -41,10 +41,6 @@ class OntClass:
         self.ontology.store.add(self.iri, RDFS.subClassOf, parent_iri)
         return self
 
-    def superclasses(self, transitive: bool = True) -> list[IRI]:
-        """Superclass IRIs via rdfs:subClassOf."""
-        return self.ontology.superclasses(self.iri, transitive=transitive)
-
     def subclasses(self, transitive: bool = True) -> list[IRI]:
         """Subclass IRIs via rdfs:subClassOf (inverse)."""
         return self.ontology.subclasses(self.iri, transitive=transitive)
@@ -122,27 +118,14 @@ class Individual:
         prop_iri = _prop_iri(self.ontology, prop)
         return [_to_python(t) for t in self.ontology.store.objects(self.iri, prop_iri)]
 
-    def types(self, direct: bool = False) -> list[IRI]:
-        """The individual's classes (with superclass closure unless direct)."""
-        direct_types = [
-            t for t in self.ontology.store.objects(self.iri, RDF.type)
-            if isinstance(t, IRI) and t != OWL.NamedIndividual
-        ]
-        if direct:
-            return direct_types
-        closure: list[IRI] = []
-        seen: set[IRI] = set()
-        for cls in direct_types:
-            for c in [cls, *self.ontology.superclasses(cls)]:
-                if c not in seen:
-                    seen.add(c)
-                    closure.append(c)
-        return closure
-
     def is_a(self, cls: "OntClass | IRI") -> bool:
         """Whether the individual is typed as *cls* (with closure)."""
         cls_iri = cls.iri if isinstance(cls, OntClass) else cls
-        return cls_iri in self.types()
+        classes = {cls_iri, *self.ontology.subclasses(cls_iri)}
+        return any(
+            t in classes
+            for t in self.ontology.store.objects(self.iri, RDF.type)
+        )
 
     def properties(self) -> dict[IRI, list[Any]]:
         """All asserted (non-type) property values, Python-native."""
@@ -280,22 +263,6 @@ class Ontology:
         return self.ns[name_or_iri]
 
     # -- reasoning --------------------------------------------------------------
-    def superclasses(self, cls: IRI, transitive: bool = True) -> list[IRI]:
-        """Superclasses of *cls* via rdfs:subClassOf (transitively)."""
-        out: list[IRI] = []
-        seen: set[IRI] = set()
-        frontier = [cls]
-        while frontier:
-            current = frontier.pop()
-            for t in self.store.match(current, RDFS.subClassOf, None):
-                parent = t.object
-                if isinstance(parent, IRI) and parent not in seen:
-                    seen.add(parent)
-                    out.append(parent)
-                    if transitive:
-                        frontier.append(parent)
-        return out
-
     def subclasses(self, cls: IRI, transitive: bool = True) -> list[IRI]:
         """Subclasses of *cls* via rdfs:subClassOf (transitively)."""
         out: list[IRI] = []

@@ -19,7 +19,6 @@ Grammar (EBNF-ish)::
 
     query    := prefix* 'SELECT' 'DISTINCT'? ( '*' | var+ ) 'WHERE'? group
                 ('ORDER' 'BY' order+)? ('LIMIT' INT)? ('OFFSET' INT)?
-             |  prefix* 'ASK' group
     group    := '{' ( pattern '.'? | 'OPTIONAL' group | 'FILTER' expr
                     | group ('UNION' group)* )* '}'
     pattern  := term term term
@@ -28,8 +27,7 @@ Grammar (EBNF-ish)::
 
 The executor evaluates basic graph patterns by ordered pattern joins over
 the triple store, OPTIONAL as a left join, UNION as a union of alternative
-extensions, FILTER on completed bindings; ASK returns a boolean
-(:func:`execute_ask`).
+extensions, FILTER on completed bindings.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ __all__ = [
     "SparqlQuery",
     "parse_query",
     "execute_query",
-    "execute_ask",
     "cache_stats",
     "reset_cache_stats",
     "clear_caches",
@@ -333,18 +330,6 @@ class _Parser:
         )
 
     # -- grammar -----------------------------------------------------------
-    def parse_ask(self) -> GroupPattern:
-        """Parse an ASK query; returns its group pattern."""
-        while self._at_keyword("PREFIX"):
-            self._parse_prefix()
-        self._expect("ASK")
-        group = self._parse_group()
-        if self._peek() is not None:
-            tok = self._peek()
-            assert tok is not None
-            raise SparqlError(f"trailing input at {tok.pos}: {tok.text!r}")
-        return group
-
     def parse(self) -> SparqlQuery:
         while self._at_keyword("PREFIX"):
             self._parse_prefix()
@@ -716,13 +701,6 @@ def parse_query(text: str, store: Optional[TripleStore] = None) -> SparqlQuery:
     """
     prefixes = store.prefixes if store is not None else {}
     return _cached_plan(text, prefixes)
-
-
-def execute_ask(store: TripleStore, text: str) -> bool:
-    """Run an ASK query: True iff the pattern has at least one solution."""
-    prefixes = store.prefixes
-    group = _Parser(_tokenize(text), prefixes).parse_ask()
-    return bool(_eval_group(store, group, [{}]))
 
 
 def execute_query(

@@ -24,7 +24,7 @@ Layers
     the circuit breaker and dead-letter queue per-tenant, publishes
     lifecycle events on the bus, labels every metric with its tenant.
 :mod:`repro.service.config`
-    ``ServiceConfig`` -- the deployment knobs, JSON round-trippable.
+    ``ServiceConfig`` -- the deployment knobs.
 
 The HTTP surface lives in :mod:`repro.core.rpc` (tenant-scoped endpoints)
 and the CLI entry point is ``scan-sim serve --service``.

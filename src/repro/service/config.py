@@ -4,15 +4,13 @@ Deliberately *not* a section of :class:`~repro.core.config.PlatformConfig`:
 the platform config describes one simulated deployment (and its default
 serialized form is pinned by a golden fixture); the service config
 describes the long-running process *around* it -- queue capacity,
-admission policy, persistence, HTTP limits.  It round-trips through JSON
-the same way the platform config does.
+admission policy, persistence, HTTP limits.  ``scan-sim serve --service``
+builds it from command-line flags.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Mapping
+from dataclasses import dataclass
 
 from repro.core.errors import ConfigurationError
 
@@ -72,35 +70,3 @@ class ServiceConfig:
         if self.read_timeout_s <= 0:
             raise ConfigurationError("read_timeout_s must be positive")
         return self
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServiceConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown service-config key(s) "
-                f"{', '.join(map(repr, unknown))}; "
-                f"known: {', '.join(sorted(known))}"
-            )
-        return cls(**dict(data))
-
-    def to_json(self, indent: "int | None" = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServiceConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"invalid service-config JSON: {exc}"
-            ) from exc
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"service config must be an object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)

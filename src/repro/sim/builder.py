@@ -53,7 +53,7 @@ from repro.scheduler.scaling import ScalingPolicy, make_scaling_policy
 from repro.scheduler.scheduler import SCANScheduler
 from repro.workflows.compiled import CompiledWorkflow, chain_of, compile_spec
 from repro.workflows.library import make_workflow
-from repro.workload.arrivals import ArrivalProcess, make_arrival_process
+from repro.workload.arrivals import BatchArrivalProcess
 from repro.workload.jobs import JobFactory
 
 if TYPE_CHECKING:  # imported only when telemetry is enabled at runtime
@@ -86,6 +86,18 @@ class BuiltPlatform:
     plane: Optional[KnowledgePlane] = None
     estimates: Optional[EstimateProvider] = None
     refitter: Optional[OnlineRefitter] = None
+
+    def close(self) -> None:
+        """Tear the assembly down: close the environment, then unhook the
+        scheduler's callbacks.
+
+        Work still in flight is abandoned where it waits and the books stay
+        as the run left them, so a closed assembly holds no reference cycle
+        and dies by reference counting once dropped.  It cannot be run
+        further.
+        """
+        self.env.close()
+        self.scheduler.close()
 
 
 class PlatformBuilder:
@@ -300,17 +312,14 @@ class PlatformBuilder:
             workflow=self.workflow,
         )
 
-    def build_arrivals(self, streams: RandomStreams) -> ArrivalProcess:
-        """Stage 7b: the configured arrival process (registry lookup).
+    def build_arrivals(self, streams: RandomStreams) -> BatchArrivalProcess:
+        """Stage 7b: the paper's batched Poisson arrivals.
 
-        The default ``batch_poisson`` draws from the same seeded stream as
-        ever; ``trace`` replays a recorded JSONL log and leaves the stream
-        untouched.
+        Draws come from the session's own ``arrivals`` stream, so every
+        policy run at one seed sees the same arrivals.
         """
-        return make_arrival_process(
-            self.config.workload.arrival_process,
-            self.config.workload,
-            streams.stream("arrivals"),
+        return BatchArrivalProcess(
+            self.config.workload, streams.stream("arrivals")
         )
 
     def attach_observers(

@@ -9,21 +9,15 @@ they never touch the simulation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING
 
-from repro.core.bus import (
-    EventBus,
-    FaultInjected,
-    JobCompleted,
-    TaskDeadLettered,
-    WorkerFailed,
-)
+from repro.core.bus import EventBus, JobCompleted
 from repro.desim.monitor import Monitor
 
 if TYPE_CHECKING:
     from repro.sim.builder import BuiltPlatform
 
-__all__ = ["LatencyMonitorObserver", "FaultLedgerObserver"]
+__all__ = ["LatencyMonitorObserver"]
 
 
 class LatencyMonitorObserver:
@@ -41,37 +35,3 @@ class LatencyMonitorObserver:
 
     def _observe(self, event: JobCompleted) -> None:
         self.monitor.observe(event.time, event.latency)
-
-
-class FaultLedgerObserver:
-    """Counts every fault the chaos layer surfaces, by kind.
-
-    Aggregates the injected perturbations (:class:`FaultInjected`) with
-    their downstream consequences (worker deaths, dead letters) into one
-    ledger -- the fault bookkeeping that used to be scattered across
-    ad-hoc counters.
-    """
-
-    def __init__(self) -> None:
-        self.counts: Dict[str, int] = {}
-
-    def __call__(self, bus: EventBus, platform: "BuiltPlatform") -> None:
-        bus.subscribe(FaultInjected, self._on_fault)
-        bus.subscribe(WorkerFailed, self._on_worker_failed)
-        bus.subscribe(TaskDeadLettered, self._on_dead_letter)
-
-    def _bump(self, kind: str) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-
-    def _on_fault(self, event: FaultInjected) -> None:
-        self._bump(event.kind)
-
-    def _on_worker_failed(self, event: WorkerFailed) -> None:
-        self._bump("worker_failure")
-
-    def _on_dead_letter(self, event: TaskDeadLettered) -> None:
-        self._bump("dead_letter")
-
-    def total(self) -> int:
-        """Every recorded incident, summed."""
-        return sum(self.counts.values())

@@ -23,7 +23,7 @@ from repro.desim.engine import Environment
 from repro.desim.monitor import Monitor
 from repro.desim.rng import RandomStreams
 from repro.scheduler.scheduler import SCANScheduler
-from repro.sim.builder import Observer, PlatformBuilder
+from repro.sim.builder import BuiltPlatform, Observer, PlatformBuilder
 from repro.sim.metrics import SessionResult
 from repro.workload.arrivals import ArrivalBatch
 from repro.workload.jobs import JobFactory
@@ -94,7 +94,7 @@ class SimulationSession:
         env: Environment,
         streams: RandomStreams,
         hub: "Optional[TelemetryHub]" = None,
-    ) -> SCANScheduler:
+    ) -> BuiltPlatform:
         platform = self.builder.build(env, streams, hub)
         self.scheduler = platform.scheduler
         self.bus = platform.bus
@@ -103,7 +103,7 @@ class SimulationSession:
         self._factory = platform.factory
         if self.on_build is not None:
             self.on_build(self)
-        return platform.scheduler
+        return platform
 
     # -- running -------------------------------------------------------------------
     def run(self, seed: Optional[int] = None) -> SessionResult:
@@ -116,7 +116,8 @@ class SimulationSession:
         self.telemetry = hub
         if hub is not None:
             hub.bind(env)
-        scheduler = self._build(env, streams, hub)
+        platform = self._build(env, streams, hub)
+        scheduler = platform.scheduler
         arrivals = self.builder.build_arrivals(streams)
 
         on_batch = self._make_on_batch(self._factory, scheduler, hub)
@@ -126,11 +127,9 @@ class SimulationSession:
         snapshot = self._arm_warmup(env, scheduler)
         self._run_engine(env, cfg.simulation.duration, hub)
         result = self._collect(scheduler, actual_seed, snapshot, hub)
-        # Teardown: abandon the work still in flight and unhook the
-        # scheduler's callbacks, so the finished platform holds no cycle
-        # and dies by reference counting once the caller drops it.
-        env.close()
-        scheduler.close()
+        # Teardown: the finished platform holds no cycle and dies by
+        # reference counting once the caller drops it.
+        platform.close()
         return result
 
     def _make_on_batch(

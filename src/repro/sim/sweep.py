@@ -313,7 +313,6 @@ def run_sweep(
     jobs: int = 1,
     results: Optional[Any] = None,
     resume: bool = False,
-    metrics: Optional[Any] = None,
     task_runner: Callable[[_TaskPayload], _TaskResult] = _run_task,
     task_timeout_s: Optional[float] = None,
 ) -> list[SweepRow]:
@@ -331,10 +330,8 @@ def run_sweep(
 
     ``progress(done, total, cell)`` fires once per cell this call
     completes; ``done`` counts the cells a resumed ledger already held.
-    ``metrics``, a telemetry
-    :class:`~repro.telemetry.metrics.MetricsRegistry`, receives task
-    counters.  ``task_runner`` exists for fault injection in tests; the
-    pool needs it picklable.
+    ``task_runner`` exists for fault injection in tests; the pool needs it
+    picklable.
 
     ``results``, a :class:`~repro.sim.results.ResultStore`, receives every
     repetition as its task lands (this process is the only writer), and
@@ -378,16 +375,14 @@ def run_sweep(
             if agg.add(record) is not None and progress is not None:
                 progress(agg.done_cells, len(cells), cells[record.cell_index])
 
-    retried, failures = 0, []
+    failures: list[TaskFailure] = []
     if jobs == 1:
         for payload in tasks.values():
             land(payload, task_runner(payload))
     else:
-        retried, failures = _run_pool(
+        failures = _run_pool(
             tasks, n_workers, task_runner, task_timeout_s, land, results
         )
-    if metrics is not None:
-        _export_metrics(metrics, len(tasks), retried, failures, agg.done_cells)
     if failures:
         failures.sort(key=lambda f: (f.cell_index, f.rep_start))
         raise SweepExecutionError(failures)
@@ -401,11 +396,10 @@ def _run_pool(
     task_timeout_s: Optional[float],
     land: Callable[[_TaskPayload, _TaskResult], None],
     results: Optional[Any],
-) -> tuple[int, list[TaskFailure]]:
+) -> list[TaskFailure]:
     """Run *tasks* in rounds of fresh process pools.
 
-    Returns the number of retries and the tasks that exhausted
-    :data:`TASK_RETRY`; with a result store, those are dead-lettered into
+    Returns the tasks that exhausted :data:`TASK_RETRY`; with a result store, those are dead-lettered into
     it as ``failed`` records, so the next resume schedules them again.
     """
     # Imported here: a serial sweep or a single session never loads
@@ -414,7 +408,6 @@ def _run_pool(
 
     pending = dict(tasks)
     attempts = {key: 0 for key in pending}
-    retried = 0
     failures: list[TaskFailure] = []
     while pending:
         round_tasks = dict(sorted(pending.items()))
@@ -484,31 +477,8 @@ def _run_pool(
                     ):
                         results.record(record)
             else:
-                retried += 1
                 pending[key] = payload
                 max_backoff = max(max_backoff, TASK_RETRY.delay_for(attempts[key]))
         if pending and max_backoff > 0:
             time.sleep(max_backoff)
-    return retried, failures
-
-
-def _export_metrics(
-    registry: Any,
-    n_tasks: int,
-    retried_tasks: int,
-    failures: Sequence[TaskFailure],
-    done_cells: int,
-) -> None:
-    """Fold the executor's task and cell counters into *registry*."""
-    tasks = registry.counter(
-        "sweep_tasks", "parallel sweep task outcomes", labelnames=("outcome",)
-    )
-    completed = n_tasks - len(failures)
-    if completed:
-        tasks.inc(completed, outcome="completed")
-    if retried_tasks:
-        tasks.inc(retried_tasks, outcome="retried")
-    if failures:
-        tasks.inc(len(failures), outcome="dead_lettered")
-    cells_done = registry.gauge("sweep_cells_done", "grid cells completed")
-    cells_done.set(float(done_cells))
+    return failures

@@ -6,52 +6,25 @@ job sizes are truncated normals with Table III's means and variances --
 truncation keeps counts >= 1 and sizes > 0, preserving the paper's
 "significant short-term workload variation" while staying physical.
 
-Arrival generators are pluggable through :data:`ARRIVAL_PROCESSES`, the
-same registry shape as ``LEDGERS``/``PRIORITY_STRATEGIES``: the Poisson
-generator is the ``"batch_poisson"`` default, and ``"trace"`` replays a
-recorded JSONL arrival log (:mod:`repro.workload.traces`) for
-reproducible cross-policy comparisons on identical workloads.
+Every draw comes from the session's own seeded ``arrivals`` stream, so
+two sessions with the same seed see the same arrivals whatever their
+policies: cross-policy comparisons are paired by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Protocol
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.core.config import WorkloadConfig
-from repro.core.errors import WorkloadError
-from repro.core.plugins import Registry
 from repro.desim.engine import Environment
 
-__all__ = [
-    "ArrivalBatch",
-    "ArrivalProcess",
-    "BatchArrivalProcess",
-    "ARRIVAL_PROCESSES",
-    "make_arrival_process",
-]
+__all__ = ["ArrivalBatch", "BatchArrivalProcess"]
 
 #: Smallest job size the generator will emit (GB-units).
 MIN_JOB_SIZE = 0.25
-
-
-class ArrivalProcess(Protocol):
-    """What the session loop needs from an arrival generator."""
-
-    def generate(self, duration: float) -> "Iterator[ArrivalBatch]":
-        """Yield all batches arriving in [0, duration)."""
-        ...
-
-    def run(
-        self,
-        env: Environment,
-        on_batch: "Callable[[ArrivalBatch], None]",
-        until: Optional[float] = None,
-    ):
-        """Simulation process delivering batches as time passes."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -71,7 +44,7 @@ class ArrivalBatch:
 
 
 class BatchArrivalProcess:
-    """Generates :class:`ArrivalBatch` sequences, standalone or in-sim."""
+    """Draws :class:`ArrivalBatch` events and delivers them in simulation."""
 
     def __init__(self, config: WorkloadConfig, rng: np.random.Generator) -> None:
         config.validate()
@@ -101,16 +74,6 @@ class BatchArrivalProcess:
         sizes = tuple(self.draw_job_size() for _ in range(count))
         return ArrivalBatch(time=time, sizes=sizes)
 
-    # -- offline generation ------------------------------------------------
-    def generate(self, duration: float) -> Iterator[ArrivalBatch]:
-        """Yield all batches arriving in [0, duration)."""
-        if duration <= 0:
-            raise WorkloadError("duration must be positive")
-        t = self.draw_interval()
-        while t < duration:
-            yield self.draw_batch(t)
-            t += self.draw_interval()
-
     # -- in-simulation process ----------------------------------------------
     def run(
         self,
@@ -134,42 +97,3 @@ class BatchArrivalProcess:
             / self.config.mean_interarrival
         )
 
-
-#: Plugin registry of arrival-process factories.  Factories receive the
-#: workload config and an ``np.random.Generator`` keyword; trace-backed
-#: processes read their path from ``config.arrival_trace``.
-ARRIVAL_PROCESSES: "Registry[ArrivalProcess]" = Registry("arrival")
-
-
-@ARRIVAL_PROCESSES.register("batch_poisson")
-def _make_batch_poisson(
-    config: WorkloadConfig, rng: np.random.Generator
-) -> ArrivalProcess:
-    return BatchArrivalProcess(config, rng)
-
-
-@ARRIVAL_PROCESSES.register("trace")
-def _make_trace(
-    config: WorkloadConfig, rng: np.random.Generator
-) -> ArrivalProcess:
-    # Function-level import: traces.py imports ArrivalBatch from here.
-    from repro.workload.traces import TraceArrivalProcess
-
-    if not config.arrival_trace:
-        raise WorkloadError(
-            "trace arrivals need workload.arrival_trace (a JSONL path "
-            "recorded with repro.workload.traces.save_trace_jsonl)"
-        )
-    return TraceArrivalProcess.from_jsonl(config.arrival_trace)
-
-
-def make_arrival_process(
-    kind: str, config: WorkloadConfig, rng: np.random.Generator
-) -> ArrivalProcess:
-    """Instantiate the arrival process named by *kind*.
-
-    A thin :data:`ARRIVAL_PROCESSES` lookup; unknown names raise
-    :class:`~repro.core.errors.ConfigurationError` listing what is
-    registered.
-    """
-    return ARRIVAL_PROCESSES.create(kind, config=config, rng=rng)

@@ -1,101 +1,9 @@
-"""Tests for the proteomics search engine."""
+"""Tests for the MaxQuant application model."""
 
-import pytest
-
-from repro.apps.maxquant import (
-    PeptideSearchEngine,
-    build_maxquant_model,
-    digest_trypsin,
-    peptide_mass,
-)
-from repro.genomics.formats.mgf import MgfSpectrum
-
-_PROTON = 1.00728
+from repro.apps.maxquant import build_maxquant_model
 
 
-def spectrum_for(peptide, charge=2, title="t"):
-    neutral = peptide_mass(peptide)
-    mz = (neutral + _PROTON * charge) / charge
-    return MgfSpectrum(
-        title=title, pepmass=mz, charge=charge, peaks=((100.0, 1.0),)
-    )
-
-
-class TestPeptideMass:
-    def test_glycine_mass(self):
-        # G residue 57.02146 + water 18.01056.
-        assert peptide_mass("G") == pytest.approx(75.03202, abs=1e-4)
-
-    def test_mass_additive(self):
-        assert peptide_mass("GG") == pytest.approx(
-            2 * 57.02146 + 18.01056, abs=1e-4
-        )
-
-    def test_unknown_residue_rejected(self):
-        with pytest.raises(ValueError):
-            peptide_mass("GXZ")
-
-
-class TestTrypsinDigest:
-    def test_cleaves_after_k_and_r(self):
-        peptides = digest_trypsin("AAAAAKBBBBBRCCCCCC".replace("B", "G"), min_length=1)
-        assert peptides == ["AAAAAK", "GGGGGR", "CCCCCC"]
-
-    def test_no_cleavage_before_proline(self):
-        peptides = digest_trypsin("AAAKPGGGGR", min_length=1)
-        assert peptides == ["AAAKPGGGGR"]
-
-    def test_length_filters(self):
-        peptides = digest_trypsin("AAKGGGGGGK", min_length=6)
-        assert peptides == ["GGGGGGK"]
-
-
-class TestSearchEngine:
-    PROTEINS = [
-        "MAGICPEPTIDEKANGTHERSEGMENTR",
-        "GGGGGGKVVVVVVKLLLLLLR",
-    ]
-
-    @pytest.fixture
-    def engine(self):
-        return PeptideSearchEngine(self.PROTEINS)
-
-    def test_database_non_empty(self, engine):
-        assert len(engine) > 0
-
-    def test_exact_mass_match_found(self, engine):
-        target = digest_trypsin(self.PROTEINS[1], min_length=6)[0]
-        match = engine.search(spectrum_for(target))
-        assert match is not None
-        assert match.peptide == target
-        assert abs(match.mass_error_ppm) < 1.0
-
-    def test_charge_three_supported(self, engine):
-        target = digest_trypsin(self.PROTEINS[1], min_length=6)[1]
-        match = engine.search(spectrum_for(target, charge=3))
-        assert match is not None and match.peptide == target
-
-    def test_mass_far_from_everything_unmatched(self, engine):
-        spec = MgfSpectrum(title="t", pepmass=9999.0, charge=1, peaks=())
-        assert engine.search(spec) is None
-
-    def test_search_all_skips_unmatched(self, engine):
-        target = digest_trypsin(self.PROTEINS[1], min_length=6)[0]
-        spectra = [
-            spectrum_for(target, title="hit"),
-            MgfSpectrum(title="miss", pepmass=9999.0, charge=1, peaks=()),
-        ]
-        matches = engine.search_all(spectra)
-        assert [m.spectrum_title for m in matches] == ["hit"]
-
-    def test_empty_database_rejected(self):
-        with pytest.raises(ValueError):
-            PeptideSearchEngine(["KR"])  # digests to nothing >= 6 long
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            PeptideSearchEngine(self.PROTEINS, tolerance_ppm=0)
-
+class TestModel:
     def test_model_shape(self):
         model = build_maxquant_model()
         assert model.n_stages == 3

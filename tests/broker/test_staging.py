@@ -1,10 +1,9 @@
-"""Tests for data staging and prefetch."""
+"""Tests for data staging by prefetch."""
 
 import pytest
 
 from repro.broker.staging import DataStager
 from repro.cloud.storage import SharedFilesystem
-from repro.core.errors import BrokerError
 from repro.genomics.datasets import DataFormat, DatasetDescriptor
 
 
@@ -21,29 +20,19 @@ def dataset(name="d", size=20.0):
 class TestStage:
     def test_stage_takes_transfer_time(self, env, stager):
         ds = dataset(size=20.0)
-
-        def proc(env, stager):
-            yield from stager.stage(ds)
-            return env.now
-
-        p = env.process(proc(env, stager))
-        assert env.run(until=p) == pytest.approx(2.0)
+        process = stager.prefetch(ds)
+        env.run(until=process)
+        assert env.now == pytest.approx(2.0)  # 20 GB at 10 GB/TU
         assert stager.filesystem.exists(ds.path)
         assert stager.staged_count == 1
 
     def test_existing_file_not_restaged(self, env, stager):
         ds = dataset()
-
-        def proc(env, stager):
-            yield from stager.stage(ds)
-            t_first = env.now
-            yield from stager.stage(ds)
-            return (t_first, env.now)
-
-        p = env.process(proc(env, stager))
-        t_first, t_second = env.run(until=p)
-        assert t_second == pytest.approx(t_first)  # second stage is free
-        assert stager.prefetch_hits == 1
+        env.run(until=env.process(stager.filesystem.write(ds.path, ds.size_gb)))
+        t_written = env.now
+        env.run(until=stager.prefetch(ds))
+        assert env.now == pytest.approx(t_written)  # no second transfer
+        assert stager.staged_count == 0
 
 
 class TestPrefetch:
@@ -54,10 +43,10 @@ class TestPrefetch:
         ds = dataset(size=20.0)  # 2 TU transfer
 
         def pipeline(env, stager):
-            stager.prefetch(ds)
+            transfer = stager.prefetch(ds)
             yield env.timeout(3.0)  # compute longer than the transfer
             t_before = env.now
-            yield from stager.stage(ds)
+            yield transfer
             return env.now - t_before
 
         p = env.process(pipeline(env, stager))
@@ -70,12 +59,13 @@ class TestPrefetch:
         def pipeline(env, stager):
             stager.prefetch(ds)
             yield env.timeout(0.5)  # prefetch not finished (needs 2 TU)
-            yield from stager.stage(ds)
+            yield stager.prefetch(ds)
             return env.now
 
         p = env.process(pipeline(env, stager))
         # Completes when the ORIGINAL prefetch finishes (t=2), not 2.5.
         assert env.run(until=p) == pytest.approx(2.0)
+        assert stager.staged_count == 1
 
     def test_duplicate_prefetch_shares_process(self, env, stager):
         ds = dataset()
@@ -84,17 +74,5 @@ class TestPrefetch:
         assert p1 is p2
         env.run()
         assert stager.staged_count == 1
-
-
-class TestEvict:
-    def test_evict_staged_file(self, env, stager):
-        ds = dataset()
-        env.run(until=env.process(stager.stage(ds)))
-        assert stager.evict(ds)
-        assert not stager.filesystem.exists(ds.path)
-
-    def test_evict_during_prefetch_rejected(self, env, stager):
-        ds = dataset(size=100.0)
-        stager.prefetch(ds)
-        with pytest.raises(BrokerError):
-            stager.evict(ds)
+        assert stager.prefetch(ds) is p1  # a finished prefetch is reused too
+        assert stager.staged_count == 1

@@ -468,9 +468,20 @@ class TestRunConfigSources:
 
     def test_invalid_config_file_is_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"workload": {"warp_factor": 9}}))
-        assert main(["run", "--config", str(bad)]) == 2
-        assert "warp_factor" in capsys.readouterr().err
+        # A misspelt key, and the arrival-replay keys older configs carried.
+        for key, value in (
+            ("warp_factor", 9),
+            ("arrival_process", "trace"),
+            ("arrival_trace", "arrivals.jsonl"),
+        ):
+            bad.write_text(json.dumps({"workload": {key: value}}))
+            assert main(["run", "--config", str(bad)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("scan-sim: unknown key(s) ")
+            assert repr(key) in lines[0]
 
     def test_unknown_preset_run_is_error(self, capsys):
         assert main(["run", "--preset", "nope"]) == 2
@@ -593,7 +604,6 @@ class TestWorkflowsCommand:
         assert main(["policies", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert "star_fanout" in data["workflow"]
-        assert "batch_poisson" in data["arrival"]
 
 
 class TestWorkflowFlag:

@@ -225,29 +225,3 @@ class TestSparseWorkloadFields:
         d = PlatformConfig.paper_defaults().to_dict()
         assert "arrival_process" not in d["workload"]
         assert "arrival_trace" not in d["workload"]
-
-    def test_non_defaults_survive_round_trip(self):
-        config = PlatformConfig.paper_defaults().with_overrides(
-            workload={
-                "arrival_process": "trace",
-                "arrival_trace": "runs/t.jsonl",
-            },
-        )
-        d = config.to_dict()
-        assert d["workload"]["arrival_process"] == "trace"
-        assert d["workload"]["arrival_trace"] == "runs/t.jsonl"
-        assert PlatformConfig.from_dict(d) == config
-
-    def test_trace_process_requires_trace_path(self):
-        config = PlatformConfig.paper_defaults().with_overrides(
-            workload={"arrival_process": "trace"},
-        )
-        with pytest.raises(ConfigurationError, match="arrival_trace"):
-            config.validate()
-
-    def test_empty_arrival_process_rejected(self):
-        config = PlatformConfig.paper_defaults().with_overrides(
-            workload={"arrival_process": ""},
-        )
-        with pytest.raises(ConfigurationError, match="arrival_process"):
-            config.validate()

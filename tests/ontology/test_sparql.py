@@ -281,29 +281,3 @@ class TestUnionAndAsk:
         )
         pairs = {(r["app"].local_name, r["t"]) for r in rows}
         assert pairs == {("GATK1", 180), ("GATK3", 280)}
-
-    def test_ask_true_and_false(self, store):
-        from repro.ontology.sparql import execute_ask
-
-        assert execute_ask(
-            store, "ASK { ?x scan:inputFileSize 20 }"
-        )
-        assert not execute_ask(
-            store, "ASK { ?x scan:inputFileSize 999 }"
-        )
-
-    def test_ask_with_filter(self, store):
-        from repro.ontology.sparql import execute_ask
-
-        assert execute_ask(
-            store, "ASK { ?x scan:eTime ?t . FILTER (?t > 250) }"
-        )
-        assert not execute_ask(
-            store, "ASK { ?x scan:eTime ?t . FILTER (?t > 500) }"
-        )
-
-    def test_ask_trailing_garbage_rejected(self, store):
-        from repro.ontology.sparql import SparqlError, execute_ask
-
-        with pytest.raises(SparqlError):
-            execute_ask(store, "ASK { ?x ?p ?o } extra")

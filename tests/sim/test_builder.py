@@ -12,7 +12,7 @@ from repro.apps.base import ExecutionPlan
 from repro.core.config import AllocationAlgorithm, PlatformConfig
 from repro.scheduler.scaling import AlwaysScale
 from repro.sim.builder import FixedPlanBuilder, PlatformBuilder
-from repro.sim.observers import FaultLedgerObserver, LatencyMonitorObserver
+from repro.sim.observers import LatencyMonitorObserver
 from repro.sim.session import SimulationSession
 
 
@@ -132,19 +132,6 @@ class TestBusDuringRuns:
         assert len(watcher.monitor) == result.completed_runs
         assert watcher.monitor.mean() > 0
 
-    def test_fault_ledger_sees_chaos(self):
-        ledger = FaultLedgerObserver()
-        session = SimulationSession(chaos_config(), observers=[ledger])
-        result = session.run(seed=4)
-        injected = result.stragglers + result.corruptions
-        assert ledger.counts.get("straggler", 0) + ledger.counts.get(
-            "corruption", 0
-        ) <= injected
-        # WorkerFailed covers busy workers only; pools also count idle VMs.
-        assert 0 < ledger.counts.get("worker_failure", 0) <= result.worker_failures
-        assert ledger.counts.get("dead_letter", 0) == result.dead_lettered
-        assert ledger.total() > 0
-
     def test_decisions_not_published_without_telemetry(self):
         # The _explain gate: without audit/tracer the scheduler skips
         # decision publication entirely (the pre-bus metrics-only quirk).
@@ -164,7 +151,6 @@ class TestBusDuringRuns:
             observers=[
                 lambda bus, p: recorder.attach(bus),
                 LatencyMonitorObserver(),
-                FaultLedgerObserver(),
             ],
         ).run(seed=9)
         assert watched == bare

@@ -27,7 +27,6 @@ from repro.sim.sweep import (
     resolve_jobs,
     run_sweep,
 )
-from repro.telemetry.metrics import MetricsRegistry
 
 
 def small_base(**overrides) -> PlatformConfig:
@@ -184,30 +183,6 @@ class TestReporting:
         assert len(calls) == SPEC.size()
         assert [done for done, _, _ in calls] == list(range(1, SPEC.size() + 1))
         assert all(total == SPEC.size() for _, total, _ in calls)
-
-    def test_metrics_registry_receives_counters(self):
-        registry = MetricsRegistry()
-        run_sweep(small_base(), SPEC, base_seed=42, jobs=2, metrics=registry)
-        exposition = registry.expose()
-        assert 'sweep_tasks{outcome="completed"} 4' in exposition
-        assert "sweep_cells_done 4" in exposition
-
-    def test_retries_counted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(_FLAKY_DIR_VAR, str(tmp_path))
-        registry = MetricsRegistry()
-        run_sweep(
-            small_base(),
-            SPEC,
-            base_seed=42,
-            jobs=2,
-            metrics=registry,
-            task_runner=_flaky_runner,
-        )
-        counter = registry.counter(
-            "sweep_tasks", "parallel sweep task outcomes", labelnames=("outcome",)
-        )
-        assert counter.value(outcome="retried") == SPEC.size()
-        assert counter.value(outcome="completed") == SPEC.size()
 
 
 class TestStreamingResults:

@@ -1,6 +1,5 @@
 """Tests for simulation sessions."""
 
-import numpy as np
 import pytest
 
 from repro.core.bus import EventRecorder
@@ -11,8 +10,6 @@ from repro.core.config import (
     ScalingAlgorithm,
 )
 from repro.sim.session import SimulationSession, run_repetitions
-from repro.workload.arrivals import BatchArrivalProcess
-from repro.workload.traces import record_trace, save_trace_jsonl
 
 
 def short_config(**workload):
@@ -90,41 +87,6 @@ class TestSingleRun:
         ).run(seed=1)
         assert len(recorder) > 0
         assert SimulationSession(short_config()).run(seed=1) == captured
-
-
-def trace_config(config, tmp_path, seed):
-    """*config* replaying a 150 TU trace recorded from its own workload."""
-    trace = record_trace(
-        BatchArrivalProcess(config.workload, np.random.default_rng(seed)),
-        duration=150.0,
-    )
-    path = tmp_path / "arrivals.jsonl"
-    save_trace_jsonl(path, trace)
-    replay = config.with_overrides(
-        workload={"arrival_process": "trace", "arrival_trace": str(path)}
-    )
-    return replay, trace
-
-
-class TestTraceRuns:
-    def test_same_trace_same_arrivals(self, tmp_path):
-        config, trace = trace_config(short_config(), tmp_path, seed=11)
-        a = SimulationSession(config).run(seed=0)
-        b = SimulationSession(config).run(seed=0)
-        assert a.submitted_runs == b.submitted_runs == trace.n_jobs
-        assert a.total_reward == b.total_reward
-
-    def test_paired_policy_comparison(self, tmp_path):
-        """Two policies on one trace: any metric difference is pure policy."""
-        config, _trace = trace_config(short_config(), tmp_path, seed=12)
-        never = SimulationSession(
-            config.with_overrides(scheduler={"scaling": ScalingAlgorithm.NEVER})
-        ).run(seed=0)
-        always = SimulationSession(
-            config.with_overrides(scheduler={"scaling": ScalingAlgorithm.ALWAYS})
-        ).run(seed=0)
-        assert never.submitted_runs == always.submitted_runs
-        assert never.hires_public == 0
 
 
 class TestRepetitions:

@@ -21,6 +21,8 @@ from repro.core.bus import TaskDeadLettered
 from repro.core.config import TierConfig
 from repro.core.presets import make_preset
 from repro.desim.engine import Environment
+from repro.desim.rng import RandomStreams
+from repro.sim.builder import PlatformBuilder
 from repro.sim.session import SimulationSession, run_repetitions
 
 #: The four-tier stack: reserved, spot (evictions), serverless (per-call
@@ -166,3 +168,23 @@ def test_repetitions_do_not_accumulate(no_cycle_collector):
     assert len(results) == 8
     one_session = peak_one - start
     assert after_eight - after_one < one_session
+
+
+def test_closed_bare_build_dies_without_the_collector(no_cycle_collector):
+    """An assembly that no session ran dies once closed and dropped."""
+    cfg = CASES["busy"]
+    closed = PlatformBuilder(cfg).build(Environment(), RandomStreams(3))
+    closed.close()
+    refs = {
+        "env": weakref.ref(closed.env),
+        "scheduler": weakref.ref(closed.scheduler),
+        "pools": weakref.ref(closed.scheduler.pools),
+    }
+    del closed
+    assert sorted(name for name, ref in refs.items() if ref() is not None) == []
+    # The control: without close() the scheduler <-> pools callbacks
+    # keep the assembly alive for the collector.
+    kept = PlatformBuilder(cfg).build(Environment(), RandomStreams(3))
+    scheduler = weakref.ref(kept.scheduler)
+    del kept
+    assert scheduler() is not None

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import WorkloadConfig
-from repro.core.errors import WorkloadError
 from repro.desim.engine import Environment
 from repro.workload.arrivals import MIN_JOB_SIZE, BatchArrivalProcess
 
@@ -41,30 +40,31 @@ class TestDraws:
         assert batch.total_size == pytest.approx(sum(batch.sizes))
 
 
-class TestGenerate:
+def run_batches(proc, until):
+    """The batches *proc*'s run loop delivers before *until*."""
+    env = Environment()
+    seen = []
+    env.process(proc.run(env, seen.append, until=until))
+    env.run(until=until)
+    return seen
+
+
+class TestInSimulation:
     def test_all_batches_within_duration(self):
-        proc = make_process()
-        batches = list(proc.generate(100.0))
+        batches = run_batches(make_process(), until=100.0)
         assert batches
         assert all(0 <= b.time < 100.0 for b in batches)
 
     def test_times_strictly_increasing(self):
-        proc = make_process()
-        batches = list(proc.generate(200.0))
-        times = [b.time for b in batches]
-        assert times == sorted(times)
+        times = [b.time for b in run_batches(make_process(), until=200.0)]
+        assert len(times) > 1
+        assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_batch_count_scales_with_rate(self):
-        slow = len(list(make_process(seed=3, mean_interarrival=3.0).generate(3000.0)))
-        fast = len(list(make_process(seed=3, mean_interarrival=2.0).generate(3000.0)))
-        assert fast > slow
+        slow = run_batches(make_process(seed=3, mean_interarrival=3.0), 3000.0)
+        fast = run_batches(make_process(seed=3, mean_interarrival=2.0), 3000.0)
+        assert len(fast) > len(slow)
 
-    def test_zero_duration_rejected(self):
-        with pytest.raises(WorkloadError):
-            list(make_process().generate(0.0))
-
-
-class TestInSimulation:
     def test_run_delivers_batches_at_sim_times(self):
         env = Environment()
         proc = make_process(seed=4)
@@ -97,55 +97,3 @@ class TestLoadRate:
         busy = make_process(mean_interarrival=2.0).expected_load_rate()
         quiet = make_process(mean_interarrival=3.0).expected_load_rate()
         assert busy / quiet == pytest.approx(1.5)
-
-
-class TestArrivalRegistry:
-    def test_registry_lists_builtins(self):
-        from repro.workload.arrivals import ARRIVAL_PROCESSES
-
-        assert set(ARRIVAL_PROCESSES.names()) >= {"batch_poisson", "trace"}
-
-    def test_batch_poisson_is_default_factory(self):
-        from repro.workload.arrivals import make_arrival_process
-
-        proc = make_arrival_process(
-            "batch_poisson", WorkloadConfig(), np.random.default_rng(3)
-        )
-        assert isinstance(proc, BatchArrivalProcess)
-
-    def test_trace_kind_requires_a_path(self):
-        from repro.workload.arrivals import make_arrival_process
-
-        with pytest.raises(WorkloadError, match="arrival_trace"):
-            make_arrival_process(
-                "trace", WorkloadConfig(), np.random.default_rng(3)
-            )
-
-    def test_trace_kind_loads_jsonl(self, tmp_path):
-        from dataclasses import replace
-
-        from repro.workload.arrivals import make_arrival_process
-        from repro.workload.traces import (
-            TraceArrivalProcess,
-            record_trace,
-            save_trace_jsonl,
-        )
-
-        trace = record_trace(make_process(seed=2), duration=40.0)
-        path = tmp_path / "t.jsonl"
-        save_trace_jsonl(path, trace)
-        config = replace(WorkloadConfig(), arrival_trace=str(path))
-        proc = make_arrival_process(
-            "trace", config, np.random.default_rng(3)
-        )
-        assert isinstance(proc, TraceArrivalProcess)
-        assert proc.trace == trace
-
-    def test_unknown_kind_lists_registered(self):
-        from repro.core.errors import ConfigurationError
-        from repro.workload.arrivals import make_arrival_process
-
-        with pytest.raises(ConfigurationError, match="batch_poisson"):
-            make_arrival_process(
-                "bursty", WorkloadConfig(), np.random.default_rng(3)
-            )
