@@ -29,11 +29,11 @@ def main() -> None:
 
     print("== The SCAN semantic model ==")
     print(f"triples in the shared store : {len(onto.store)}")
-    genome_cls = onto.domain.get_class("GenomeAnalysis")
-    workflows = [i.local_name for i in genome_cls.individuals()]
+    genome = onto.scan.individuals_of(SCAN["GenomeAnalysis"])
+    workflows = [i.local_name for i in genome]
     print(f"genome-analysis workflows   : {len(workflows)} "
           f"({', '.join(sorted(workflows)[:4])}, ...)")
-    private = onto.cloud.get_individual("PrivateTier")
+    private = onto.scan.get_individual("PrivateTier")
     print(f"private tier (cloud onto)   : {private.get('coreCount')} cores "
           f"@ {private.get('corePrice')} CU/TU")
 

@@ -91,6 +91,42 @@ KEEP: Dict[str, str] = {
     "repro/telemetry/audit.py:replay_decision": (
         "offline re-derivation of a logged Eq. 1 decision"
     ),
+    "repro/knowledge/advisor.py:ShardAdvisor._fixed_advice": (
+        "broker and advisor fallback advice (tests/knowledge/test_advisor.py,"
+        " tests/broker/test_broker.py)"
+    ),
+    "repro/workflows/compiled.py:CompiledWorkflow.as_app": (
+        "DAG facade and DAG best_constant (tests/workflows/test_compiled.py)"
+    ),
+    "repro/service/queue.py:JobQueue.requeue": (
+        "requeue path (tests/property/test_property_service.py)"
+    ),
+    "repro/service/queue.py:TenantQueue.evict_worst": (
+        "shed path (tests/property/test_property_service.py)"
+    ),
+    "repro/sim/results.py:failed_records": (
+        "sweep failure path (tests/sim/test_results.py)"
+    ),
+    "repro/knowledge/profiles.py:StageProfile.predict": (
+        "reference that StageFact.predict mirrors"
+        " (tests/knowledge/test_profiles.py)"
+    ),
+    "repro/ontology/sparql.py:cache_stats": (
+        "SPARQL cache introspection: POST /kb/query takes arbitrary queries"
+        " (tests/ontology/test_sparql_cache.py)"
+    ),
+    "repro/ontology/sparql.py:reset_cache_stats": (
+        "SPARQL cache introspection: POST /kb/query takes arbitrary queries"
+        " (tests/ontology/test_sparql_cache.py)"
+    ),
+    "repro/ontology/sparql.py:clear_caches": (
+        "SPARQL cache reset: POST /kb/query takes arbitrary queries"
+        " (tests/ontology/test_sparql_cache.py)"
+    ),
+    "repro/ontology/sparql.py:*Expr.evaluate": (
+        "FILTER expressions: POST /kb/query takes arbitrary queries"
+        " (tests/ontology/test_sparql.py)"
+    ),
 }
 
 SITECUSTOMIZE = '''\

@@ -465,7 +465,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     intervals = [_interval(x) for x in args.intervals.split(",") if x.strip()]
     if not intervals:
-        print("no intervals given", file=sys.stderr)
+        print("scan-sim: no intervals given", file=sys.stderr)
         return 2
     spec = SweepSpec(
         allocation=(_policy_name(AllocationAlgorithm, args.allocation),),
@@ -527,7 +527,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     try:
         fmt = DataFormat(args.format)
     except ValueError:
-        print(f"unknown format {args.format!r}", file=sys.stderr)
+        print(f"scan-sim: unknown format {args.format!r}", file=sys.stderr)
         return 2
     if not (math.isfinite(args.size_gb) and args.size_gb > 0):
         print(
@@ -659,7 +659,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     try:
         events = _read_trace_events(args.file)
     except (OSError, ValueError) as exc:
-        print(f"cannot read trace {args.file!r}: {exc}", file=sys.stderr)
+        print(
+            f"scan-sim: cannot read trace {args.file!r}: {exc}",
+            file=sys.stderr,
+        )
         return 2
 
     lanes: dict[int, str] = {}
@@ -798,7 +801,10 @@ def cmd_tiers(args: argparse.Namespace) -> int:
             with open(args.config) as fh:
                 config = PlatformConfig.from_json(fh.read())
         except (OSError, ValueError) as exc:
-            print(f"cannot read config {args.config!r}: {exc}", file=sys.stderr)
+            print(
+                f"scan-sim: cannot read config {args.config!r}: {exc}",
+                file=sys.stderr,
+            )
             return 2
     elif args.preset is not None:
         from repro.core.presets import make_preset
@@ -852,7 +858,10 @@ def cmd_kb(args: argparse.Namespace) -> int:
                 with open(path) as fh:
                     snapshots.append(json.load(fh))
             except (OSError, json.JSONDecodeError) as exc:
-                print(f"cannot read snapshot {path!r}: {exc}", file=sys.stderr)
+                print(
+                    f"scan-sim: cannot read snapshot {path!r}: {exc}",
+                    file=sys.stderr,
+                )
                 return 2
         lines = diff_snapshots(snapshots[0], snapshots[1])
         if not lines:
@@ -875,7 +884,7 @@ def cmd_kb(args: argparse.Namespace) -> int:
     session.run(seed=args.seed)
     plane = session.plane
     if plane is None:
-        print("no knowledge plane in this session", file=sys.stderr)
+        print("scan-sim: no knowledge plane in this session", file=sys.stderr)
         return 2
     # The static provider reads the workflow's node models directly and
     # never writes the plane; seed the nodes without facts now so the
@@ -936,6 +945,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {seed}")
         from repro.core.plugins import load_plugins
 
         load_plugins()

@@ -17,22 +17,3 @@ profiles:
   logs ("the log information will be used to further populate the SCAN
   knowledge-base").
 """
-
-from repro.knowledge.profiles import (
-    ProfileObservation,
-    StageProfile,
-    ApplicationProfile,
-)
-from repro.knowledge.kb import SCANKnowledgeBase
-from repro.knowledge.advisor import ShardAdvisor, ShardAdvice
-from repro.knowledge.log_ingest import KnowledgeIngestor
-
-__all__ = [
-    "ProfileObservation",
-    "StageProfile",
-    "ApplicationProfile",
-    "SCANKnowledgeBase",
-    "ShardAdvisor",
-    "ShardAdvice",
-    "KnowledgeIngestor",
-]

@@ -6,10 +6,11 @@ describing biological data, bio-applications, cloud resources and the
 relations among them, queried with SPARQL.  The paper's prototype used Jena
 and Protege; this package is a from-scratch equivalent:
 
-- :mod:`repro.ontology.triples` -- terms (IRIs, literals, blank nodes) and an
-  indexed in-memory triple store.
-- :mod:`repro.ontology.model` -- OWL-lite classes, properties, individuals
-  and subclass reasoning on top of the store.
+- :mod:`repro.ontology.triples` -- terms (IRIs and literals) and an indexed,
+  append-only in-memory triple store.
+- :mod:`repro.ontology.model` -- OWL-lite class and property declarations,
+  individuals and subclass reasoning as views over the store, which holds
+  the only copy of the vocabulary.
 - :mod:`repro.ontology.sparql` -- tokenizer, parser and executor for the
   SPARQL subset used by the Data Broker (SELECT / WHERE / OPTIONAL /
   FILTER / ORDER BY / LIMIT / DISTINCT).
@@ -24,7 +25,6 @@ and Protege; this package is a from-scratch equivalent:
 from repro.ontology.triples import (
     IRI,
     Literal,
-    BlankNode,
     Triple,
     TripleStore,
     Namespace,
@@ -33,7 +33,7 @@ from repro.ontology.triples import (
     OWL,
     XSD,
 )
-from repro.ontology.model import Ontology, OntClass, OntProperty, Individual
+from repro.ontology.model import Ontology, Individual
 from repro.ontology.sparql import (
     SparqlQuery,
     parse_query,
@@ -53,7 +53,6 @@ from repro.ontology.scan_ontology import (
 __all__ = [
     "IRI",
     "Literal",
-    "BlankNode",
     "Triple",
     "TripleStore",
     "Namespace",
@@ -62,8 +61,6 @@ __all__ = [
     "OWL",
     "XSD",
     "Ontology",
-    "OntClass",
-    "OntProperty",
     "Individual",
     "SparqlQuery",
     "parse_query",

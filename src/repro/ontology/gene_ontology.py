@@ -86,20 +86,14 @@ def load_gene_ontology(store: TripleStore | None = None) -> Ontology:
     for term in GO_TERMS:
         cls = onto.declare_class(term.accession)
         classes[term.accession] = cls
-        onto.store.add(cls.iri, _LABEL_PRED, term.label)
-        onto.store.add(cls.iri, GO["aspect"], term.aspect)
+        onto.store.add(cls, _LABEL_PRED, term.label)
+        onto.store.add(cls, GO["aspect"], term.aspect)
     for term in GO_TERMS:
         for parent in term.parents:
             if parent not in classes:
                 raise ValueError(
                     f"GO term {term.accession} references unknown parent {parent}"
                 )
-            classes[term.accession].subclass_of(classes[parent])
+            onto.store.add(classes[term.accession], RDFS.subClassOf, classes[parent])
     return onto
 
-
-def term_by_label(onto: Ontology, label: str):
-    """Find the GO class with the given rdfs:label, or None."""
-    for subject in onto.store.subjects(_LABEL_PRED, label):
-        return onto.get_class(subject)  # type: ignore[arg-type]
-    return None

@@ -4,11 +4,17 @@ Provides the vocabulary SCAN needs: named classes with a subclass hierarchy,
 object/datatype properties with domain and range, named individuals with
 property assertions, and simple reasoning (subclass transitivity and type
 inheritance), in the spirit of the Jena ontology API the paper cites.
+
+The store is the only copy of the vocabulary: a class or property is its
+IRI, declared by its triples, so an :class:`Ontology` is a view that holds
+nothing but its namespace, its store and its name.  Nothing in the store
+refers back to a view, so a dropped knowledge base is freed by reference
+counting alone.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Optional
 
 from repro.ontology.triples import (
     IRI,
@@ -17,79 +23,14 @@ from repro.ontology.triples import (
     OWL,
     RDF,
     RDFS,
-    Term,
     TripleStore,
 )
 
-__all__ = ["Ontology", "OntClass", "OntProperty", "Individual"]
-
-
-class OntClass:
-    """A named OWL class bound to an ontology."""
-
-    def __init__(self, ontology: "Ontology", iri: IRI) -> None:
-        self.ontology = ontology
-        self.iri = iri
-
-    @property
-    def local_name(self) -> str:
-        return self.iri.local_name
-
-    def subclass_of(self, parent: "OntClass | IRI") -> "OntClass":
-        """Assert this class as a subclass of *parent*; returns self."""
-        parent_iri = parent.iri if isinstance(parent, OntClass) else parent
-        self.ontology.store.add(self.iri, RDFS.subClassOf, parent_iri)
-        return self
-
-    def subclasses(self, transitive: bool = True) -> list[IRI]:
-        """Subclass IRIs via rdfs:subClassOf (inverse)."""
-        return self.ontology.subclasses(self.iri, transitive=transitive)
-
-    def individuals(self, direct: bool = False) -> list["Individual"]:
-        """Individuals of this class (including subclasses unless direct)."""
-        return self.ontology.individuals_of(self.iri, direct=direct)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, OntClass):
-            return self.iri == other.iri and self.ontology is other.ontology
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.iri)
-
-    def __repr__(self) -> str:
-        return f"OntClass({self.iri.local_name})"
-
-
-class OntProperty:
-    """A named OWL property (object or datatype)."""
-
-    def __init__(
-        self,
-        ontology: "Ontology",
-        iri: IRI,
-        kind: str,
-        domain: Optional[IRI] = None,
-        range_: Optional[IRI] = None,
-    ) -> None:
-        if kind not in ("object", "datatype"):
-            raise ValueError(f"property kind must be object|datatype, got {kind}")
-        self.ontology = ontology
-        self.iri = iri
-        self.kind = kind
-        self.domain = domain
-        self.range = range_
-
-    @property
-    def local_name(self) -> str:
-        return self.iri.local_name
-
-    def __repr__(self) -> str:
-        return f"OntProperty({self.iri.local_name}, {self.kind})"
+__all__ = ["Ontology", "Individual"]
 
 
 class Individual:
-    """A named individual with convenient property access."""
+    """A named individual: a view that converts literals to Python values."""
 
     def __init__(self, ontology: "Ontology", iri: IRI) -> None:
         self.ontology = ontology
@@ -99,42 +40,19 @@ class Individual:
     def local_name(self) -> str:
         return self.iri.local_name
 
-    def set(self, prop: "OntProperty | IRI | str", value: Any) -> "Individual":
+    def set(self, prop: "IRI | str", value: Any) -> "Individual":
         """Assert (self, prop, value); returns self for chaining."""
-        prop_iri = _prop_iri(self.ontology, prop)
-        self.ontology.store.add(self.iri, prop_iri, value)
+        self.ontology.store.add(self.iri, self.ontology._resolve(prop), value)
         return self
 
-    def get(self, prop: "OntProperty | IRI | str", default: Any = None) -> Any:
+    def get(self, prop: "IRI | str", default: Any = None) -> Any:
         """The single Python-native value of the property, or *default*."""
-        prop_iri = _prop_iri(self.ontology, prop)
-        term = self.ontology.store.value(self.iri, prop_iri, default=None)
+        term = self.ontology.store.value(
+            self.iri, self.ontology._resolve(prop), default=None
+        )
         if term is None:
             return default
-        return _to_python(term)
-
-    def get_all(self, prop: "OntProperty | IRI | str") -> list[Any]:
-        """All Python-native values of the property."""
-        prop_iri = _prop_iri(self.ontology, prop)
-        return [_to_python(t) for t in self.ontology.store.objects(self.iri, prop_iri)]
-
-    def is_a(self, cls: "OntClass | IRI") -> bool:
-        """Whether the individual is typed as *cls* (with closure)."""
-        cls_iri = cls.iri if isinstance(cls, OntClass) else cls
-        classes = {cls_iri, *self.ontology.subclasses(cls_iri)}
-        return any(
-            t in classes
-            for t in self.ontology.store.objects(self.iri, RDF.type)
-        )
-
-    def properties(self) -> dict[IRI, list[Any]]:
-        """All asserted (non-type) property values, Python-native."""
-        out: dict[IRI, list[Any]] = {}
-        for t in self.ontology.store.match(self.iri, None, None):
-            if t.predicate == RDF.type:
-                continue
-            out.setdefault(t.predicate, []).append(_to_python(t.object))
-        return out
+        return term.value if isinstance(term, Literal) else term
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Individual):
@@ -151,9 +69,9 @@ class Individual:
 class Ontology:
     """A named ontology: vocabulary declarations plus an instance store.
 
-    The SCAN semantic model composes a domain ontology, a cloud ontology and
-    a linker (paper Section II-C); each is an ``Ontology`` sharing one
-    underlying :class:`TripleStore` so cross-ontology queries work.
+    Several ontologies may share one :class:`TripleStore` so that
+    cross-ontology queries work (the SCAN model and the Gene Ontology
+    slice do).
     """
 
     def __init__(
@@ -165,80 +83,60 @@ class Ontology:
         self.ns = namespace
         self.store = store if store is not None else TripleStore(name)
         self.name = name or namespace.base
-        self._classes: dict[IRI, OntClass] = {}
-        self._properties: dict[IRI, OntProperty] = {}
 
     # -- declarations -------------------------------------------------------
-    def declare_class(
-        self, name: str, parent: "OntClass | IRI | None" = None
-    ) -> OntClass:
-        """Declare (or fetch) a named class, optionally under *parent*."""
+    def declare_class(self, name: str, parent: Optional[IRI] = None) -> IRI:
+        """Declare a named class, optionally under *parent*; returns its IRI."""
         iri = self.ns[name]
-        cls = self._classes.get(iri)
-        if cls is None:
-            cls = OntClass(self, iri)
-            self._classes[iri] = cls
-            self.store.add(iri, RDF.type, OWL.Class)
+        self.store.add(iri, RDF.type, OWL.Class)
         if parent is not None:
-            cls.subclass_of(parent)
-        return cls
+            self.store.add(iri, RDFS.subClassOf, parent)
+        return iri
 
     def declare_object_property(
         self,
         name: str,
-        domain: "OntClass | IRI | None" = None,
-        range_: "OntClass | IRI | None" = None,
-    ) -> OntProperty:
-        """Declare (or fetch) an object property."""
-        return self._declare_property(name, "object", domain, range_)
+        domain: Optional[IRI] = None,
+        range_: Optional[IRI] = None,
+    ) -> IRI:
+        """Declare an object property; returns its IRI."""
+        return self._declare_property(name, OWL.ObjectProperty, domain, range_)
 
     def declare_datatype_property(
         self,
         name: str,
-        domain: "OntClass | IRI | None" = None,
+        domain: Optional[IRI] = None,
         range_: Optional[IRI] = None,
-    ) -> OntProperty:
-        """Declare (or fetch) a datatype property."""
-        return self._declare_property(name, "datatype", domain, range_)
+    ) -> IRI:
+        """Declare a datatype property; returns its IRI."""
+        return self._declare_property(name, OWL.DatatypeProperty, domain, range_)
 
-    def _declare_property(self, name, kind, domain, range_) -> OntProperty:
+    def _declare_property(
+        self, name: str, kind: IRI, domain: Optional[IRI], range_: Optional[IRI]
+    ) -> IRI:
         iri = self.ns[name]
-        prop = self._properties.get(iri)
-        if prop is None:
-            domain_iri = domain.iri if isinstance(domain, OntClass) else domain
-            range_iri = range_.iri if isinstance(range_, OntClass) else range_
-            prop = OntProperty(self, iri, kind, domain_iri, range_iri)
-            self._properties[iri] = prop
-            type_iri = (
-                OWL.ObjectProperty if kind == "object" else OWL.DatatypeProperty
-            )
-            self.store.add(iri, RDF.type, type_iri)
-            if domain_iri is not None:
-                self.store.add(iri, RDFS.domain, domain_iri)
-            if range_iri is not None:
-                self.store.add(iri, RDFS.range, range_iri)
-        return prop
+        self.store.add(iri, RDF.type, kind)
+        if domain is not None:
+            self.store.add(iri, RDFS.domain, domain)
+        if range_ is not None:
+            self.store.add(iri, RDFS.range, range_)
+        return iri
 
-    def individual(self, name: str, *classes: "OntClass | IRI") -> Individual:
+    def individual(self, name: str, *classes: IRI) -> Individual:
         """Create (or fetch) a named individual, asserting its classes."""
         iri = self.ns[name]
-        ind = Individual(self, iri)
         self.store.add(iri, RDF.type, OWL.NamedIndividual)
         for cls in classes:
-            cls_iri = cls.iri if isinstance(cls, OntClass) else cls
-            self.store.add(iri, RDF.type, cls_iri)
-        return ind
+            self.store.add(iri, RDF.type, cls)
+        return Individual(self, iri)
 
     # -- lookup ---------------------------------------------------------------
-    def get_class(self, name_or_iri: "str | IRI") -> Optional[OntClass]:
-        """The declared class for a name/IRI, or None."""
+    def get_class(self, name_or_iri: "str | IRI") -> Optional[IRI]:
+        """The IRI of the declared class for a name/IRI, or None."""
         iri = self._resolve(name_or_iri)
-        return self._classes.get(iri)
-
-    def get_property(self, name_or_iri: "str | IRI") -> Optional[OntProperty]:
-        """The declared property for a name/IRI, or None."""
-        iri = self._resolve(name_or_iri)
-        return self._properties.get(iri)
+        if (iri, RDF.type, OWL.Class) in self.store:
+            return iri
+        return None
 
     def get_individual(self, name_or_iri: "str | IRI") -> Optional[Individual]:
         """The named individual for a name/IRI, or None."""
@@ -246,14 +144,6 @@ class Ontology:
         if (iri, RDF.type, OWL.NamedIndividual) in self.store:
             return Individual(self, iri)
         return None
-
-    def classes(self) -> Iterator[OntClass]:
-        """All declared classes."""
-        return iter(self._classes.values())
-
-    def properties(self) -> Iterator[OntProperty]:
-        """All declared properties."""
-        return iter(self._properties.values())
 
     def _resolve(self, name_or_iri: "str | IRI") -> IRI:
         if isinstance(name_or_iri, IRI):
@@ -270,9 +160,8 @@ class Ontology:
         frontier = [cls]
         while frontier:
             current = frontier.pop()
-            for t in self.store.match(None, RDFS.subClassOf, current):
-                child = t.subject
-                if isinstance(child, IRI) and child not in seen:
+            for child in self.store.subjects(RDFS.subClassOf, current):
+                if child not in seen:
                     seen.add(child)
                     out.append(child)
                     if transitive:
@@ -286,24 +175,10 @@ class Ontology:
         out: list[Individual] = []
         for c in classes:
             for subj in self.store.subjects(RDF.type, c):
-                if isinstance(subj, IRI) and subj not in seen:
+                if subj not in seen:
                     seen.add(subj)
                     out.append(Individual(self, subj))
         return out
 
     def __repr__(self) -> str:
-        return f"<Ontology {self.name} classes={len(self._classes)} triples={len(self.store)}>"
-
-
-def _prop_iri(ontology: Ontology, prop: "OntProperty | IRI | str") -> IRI:
-    if isinstance(prop, OntProperty):
-        return prop.iri
-    if isinstance(prop, IRI):
-        return prop
-    return ontology._resolve(prop)
-
-
-def _to_python(term: Term) -> Any:
-    if isinstance(term, Literal):
-        return term.value
-    return term
+        return f"<Ontology {self.name} triples={len(self.store)}>"

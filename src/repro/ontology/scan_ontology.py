@@ -14,9 +14,11 @@ services, computing/storage resources, networks and usage policies.  The
 **linker** relates domain entities to cloud entities (e.g. which resource a
 workflow requires).
 
-All three share one :class:`~repro.ontology.triples.TripleStore`, matching
-how SCAN queries span both ontologies (the paper's SPARQL example retrieves
-GATK instances *along with* CPU and RAM resource attributes).
+All three live in one :class:`~repro.ontology.triples.TripleStore` under
+the SCAN namespace, matching how SCAN queries span both ontologies (the
+paper's SPARQL example retrieves GATK instances *along with* CPU and RAM
+resource attributes); :func:`build_scan_ontology` declares them in three
+sections.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from typing import Mapping, Optional
 
 from repro.ontology.gene_ontology import load_gene_ontology
 from repro.ontology.model import Individual, Ontology
-from repro.ontology.triples import Namespace, TripleStore
+from repro.ontology.triples import RDFS, Namespace, TripleStore
 
 __all__ = [
     "SCAN",
     "ScanOntology",
     "build_scan_ontology",
     "add_application_instance",
-    "add_workflow_instance",
 ]
 
 #: The paper's ontology namespace.
@@ -73,32 +74,23 @@ DEFAULT_WORKFLOWS = (
 
 @dataclass
 class ScanOntology:
-    """The assembled SCAN semantic model (domain + cloud + linker)."""
+    """The assembled SCAN semantic model.
+
+    ``scan`` is the view of the SCAN namespace (domain ontology, cloud
+    ontology and linker); ``gene_ontology`` the view of the GO slice.
+    Both read and write ``store``.
+    """
 
     store: TripleStore
-    domain: Ontology
-    cloud: Ontology
-    linker: Ontology
+    scan: Ontology
     gene_ontology: Ontology
-
-    @property
-    def ns(self) -> Namespace:
-        return SCAN
 
     def application_instances(self, app_name: Optional[str] = None) -> list[Individual]:
         """All Application individuals, optionally filtered by appName."""
-        cls = self.domain.get_class("Application")
-        assert cls is not None
-        individuals = cls.individuals()
+        individuals = self.scan.individuals_of(SCAN["Application"])
         if app_name is None:
             return individuals
         return [i for i in individuals if i.get("appName") == app_name]
-
-    def workflow_instances(self) -> list[Individual]:
-        """All GenomeAnalysis workflow individuals."""
-        cls = self.domain.get_class("GenomeAnalysis")
-        assert cls is not None
-        return cls.individuals()
 
 
 def build_scan_ontology(include_gene_ontology: bool = True) -> ScanOntology:
@@ -126,75 +118,67 @@ def build_scan_ontology(include_gene_ontology: bool = True) -> ScanOntology:
         else Ontology(SCAN, store=store, name="no-go")
     )
 
-    domain = Ontology(SCAN, store=store, name="scan-domain")
-    cloud = Ontology(SCAN, store=store, name="scan-cloud")
-    linker = Ontology(SCAN, store=store, name="scan-linker")
+    scan = Ontology(SCAN, store=store, name="scan")
 
     # -- domain ontology ----------------------------------------------------
-    bio_data = domain.declare_class("BiologicalData")
-    aligned = domain.declare_class("AlignedGenomicData", parent=bio_data)
+    bio_data = scan.declare_class("BiologicalData")
+    aligned = scan.declare_class("AlignedGenomicData", parent=bio_data)
     for fmt in DATA_FORMATS:
-        cls = domain.declare_class(f"{fmt}Data", parent=bio_data)
+        cls = scan.declare_class(f"{fmt}Data", parent=bio_data)
         if fmt in ("BAM", "SAM"):
-            cls.subclass_of(aligned)
+            store.add(cls, RDFS.subClassOf, aligned)
 
-    application = domain.declare_class("Application")
-    workflow = domain.declare_class("Workflow")
+    application = scan.declare_class("Application")
+    workflow = scan.declare_class("Workflow")
     analysis_classes = {}
     for analysis in ANALYSIS_TYPES:
-        analysis_classes[analysis] = domain.declare_class(analysis, parent=workflow)
+        analysis_classes[analysis] = scan.declare_class(analysis, parent=workflow)
 
     # Datatype properties used by the paper's listings.
     for name in ("inputFileSize", "steps", "RAM", "eTime", "CPU"):
-        domain.declare_datatype_property(name, domain=application)
-    domain.declare_datatype_property("performance", domain=application)
-    domain.declare_datatype_property("appName", domain=application)
-    domain.declare_datatype_property("threads", domain=application)
-    domain.declare_datatype_property("stage", domain=application)
-    domain.declare_datatype_property("workflowName", domain=workflow)
+        scan.declare_datatype_property(name, domain=application)
+    scan.declare_datatype_property("performance", domain=application)
+    scan.declare_datatype_property("appName", domain=application)
+    scan.declare_datatype_property("threads", domain=application)
+    scan.declare_datatype_property("stage", domain=application)
+    scan.declare_datatype_property("workflowName", domain=workflow)
 
     # -- cloud ontology -------------------------------------------------------
-    cloud_service = cloud.declare_class("CloudService")
-    computing = cloud.declare_class("ComputingResource", parent=cloud_service)
-    cloud.declare_class("CPUResource", parent=computing)
-    cloud.declare_class("RAMResource", parent=computing)
-    cloud.declare_class("StorageResource", parent=cloud_service)
-    cloud.declare_class("Network", parent=cloud_service)
-    cloud.declare_class("UsagePolicy")
-    tier = cloud.declare_class("ResourceTier")
-    cloud.declare_datatype_property("corePrice", domain=tier)
-    cloud.declare_datatype_property("coreCount", domain=tier)
-    cloud.declare_datatype_property("tierKind", domain=tier)
+    cloud_service = scan.declare_class("CloudService")
+    computing = scan.declare_class("ComputingResource", parent=cloud_service)
+    scan.declare_class("CPUResource", parent=computing)
+    scan.declare_class("RAMResource", parent=computing)
+    scan.declare_class("StorageResource", parent=cloud_service)
+    scan.declare_class("Network", parent=cloud_service)
+    scan.declare_class("UsagePolicy")
+    tier = scan.declare_class("ResourceTier")
+    scan.declare_datatype_property("corePrice", domain=tier)
+    scan.declare_datatype_property("coreCount", domain=tier)
+    scan.declare_datatype_property("tierKind", domain=tier)
 
-    private = cloud.individual("PrivateTier", tier)
+    private = scan.individual("PrivateTier", tier)
     private.set("tierKind", "private").set("corePrice", 5.0).set("coreCount", 624)
-    public = cloud.individual("PublicTier", tier)
+    public = scan.individual("PublicTier", tier)
     public.set("tierKind", "public").set("corePrice", 50.0).set("coreCount", 1_000_000)
 
     # -- linker ----------------------------------------------------------------
-    linker.declare_object_property("requiredBy", domain=computing, range_=workflow)
-    linker.declare_object_property("requiresResource", domain=workflow, range_=computing)
-    linker.declare_object_property("consumesFormat", domain=application, range_=bio_data)
-    linker.declare_object_property("producesFormat", domain=application, range_=bio_data)
-    linker.declare_object_property("runsOn", domain=application, range_=tier)
+    scan.declare_object_property("requiredBy", domain=computing, range_=workflow)
+    scan.declare_object_property("requiresResource", domain=workflow, range_=computing)
+    scan.declare_object_property("consumesFormat", domain=application, range_=bio_data)
+    scan.declare_object_property("producesFormat", domain=application, range_=bio_data)
+    scan.declare_object_property("runsOn", domain=application, range_=tier)
 
     # Default workflow individuals (the paper's "over 10 different genome
     # analysis workflows ... as instances of the class GenomeAnalysis").
     for wf_name, analysis in DEFAULT_WORKFLOWS:
-        ind = domain.individual(wf_name, analysis_classes[analysis])
+        ind = scan.individual(wf_name, analysis_classes[analysis])
         ind.set("workflowName", wf_name)
 
     # The AlignedGenomicData -> GATK linkage from Section III-A.1.ii: the
     # class has a CPU property "that is requiredBy GATK workflows".
     store.add(SCAN["AlignedGenomicData"], SCAN["requiredBy"], SCAN["VariationDetection"])
 
-    return ScanOntology(
-        store=store,
-        domain=domain,
-        cloud=cloud,
-        linker=linker,
-        gene_ontology=gene_onto,
-    )
+    return ScanOntology(store=store, scan=scan, gene_ontology=gene_onto)
 
 
 def add_application_instance(
@@ -218,9 +202,7 @@ def add_application_instance(
     ``eTime`` and ``CPU`` datatype properties on an ``owl:NamedIndividual``
     typed ``scan:Application``.
     """
-    application = onto.domain.get_class("Application")
-    assert application is not None
-    ind = onto.domain.individual(name, application)
+    ind = onto.scan.individual(name, SCAN["Application"])
     ind.set("appName", app_name)
     ind.set("inputFileSize", float(input_file_size))
     ind.set("eTime", float(e_time))
@@ -238,14 +220,3 @@ def add_application_instance(
             ind.set(key, value)  # type: ignore[arg-type]
     return ind
 
-
-def add_workflow_instance(
-    onto: ScanOntology, name: str, analysis_type: str = "GenomeAnalysis"
-) -> Individual:
-    """Register an additional workflow individual under *analysis_type*."""
-    cls = onto.domain.get_class(analysis_type)
-    if cls is None:
-        raise ValueError(f"unknown analysis type {analysis_type!r}")
-    ind = onto.domain.individual(name, cls)
-    ind.set("workflowName", name)
-    return ind

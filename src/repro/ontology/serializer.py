@@ -8,7 +8,6 @@ The writer mirrors the paper's OWL listings (Section III-A.1.i), emitting
 from __future__ import annotations
 
 from repro.ontology.triples import (
-    BlankNode,
     IRI,
     Literal,
     OWL,
@@ -23,8 +22,6 @@ __all__ = ["to_rdfxml"]
 def _term_sort_key(term: Term) -> str:
     if isinstance(term, Literal):
         return f"~lit~{term.value}"
-    if isinstance(term, BlankNode):
-        return f"~bn~{term.label}"
     return str(term)
 
 
@@ -51,12 +48,7 @@ def to_rdfxml(store: TripleStore, ontology_prefix: str = "scan-ontology") -> str
     lines.append(">")
 
     individuals = sorted(
-        {
-            t.subject
-            for t in store.match(None, RDF.type, OWL.NamedIndividual)
-            if isinstance(t.subject, IRI)
-        },
-        key=str,
+        set(store.subjects(RDF.type, OWL.NamedIndividual)), key=str
     )
     for subject in individuals:
         lines.append(f"  <!-- {subject} -->")

@@ -4,24 +4,21 @@ Terms
 -----
 - :class:`IRI` -- an absolute IRI (plain string subclass).
 - :class:`Literal` -- a typed literal value (int, float, str, bool).
-- :class:`BlankNode` -- an anonymous node with a store-local label.
 
 Store
 -----
 :class:`TripleStore` keeps three hash indexes (SPO, POS, OSP) so that every
 single-wildcard match pattern is answered from the index that binds the most
-terms, mirroring how Jena's memory graphs work.
+terms, mirroring how Jena's memory graphs work.  The store is append-only.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Any, Iterator, NamedTuple, Optional, Union
 
 __all__ = [
     "IRI",
     "Literal",
-    "BlankNode",
     "Term",
     "Triple",
     "TripleStore",
@@ -103,34 +100,13 @@ class Literal:
             raise TypeError(f"literal {self.value!r} is not numeric") from None
 
 
-class BlankNode:
-    """An anonymous RDF node."""
-
-    __slots__ = ("label",)
-    _counter = itertools.count()
-
-    def __init__(self, label: Optional[str] = None) -> None:
-        self.label = label if label is not None else f"b{next(self._counter)}"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BlankNode):
-            return self.label == other.label
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("_bnode_", self.label))
-
-    def __repr__(self) -> str:
-        return f"BlankNode(_:{self.label})"
-
-
-Term = Union[IRI, Literal, BlankNode]
+Term = Union[IRI, Literal]
 
 
 class Triple(NamedTuple):
     """A single (subject, predicate, object) statement."""
 
-    subject: Term
+    subject: IRI
     predicate: IRI
     object: Term
 
@@ -168,7 +144,7 @@ XSD = Namespace("http://www.w3.org/2001/XMLSchema#")
 
 def _as_term(value: Any) -> Term:
     """Coerce a Python value into an RDF term."""
-    if isinstance(value, (IRI, Literal, BlankNode)):
+    if isinstance(value, (IRI, Literal)):
         return value
     if isinstance(value, str):
         # Bare strings become literals; IRIs must be explicit.
@@ -201,11 +177,11 @@ class TripleStore:
 
     @property
     def epoch(self) -> int:
-        """Mutation counter: bumped on every effective add/remove.
+        """Mutation counter: bumped on every effective add.
 
         Cache layers (the SPARQL result cache in
         :mod:`repro.ontology.sparql`) key on this to invalidate whenever
-        the triple set changes; no-op inserts/removes do not bump it.
+        the triple set changes; no-op (duplicate) inserts do not bump it.
         """
         return self._epoch
 
@@ -217,16 +193,6 @@ class TripleStore:
     @property
     def prefixes(self) -> dict[str, str]:
         return dict(self._prefixes)
-
-    def expand(self, qname: str) -> IRI:
-        """Expand ``prefix:local`` into a full IRI."""
-        if ":" not in qname:
-            raise ValueError(f"{qname!r} is not a prefixed name")
-        prefix, local = qname.split(":", 1)
-        try:
-            return IRI(self._prefixes[prefix] + local)
-        except KeyError:
-            raise KeyError(f"unknown prefix {prefix!r}") from None
 
     def shrink(self, iri: str) -> str:
         """Compact an IRI into ``prefix:local`` form when a prefix matches."""
@@ -251,26 +217,6 @@ class TripleStore:
             self._size += 1
             self._epoch += 1
         return Triple(s, p, o)
-
-    def add_all(self, triples: Iterable[tuple[Any, Any, Any]]) -> None:
-        """Insert many (s, p, o) tuples."""
-        for s, p, o in triples:
-            self.add(s, p, o)
-
-    def remove(self, subject: Any, predicate: Any, obj: Any) -> bool:
-        """Remove one triple; True if it was present."""
-        s = _as_subject(subject)
-        p = _as_predicate(predicate)
-        o = _as_term(obj)
-        try:
-            self._spo[s][p].remove(o)
-        except KeyError:
-            return False
-        self._pos[p][o].discard(s)
-        self._osp[o][s].discard(p)
-        self._size -= 1
-        self._epoch += 1
-        return True
 
     # -- queries ------------------------------------------------------------
     def __len__(self) -> int:
@@ -363,17 +309,9 @@ class TripleStore:
             )
         return objs[0]
 
-    def copy(self) -> "TripleStore":
-        """An independent deep copy (triples and prefixes)."""
-        out = TripleStore(self.name)
-        out._prefixes = dict(self._prefixes)
-        for t in self:
-            out.add(*t)
-        return out
 
-
-def _as_subject(value: Any) -> Term:
-    if isinstance(value, (IRI, BlankNode)):
+def _as_subject(value: Any) -> IRI:
+    if isinstance(value, IRI):
         return value
     if isinstance(value, str):
         return IRI(value)

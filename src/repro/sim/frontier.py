@@ -86,23 +86,6 @@ class FrontierPoint:
             )
         )
 
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-friendly view (demo scripts, EXPERIMENTS tables)."""
-        return {
-            "mix": self.mix,
-            "tiers": list(self.tiers),
-            "mean_latency": self.mean_latency,
-            "latency_p95": self.latency_p95,
-            "total_cost": self.total_cost,
-            "cost_per_run": self.cost_per_run,
-            "completed_runs": self.completed_runs,
-            "failed_runs": self.failed_runs,
-            "worker_failures": self.worker_failures,
-            "per_tier_cost": dict(self.per_tier_cost),
-            "per_tier_hires": dict(self.per_tier_hires),
-            "on_frontier": self.on_frontier,
-        }
-
 
 def _reserved(cores: int = 624, cost: float = 5.0) -> TierConfig:
     return TierConfig(

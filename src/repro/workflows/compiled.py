@@ -33,8 +33,8 @@ Per-node **input scale**: the paper's timing model feeds every stage of an
 application the *first* stage's input ``d``, so all nodes of one step
 share the step's input scale.  Entry steps see the job's input unscaled;
 a downstream step's scale is the sum over its parents of
-``parent_scale * parent_output_ratio`` -- the compiled mirror of
-:meth:`WorkflowSpec.input_size_gb`.
+``parent_scale * parent_output_ratio``, so a fan-in step reads the sum
+of its parents' outputs.
 """
 
 from __future__ import annotations
@@ -275,8 +275,9 @@ def compile_spec(
             model = spec.registry.get(app_name)
             return model, model
 
-    # Step input scales, in spec topological order (compiled mirror of
-    # WorkflowSpec.input_size_gb with every entry sized at 1.0).
+    # Step input scales, in spec topological order: every entry step
+    # reads the job's input (1.0); any other step the sum of its parents'
+    # outputs.
     scales: dict[str, float] = {}
     for step_name in spec.topological_order:
         parents = spec.parents(step_name)

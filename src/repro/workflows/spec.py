@@ -153,29 +153,6 @@ class WorkflowSpec:
                         f"consumes {in_fmt.value}"
                     )
 
-    # -- data propagation -----------------------------------------------------
-    def input_size_gb(
-        self, step: str, entry_sizes: dict[str, float]
-    ) -> float:
-        """The GB arriving at *step* given per-entry-step input sizes."""
-        if not self._parents[step]:
-            try:
-                return float(entry_sizes[step])
-            except KeyError:
-                raise WorkflowError(
-                    f"entry step {step!r} needs an input size"
-                ) from None
-        return sum(
-            self.output_size_gb(parent, entry_sizes)
-            for parent in self._parents[step]
-        )
-
-    def output_size_gb(
-        self, step: str, entry_sizes: dict[str, float]
-    ) -> float:
-        """The step's output GB given entry sizes."""
-        return self.input_size_gb(step, entry_sizes) * self.steps[step].output_ratio
-
     def __repr__(self) -> str:
         return (
             f"<WorkflowSpec {self.name}: "

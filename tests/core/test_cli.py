@@ -47,6 +47,22 @@ class TestParser:
         assert "nope" in err
         assert "greedy" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--duration", "20"],
+            ["run", "--preset", "smoke"],
+            ["sweep", "--duration", "20", "--repetitions", "1"],
+            ["kb", "--duration", "20"],
+        ],
+        ids=["run", "run-preset", "sweep", "kb"],
+    )
+    def test_negative_seed_is_one_line_error(self, capsys, argv):
+        assert main([*argv, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "scan-sim: --seed must be >= 0, got -1\n"
+
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -154,6 +170,9 @@ class TestTraceCommand:
 
     def test_missing_file_is_error(self, capsys, tmp_path):
         assert main(["trace", str(tmp_path / "nope.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scan-sim: cannot read trace ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "document",
@@ -172,7 +191,7 @@ class TestTraceCommand:
         path.write_text(json.dumps(document))
         assert main(["trace", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("cannot read trace ")
+        assert err.startswith("scan-sim: cannot read trace ")
         assert err.count("\n") == 1
 
 
@@ -328,6 +347,7 @@ class TestSubmit:
 
     def test_bad_format_error(self, capsys):
         assert main(["submit", "--format", "weird"]) == 2
+        assert capsys.readouterr().err == "scan-sim: unknown format 'weird'\n"
 
     @pytest.mark.parametrize("size", ["-1", "0", "nan", "inf", "1e400"])
     def test_bad_size_is_one_line_error(self, capsys, size):
@@ -579,7 +599,9 @@ class TestKb:
     def test_diff_missing_file_is_error(self, capsys, tmp_path):
         assert main(["kb", "--diff", str(tmp_path / "a.json"),
                      str(tmp_path / "b.json")]) == 2
-        assert "cannot read snapshot" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("scan-sim: cannot read snapshot ")
+        assert err.count("\n") == 1
 
 
 class TestWorkflowsCommand:

@@ -258,7 +258,9 @@ def test_facade_run_matches_golden(preset):
 @pytest.mark.parametrize("preset", ["paper", "chaos", "fanout"])
 def test_a_closed_dropped_facade_dies_without_the_collector(preset):
     """``close`` tears the deployment down as a session run's end does,
-    so nothing but reference counting is needed to free it."""
+    so nothing but reference counting is needed to free it -- the
+    knowledge base's triple store included, which holds the ontology's
+    only copy of its vocabulary."""
     gc.collect()
     gc.disable()
     try:
@@ -281,6 +283,7 @@ def test_a_closed_dropped_facade_dies_without_the_collector(preset):
                 ("pools", pools),
                 ("stager", platform.stager),
                 ("kb", platform.kb),
+                ("store", platform.kb.ontology.store),
                 ("job", request.jobs[-1]),
                 ("worker", workers[0]),
             )
@@ -289,6 +292,7 @@ def test_a_closed_dropped_facade_dies_without_the_collector(preset):
         assert pools.on_available is None
         del platform, scheduler, pools, workers, request
         assert sorted(n for n, ref in refs.items() if ref() is not None) == []
+        assert gc.collect() == 0
     finally:
         gc.enable()
 

@@ -1,8 +1,10 @@
-"""A simulation and a JSONL service plane load no heavy stdlib package.
+"""A simulation and a JSONL service plane load no heavy package.
 
 XML, HTTP, TLS, SQLite and process pools are each reached from one
 optional path (the RDF/XML writer, the RPC server, a SQLite ledger, a
-parallel sweep), so those paths import them on first use.  Every package
+parallel sweep), so those paths import them on first use.  The same holds
+for the ontology stack and the knowledge base over it, which only the
+facade, the broker and the ``kb``/``table2`` commands use.  Every package
 they pull in costs resident memory in each sweep worker and benchmark
 process.  The check runs in a fresh interpreter: this test process has
 long since imported all of them.
@@ -26,6 +28,8 @@ HEAVY = (
     "sqlite3",
     "concurrent.futures",
     "multiprocessing",
+    "repro.ontology",
+    "repro.knowledge.kb",
 )
 
 SCRIPT = textwrap.dedent(

@@ -32,7 +32,7 @@ class TestRecording:
 
     def test_observation_lands_in_ontology(self, kb):
         kb.record_observation(observation(size=10.0, time=180.0))
-        ind = kb.ontology.domain.get_individual("GATK1")
+        ind = kb.ontology.scan.get_individual("GATK1")
         assert ind is not None
         assert ind.get("inputFileSize") == 10.0
         assert ind.get("eTime") == 180.0

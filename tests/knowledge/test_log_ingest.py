@@ -41,7 +41,7 @@ class TestIngestion:
         stage_completed(bus)
         assert ingestor.ingested == 1
         assert kb.instance_count("gatk") == 1
-        ind = kb.ontology.domain.get_individual("GATK1")
+        ind = kb.ontology.scan.get_individual("GATK1")
         assert ind.get("eTime") == 12.5
         assert ind.get("threads") == 4
 

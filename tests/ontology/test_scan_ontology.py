@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.ontology.gene_ontology import GO, GO_TERMS, load_gene_ontology, term_by_label
+from repro.ontology.gene_ontology import GO, GO_TERMS, load_gene_ontology
 from repro.ontology.scan_ontology import (
     DEFAULT_WORKFLOWS,
     SCAN,
     add_application_instance,
-    add_workflow_instance,
     build_scan_ontology,
 )
 from repro.ontology.sparql import execute_query
+from repro.ontology.triples import OWL, RDF, RDFS
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ class TestGeneOntology:
         dna_repair = go.get_class("0006281")
         assert dna_repair is not None
         root = go.get_class("0008150")  # biological_process
-        assert dna_repair.iri in root.subclasses()
+        assert dna_repair in go.subclasses(root)
 
     def test_every_parent_exists(self):
         accessions = {t.accession for t in GO_TERMS}
@@ -39,37 +39,41 @@ class TestGeneOntology:
 
     def test_lookup_by_label(self):
         go = load_gene_ontology()
-        cls = term_by_label(go, "DNA repair")
-        assert cls is not None and cls.iri == GO["0006281"]
+        assert go.store.subjects(RDFS.label, "DNA repair") == [GO["0006281"]]
 
 
 class TestScanOntology:
     def test_three_ontologies_share_store(self, onto):
-        assert onto.domain.store is onto.cloud.store
-        assert onto.linker.store is onto.cloud.store
+        # Domain, cloud and linker vocabulary land in one store, with GO.
+        assert onto.scan.store is onto.store
+        assert onto.gene_ontology.store is onto.store
+        for name in ("BiologicalData", "CloudService"):
+            assert (SCAN[name], RDF.type, OWL.Class) in onto.store
+        assert (SCAN["runsOn"], RDF.type, OWL.ObjectProperty) in onto.store
+        assert (GO["0008150"], RDF.type, OWL.Class) in onto.store
 
     def test_more_than_ten_workflows(self, onto):
         """The paper: 'we have defined over 10 different genome analysis
         workflows (as instances of the class GenomeAnalysis)'."""
-        genome_cls = onto.domain.get_class("GenomeAnalysis")
+        genome_cls = onto.scan.get_class("GenomeAnalysis")
         assert genome_cls is not None
-        assert len(genome_cls.individuals()) >= 10
+        assert len(onto.scan.individuals_of(genome_cls)) >= 10
 
     def test_tier_individuals(self, onto):
-        private = onto.cloud.get_individual("PrivateTier")
+        private = onto.scan.get_individual("PrivateTier")
         assert private is not None
         assert private.get("corePrice") == 5.0
         assert private.get("coreCount") == 624
 
     def test_aligned_genomic_data_class(self, onto):
-        aligned = onto.domain.get_class("AlignedGenomicData")
-        bam = onto.domain.get_class("BAMData")
+        aligned = onto.scan.get_class("AlignedGenomicData")
+        bam = onto.scan.get_class("BAMData")
         assert aligned is not None and bam is not None
-        assert bam.iri in aligned.subclasses()
+        assert bam in onto.scan.subclasses(aligned)
 
     def test_linker_properties_declared(self, onto):
         for prop in ("requiredBy", "requiresResource", "consumesFormat", "runsOn"):
-            assert onto.linker.get_property(prop) is not None
+            assert (SCAN[prop], RDF.type, OWL.ObjectProperty) in onto.store
 
 
 class TestApplicationInstances:
@@ -121,14 +125,6 @@ class TestApplicationInstances:
         )
         assert ind.get("performance") == "good"
         assert ind.get("note") == "hello"
-
-    def test_add_workflow_instance(self):
-        onto = build_scan_ontology(include_gene_ontology=False)
-        ind = add_workflow_instance(onto, "CustomFlow")
-        cls = onto.domain.get_class("GenomeAnalysis")
-        assert ind.is_a(cls)
-        with pytest.raises(ValueError):
-            add_workflow_instance(onto, "Y", analysis_type="NoSuch")
 
     def test_default_workflows_unique(self):
         names = [w for w, _ in DEFAULT_WORKFLOWS]

@@ -4,7 +4,7 @@ The cache layer must be *invisible*: for any interleaving of store
 mutations and queries, ``execute_query(store, q)`` (cached) must return
 exactly what ``execute_query(store, q, cache=False)`` (uncached) returns.
 Invalidation rides on :attr:`TripleStore.epoch`, which bumps on every
-effective add/remove.
+effective add (the store is append-only).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def make_store() -> TripleStore:
 
 
 def triple_for(i: int) -> tuple[IRI, IRI, int]:
-    # A small closed universe so adds/removes collide interestingly.
+    # A small closed universe so adds collide interestingly.
     return IRI(f"{EX}s{i % 4}"), IRI(f"{EX}p{i % 2}"), i % 8
 
 
@@ -60,9 +60,7 @@ class TestEpoch:
         assert store.epoch == 1
         store.add(IRI(EX + "a"), IRI(EX + "p"), 1)  # duplicate: no-op
         assert store.epoch == 1
-        assert store.remove(IRI(EX + "a"), IRI(EX + "p"), 1)
-        assert store.epoch == 2
-        assert not store.remove(IRI(EX + "a"), IRI(EX + "p"), 1)  # absent
+        store.add(IRI(EX + "a"), IRI(EX + "p"), 2)
         assert store.epoch == 2
 
 
@@ -84,14 +82,6 @@ class TestResultCache:
         fresh = execute_query(store, QUERIES[0])
         assert len(fresh) == len(stale) + 1
         assert fresh == execute_query(store, QUERIES[0], cache=False)
-
-    def test_remove_invalidates(self):
-        store = make_store()
-        s, p, o = triple_for(3)
-        store.add(s, p, o)
-        assert execute_query(store, QUERIES[0])
-        store.remove(s, p, o)
-        assert execute_query(store, QUERIES[0]) == []
 
     def test_cached_rows_are_isolated_copies(self):
         store = make_store()
@@ -131,7 +121,7 @@ class TestPlanCache:
 
 _ops = st.lists(
     st.tuples(
-        st.sampled_from(["add", "remove", "query"]),
+        st.sampled_from(["add", "query"]),
         st.integers(min_value=0, max_value=15),
         st.integers(min_value=0, max_value=len(QUERIES) - 1),
     ),
@@ -147,8 +137,6 @@ class TestCacheTransparency:
         for op, i, qi in ops:
             if op == "add":
                 store.add(*triple_for(i))
-            elif op == "remove":
-                store.remove(*triple_for(i))
             else:
                 query = QUERIES[qi]
                 assert execute_query(store, query) == execute_query(

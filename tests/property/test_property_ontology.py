@@ -74,13 +74,3 @@ def test_sparql_select_all_matches_store(triples):
     rows = execute_query(store, "SELECT ?s ?p ?o WHERE { ?s ?p ?o }")
     assert len(rows) == len(store)
 
-
-@given(triples=st.lists(_triples, min_size=1, max_size=25))
-@settings(max_examples=50, deadline=None)
-def test_remove_returns_store_to_smaller_size(triples):
-    store = build_store(triples)
-    first = next(iter(store))
-    before = len(store)
-    assert store.remove(first.subject, first.predicate, first.object)
-    assert len(store) == before - 1
-    assert (first.subject, first.predicate, first.object) not in store

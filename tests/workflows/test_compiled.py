@@ -5,6 +5,7 @@ import pytest
 from repro.workflows.compiled import CompiledWorkflow, chain_of, compile_spec
 from repro.workflows.library import (
     gatk_chain_workflow,
+    mirna_fusion_workflow,
     star_fanout_workflow,
     variation_detection_workflow,
 )
@@ -162,6 +163,28 @@ class TestCompileSpecDag:
         }
         assert d["nodes"] == len(d["steps"]) == 16
         assert d["chain"] is False
+
+
+class TestSizePropagation:
+    """A step's input is the sum of its parents' outputs; every entry
+    step reads the job's input."""
+
+    @staticmethod
+    def step_input_gb(wf, step, job_gb):
+        head = next(n for n in wf if n.scope == f"{wf.name}/{step}")
+        return wf.node_input_gb(head.index, job_gb)
+
+    def test_linear_chain(self):
+        wf = compile_spec(variation_detection_workflow())
+        assert self.step_input_gb(wf, "align", 100.0) == 100.0
+        # bwa passes its input through (output ratio 1.0).
+        assert self.step_input_gb(wf, "call", 100.0) == 100.0
+
+    def test_fan_in_sums_parents(self):
+        wf = compile_spec(mirna_fusion_workflow())
+        assert self.step_input_gb(wf, "align_tumour", 25.0) == 25.0
+        assert self.step_input_gb(wf, "align_normal", 25.0) == 25.0
+        assert self.step_input_gb(wf, "somatic", 25.0) == pytest.approx(50.0)
 
 
 class TestValidation:

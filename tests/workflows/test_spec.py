@@ -98,26 +98,6 @@ class TestFormatChecking:
             )
 
 
-class TestSizePropagation:
-    def test_linear_chain(self):
-        spec = variation_detection_workflow()
-        sizes = {"align": 100.0}
-        assert spec.input_size_gb("align", sizes) == 100.0
-        assert spec.output_size_gb("align", sizes) == 100.0
-        assert spec.input_size_gb("call", sizes) == 100.0
-        assert spec.output_size_gb("call", sizes) == pytest.approx(1.0)
-
-    def test_fan_in_sums_parents(self):
-        spec = mirna_fusion_workflow()
-        sizes = {"align_tumour": 30.0, "align_normal": 20.0}
-        assert spec.input_size_gb("somatic", sizes) == pytest.approx(50.0)
-
-    def test_missing_entry_size_rejected(self):
-        spec = variation_detection_workflow()
-        with pytest.raises(WorkflowError, match="needs an input size"):
-            spec.input_size_gb("align", {})
-
-
 class TestLibrary:
     def test_all_library_workflows_valid(self):
         for factory in (
