@@ -10,22 +10,30 @@ ledger, so crash tolerance is written (and tested) once, here.
 Media (``LEDGERS`` registry):
 
 ``memory``  a list; survives nothing (tests, benchmarks).
-``jsonl``   one JSON line per record, flushed to the OS per append and
-            fsynced only when asked.
+``jsonl``   one JSON line per record, handed to the OS by one ``write``
+            on an unbuffered binary append handle, and fsynced only when
+            asked.
             Opening truncates a torn final fragment; any other unreadable
             line raises.
 ``sqlite``  one append-only table (WAL journal, ``synchronous=NORMAL``),
             committed per record; each row holds the same JSON text.
 
-Both durable media encode a record with :data:`_encode`, one shared
-``json.JSONEncoder(sort_keys=True).encode``: byte for byte what
-``json.dumps(record, sort_keys=True)`` writes, without building an
-encoder per record.
+Both durable media encode a record with :func:`_encode`: byte for byte
+what ``json.dumps(record, sort_keys=True)`` writes.  ``json.dumps``
+builds a fresh C encoder (and a float-formatting closure) on every
+call; here that encoder is built once, at import, with the same
+separators, key order, ``default`` and NaN handling.  It keeps no
+circular-reference markers, so it holds no state between calls: a
+cyclic record raises ``RecursionError`` instead of ``ValueError``, and
+nothing is written.  Without the C accelerator the plain encoder's
+``encode`` is used.
 
 What an acknowledged append survives: on ``jsonl`` a killed process
-(the line is in the OS page cache), and power loss too with ``fsync``;
-on ``sqlite`` a killed process (the commit is in the WAL), while power
-loss may roll back the most recent commits.
+(the OS took the whole line, newline last, before the append returned,
+so it sits in the page cache; a kill mid-append leaves at most a
+fragment without its newline, which the next open cuts away), and power
+loss too with ``fsync``; on ``sqlite`` a killed process (the commit is
+in the WAL), while power loss may roll back the most recent commits.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import io
 import json
 import os
 import threading
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, SCANError
@@ -68,8 +77,26 @@ class Ledger:
         """Release handles; reopening the same spec continues the log."""
 
 
-#: The record encoding of every durable medium (module docstring).
-_encode = json.JSONEncoder(sort_keys=True).encode
+_plain_encoder = json.JSONEncoder(sort_keys=True)
+
+if c_make_encoder is None:
+    _encode = _plain_encoder.encode
+else:
+    _iterencode = c_make_encoder(
+        None,  # no circular-reference markers: the encoder keeps no state
+        _plain_encoder.default,
+        encode_basestring_ascii,
+        None,  # indent
+        _plain_encoder.key_separator,
+        _plain_encoder.item_separator,
+        True,  # sort_keys
+        False,  # skipkeys
+        True,  # allow_nan
+    )
+
+    def _encode(record: dict) -> str:
+        """The record encoding of every durable medium (module docstring)."""
+        return "".join(_iterencode(record, 0))
 
 #: Registry of ledger media.
 LEDGERS: "Registry[Ledger]" = Registry("ledger")
@@ -115,8 +142,8 @@ class JsonlLedger(Ledger):
         self._lock = threading.Lock()
         _make_parent(path)
         self._repair_torn_tail()
-        self._fh: Optional[io.TextIOWrapper] = open(  # noqa: SIM115
-            path, "a", encoding="utf-8"
+        self._fh: Optional[io.FileIO] = open(  # noqa: SIM115
+            path, "ab", buffering=0
         )
 
     def _repair_torn_tail(self) -> None:
@@ -144,14 +171,18 @@ class JsonlLedger(Ledger):
             fh.truncate(last_nl + 1)
 
     def append(self, record: dict) -> None:
-        line = _encode(record) + "\n"
+        line = (_encode(record) + "\n").encode()
         with self._lock:
-            if self._fh is None:
+            fh = self._fh
+            if fh is None:
                 raise SCANError(f"ledger {self.path!r} is closed")
-            self._fh.write(line)
-            self._fh.flush()
+            # A raw write may take fewer bytes than offered; the record is
+            # acknowledged only once all of them, newline last, are taken.
+            written = fh.write(line)
+            while written < len(line):
+                written += fh.write(line[written:])
             if self.fsync:
-                os.fsync(self._fh.fileno())
+                os.fsync(fh.fileno())
 
     def read(self) -> Tuple[List[dict], int]:
         try:

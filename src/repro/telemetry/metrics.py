@@ -82,14 +82,24 @@ class _Metric:
         self.labelnames = tuple(labelnames)
         for label in self.labelnames:
             _check_name(label)
+        if len(set(self.labelnames)) != len(self.labelnames):
+            raise ValueError(
+                f"{self.name}: duplicate label names {self.labelnames}"
+            )
 
     def _key(self, labels: Mapping[str, str]) -> tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
-            raise ValueError(
-                f"{self.name}: expected labels {self.labelnames}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[k]) for k in self.labelnames)
+        # The label names are distinct, so equal counts plus a lookup of
+        # every name is the same test as comparing the two name sets.
+        names = self.labelnames
+        if len(labels) == len(names):
+            try:
+                return tuple([str(labels[k]) for k in names])
+            except KeyError:
+                pass
+        raise ValueError(
+            f"{self.name}: expected labels {names}, "
+            f"got {tuple(sorted(labels))}"
+        )
 
     def _labels_of(self, key: tuple[str, ...]) -> dict[str, str]:
         return dict(zip(self.labelnames, key))

@@ -8,16 +8,22 @@ cover both.
 
 from __future__ import annotations
 
+import json
+import os
 import shutil
 import sqlite3
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import ledger as ledger_module
 from repro.core.errors import ConfigurationError, SCANError
 from repro.core.ledger import (
     JsonlLedger,
     MemoryLedger,
     SqliteLedger,
+    _encode,
     open_ledger,
 )
 
@@ -227,3 +233,132 @@ def test_other_suffix_and_explicit_prefix_open_jsonl(tmp_path, spec):
 def test_bad_specs_raise(spec):
     with pytest.raises(ConfigurationError):
         open_ledger(spec)
+
+
+# -- the record encoding: json.dumps(record, sort_keys=True), exactly ------
+
+_TEXT = st.lists(
+    st.one_of(
+        st.characters(),  # non-ASCII included
+        st.integers(0, 0x1F).map(chr),  # control characters
+        st.integers(0xD800, 0xDFFF).map(chr),  # lone surrogates
+    ),
+    max_size=8,
+).map("".join)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                     5e-324, 1e308, 0.1 + 0.2]),
+)
+_INTS = st.one_of(st.integers(), st.integers(2**64, 2**200),
+                  st.integers(-(2**200), -(2**64)))
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_TEXT, _VALUES, max_size=6))
+def test_encode_is_json_dumps_sort_keys(record):
+    assert _encode(record) == json.dumps(record, sort_keys=True)
+
+
+def test_unserializable_record_raises_and_writes_nothing(tmp_path):
+    path = tmp_path / "l.jsonl"
+    ledger = JsonlLedger(str(path))
+    ledger.append(RECORDS[0])
+    before = path.read_bytes()
+    with pytest.raises(TypeError) as raised:
+        ledger.append({"op": "push", "job": {"when": object()}})
+    with pytest.raises(TypeError) as expected:
+        json.dumps({"when": object()}, sort_keys=True)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value) == "Object of type object is not JSON serializable"
+    assert path.read_bytes() == before
+    ledger.close()
+
+
+def test_cyclic_record_raises_and_writes_nothing(tmp_path):
+    path = tmp_path / "l.jsonl"
+    ledger = JsonlLedger(str(path))
+    ledger.append(RECORDS[0])
+    before = path.read_bytes()
+    cyclic: dict = {"op": "push"}
+    cyclic["job"] = cyclic
+    with pytest.raises((RecursionError, ValueError)):
+        ledger.append(cyclic)
+    assert path.read_bytes() == before
+    ledger.append(EXTRA)  # the ledger is still usable
+    ledger.close()
+    reopened = JsonlLedger(str(path))
+    assert reopened.read() == ([RECORDS[0], EXTRA], 0)
+    reopened.close()
+
+
+class _TrickleFile:
+    """A raw file stand-in that takes at most *n* bytes per ``write``."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.data = b""
+        self.calls = 0
+
+    def write(self, data) -> int:
+        self.calls += 1
+        taken = bytes(data[: self.n])
+        self.data += taken
+        return len(taken)
+
+    def close(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_append_completes_a_line_across_short_writes(tmp_path, n):
+    ledger = JsonlLedger(str(tmp_path / "l.jsonl"))
+    ledger._fh.close()
+    ledger._fh = stub = _TrickleFile(n)
+    for record in RECORDS:
+        ledger.append(record)
+    expected = b"".join(
+        (json.dumps(r, sort_keys=True) + "\n").encode() for r in RECORDS
+    )
+    assert stub.data == expected
+    assert stub.calls == sum(
+        -(-len(line) // n) for line in expected.splitlines(keepends=True)
+    )
+
+
+def test_fsync_syncs_once_per_record(tmp_path, monkeypatch):
+    synced = []
+    monkeypatch.setattr(ledger_module.os, "fsync", synced.append)
+    path = tmp_path / "l.jsonl"
+    ledger = JsonlLedger(str(path), fsync=True)
+    for record in RECORDS:
+        ledger.append(record)
+    assert synced == [ledger._fh.fileno()] * len(RECORDS)
+    ledger.close()
+    unsynced = JsonlLedger(str(tmp_path / "m.jsonl"))
+    unsynced.append(EXTRA)
+    unsynced.close()
+    assert len(synced) == len(RECORDS)
+    reopened = JsonlLedger(str(path))
+    assert reopened.read() == (RECORDS, 0)
+    reopened.close()
+
+
+def test_jsonl_handle_is_an_unbuffered_binary_append(tmp_path):
+    ledger = JsonlLedger(str(tmp_path / "l.jsonl"))
+    ledger.append(RECORDS[0])
+    # Unbuffered: the line is in the file before append returns.
+    assert os.path.getsize(tmp_path / "l.jsonl") == len(
+        json.dumps(RECORDS[0], sort_keys=True)
+    ) + 1
+    assert ledger._fh.mode == "ab"
+    ledger.close()

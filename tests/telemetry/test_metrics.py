@@ -5,7 +5,13 @@ import math
 import pytest
 
 from repro.desim.monitor import Monitor
-from repro.telemetry.metrics import MetricsRegistry, absorb_monitor
+from repro.telemetry.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    absorb_monitor,
+)
 
 
 class TestCounter:
@@ -64,6 +70,83 @@ class TestHistogram:
             registry.histogram("b", buckets=(5.0, 1.0))
         with pytest.raises(ValueError):
             registry.histogram("c", buckets=(1.0, math.inf))
+
+
+def _metrics_labelled(*labelnames):
+    registry = MetricsRegistry()
+    return {
+        "counter": registry.counter("c", labelnames=labelnames),
+        "gauge": registry.gauge("g", labelnames=labelnames),
+        "histogram": registry.histogram("h", buckets=(1.0,),
+                                        labelnames=labelnames),
+    }
+
+
+# Every call that takes labels, as (metric kind, call).
+_LABEL_CALLS = [
+    ("counter", lambda m, labels: m.inc(**labels)),
+    ("counter", lambda m, labels: m.value(**labels)),
+    ("gauge", lambda m, labels: m.set(1.0, **labels)),
+    ("gauge", lambda m, labels: m.inc(**labels)),
+    ("gauge", lambda m, labels: m.value(**labels)),
+    ("histogram", lambda m, labels: m.observe(0.5, **labels)),
+    ("histogram", lambda m, labels: m.count(**labels)),
+    ("histogram", lambda m, labels: m.sum(**labels)),
+]
+_CALL_IDS = ["counter.inc", "counter.value", "gauge.set", "gauge.inc",
+             "gauge.value", "histogram.observe", "histogram.count",
+             "histogram.sum"]
+
+
+class TestLabelKeys:
+    @pytest.mark.parametrize("make", [
+        lambda: Counter("c", "", ("tenant", "tenant")),
+        lambda: Gauge("g", "", ("a", "b", "a")),
+        lambda: Histogram("h", "", (1.0,), ("le", "le")),
+        lambda: MetricsRegistry().counter("c", labelnames=("x", "x")),
+    ], ids=["counter", "gauge", "histogram", "registry"])
+    def test_duplicate_label_names_rejected(self, make):
+        with pytest.raises(ValueError, match="duplicate label names"):
+            make()
+
+    @pytest.mark.parametrize("kind,call", _LABEL_CALLS, ids=_CALL_IDS)
+    @pytest.mark.parametrize("labels,got", [
+        ({"tenant": "t1"}, "('tenant',)"),  # missing
+        ({"tenant": "t1", "reason": "full", "x": "1"},
+         "('reason', 'tenant', 'x')"),  # extra
+        ({"tenant": "t1", "raeson": "full"}, "('raeson', 'tenant')"),
+        ({}, "()"),
+    ], ids=["missing", "extra", "misspelled", "none"])
+    def test_wrong_labels_keep_their_message(self, kind, call, labels, got):
+        metric = _metrics_labelled("tenant", "reason")[kind]
+        expected = (
+            f"scan_{kind[0]}: expected labels ('tenant', 'reason'), got {got}"
+        )
+        with pytest.raises(ValueError) as raised:
+            call(metric, labels)
+        assert str(raised.value) == expected
+
+    @pytest.mark.parametrize("kind,call", _LABEL_CALLS, ids=_CALL_IDS)
+    def test_unlabelled_metric_refuses_labels(self, kind, call):
+        metric = _metrics_labelled()[kind]
+        with pytest.raises(ValueError) as raised:
+            call(metric, {"tenant": "t1"})
+        assert str(raised.value) == (
+            f"scan_{kind[0]}: expected labels (), got ('tenant',)"
+        )
+
+    def test_label_values_are_str_ed_in_labelname_order(self):
+        metrics = _metrics_labelled("tenant", "attempt")
+        metrics["counter"].inc(attempt=2, tenant=7)
+        metrics["gauge"].set(3.0, attempt=2.5, tenant=None)
+        metrics["histogram"].observe(0.5, tenant=True, attempt=0)
+        assert metrics["counter"].value(tenant="7", attempt="2") == 1.0
+        assert metrics["counter"].value(attempt=2, tenant=7) == 1.0
+        assert metrics["gauge"].value(tenant="None", attempt="2.5") == 3.0
+        assert metrics["histogram"].count(tenant="True", attempt="0") == 1
+        assert list(metrics["counter"].samples()) == [
+            ("scan_c", {"tenant": "7", "attempt": "2"}, 1.0)
+        ]
 
 
 class TestRegistry:
