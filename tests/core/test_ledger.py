@@ -315,9 +315,6 @@ class _TrickleFile:
         self.data += taken
         return len(taken)
 
-    def close(self) -> None:
-        pass
-
 
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_append_completes_a_line_across_short_writes(tmp_path, n):
