@@ -7,7 +7,9 @@ entry is built from alternating pairs of untraced runs::
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-one pair per seed; the side that runs first alternates from pair to
+at the benchmark's run length ``T`` (``run_seconds`` in
+``BENCHMARK.json``; an entry at any other length is refused), one pair
+per seed; the side that runs first alternates from pair to
 pair, the parent's first in the first pair.  perfbench overwrites its
 record (``.perfbench_out/W-seedS-trace0.json``) on every run, so each
 record is copied aside before the next run starts.
@@ -29,13 +31,13 @@ Usage (from the repository root; standard library only)::
     # run the pairs, copy each record aside, append one entry
     python scripts/bench_trajectory.py run --name NAME \\
         --parent PARENT_TREE --change CHANGE_TREE \\
-        --workload service_mixed --seeds 2-11 --seconds 25
+        --workload service_mixed --seeds 2-11
 
     # fold records copied by an earlier ``run`` into an entry
     python scripts/bench_trajectory.py fold --name NAME \\
         --records DIR --workload service_mixed
 
-    # validate the committed file's schema and arithmetic
+    # validate BENCH_trajectory.json's schema and arithmetic
     python scripts/bench_trajectory.py --check
 
 A tree is any checkout holding ``perfbench/`` and ``src/``, e.g. one
@@ -71,9 +73,9 @@ _GIT_SHA = re.compile(r"^([0-9a-f]{40}|unknown)$")
 _SRC_SHA = re.compile(r"^[0-9a-f]{64}$")
 
 
-def _end_to_end() -> List[dict]:
+def _benchmark() -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return json.load(fh)["end_to_end"]
+        return json.load(fh)
 
 
 def _quartiles(values: Sequence[float]) -> Dict[str, float]:
@@ -179,7 +181,7 @@ def fold(name: str, workload: str, records: str,
                        "src_sha256": src_sha}
 
     metrics = {}
-    for spec in _end_to_end():
+    for spec in _benchmark()["end_to_end"]:
         metric_name = spec["name"]
         metric = {"unit": spec["unit"], "better": spec["better"]}
         for side in SIDES:
@@ -202,9 +204,9 @@ def fold(name: str, workload: str, records: str,
     return entry
 
 
-def append_entry(path: str, entry: dict) -> None:
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
+def append_entry(entry: dict) -> None:
+    if os.path.exists(TRAJECTORY):
+        with open(TRAJECTORY, encoding="utf-8") as fh:
             doc = json.load(fh)
     else:
         doc = {"schema": SCHEMA, "entries": []}
@@ -214,10 +216,10 @@ def append_entry(path: str, entry: dict) -> None:
     problems = check(doc)
     if problems:
         raise SystemExit("\n".join(problems))
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(TRAJECTORY, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"appended {entry['name']!r} to {os.path.relpath(path, ROOT)}")
+    print(f"appended {entry['name']!r} to {os.path.relpath(TRAJECTORY, ROOT)}")
 
 
 def check(doc: dict) -> List[str]:
@@ -228,7 +230,8 @@ def check(doc: dict) -> List[str]:
     entries = doc.get("entries")
     if not isinstance(entries, list) or not entries:
         return ["entries must be a non-empty list"]
-    specs = {spec["name"]: spec for spec in _end_to_end()}
+    benchmark = _benchmark()
+    specs = {spec["name"]: spec for spec in benchmark["end_to_end"]}
     names = [e.get("name") for e in entries]
     if len(set(names)) != len(names):
         problems.append(f"entry names repeat: {names}")
@@ -243,6 +246,9 @@ def check(doc: dict) -> List[str]:
         if (not seeds or len(set(seeds)) != len(seeds)
                 or entry["pairs"] != len(seeds)):
             problems.append(f"{where}: pairs must count distinct seeds")
+        if entry["seconds"] != benchmark["run_seconds"]:
+            problems.append(f"{where}: run length {entry['seconds']} s, not "
+                            f"the benchmark's {benchmark['run_seconds']} s")
         if set(entry["host"]) != set(HOST_KEYS):
             problems.append(f"{where}: host keys {sorted(entry['host'])}")
         for side in SIDES:
@@ -290,9 +296,8 @@ def check(doc: dict) -> List[str]:
 
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", nargs="?", const=TRAJECTORY, metavar="FILE",
-                        help="validate a trajectory file (default: the "
-                        "committed one) and exit")
+    parser.add_argument("--check", action="store_true",
+                        help="validate BENCH_trajectory.json and exit")
     sub = parser.add_subparsers(dest="command")
     for command in ("run", "fold"):
         p = sub.add_parser(command)
@@ -300,7 +305,6 @@ def main(argv: List[str]) -> int:
         p.add_argument("--workload", required=True)
         p.add_argument("--records", default=RECORDS,
                        help="where the copied records go / come from")
-        p.add_argument("--out", default=TRAJECTORY)
         p.add_argument("--parent-sha", default=None)
         p.add_argument("--change-sha", default=None)
         p.add_argument("--seeds", required=command == "run",
@@ -309,16 +313,15 @@ def main(argv: List[str]) -> int:
         if command == "run":
             p.add_argument("--parent", required=True, metavar="TREE")
             p.add_argument("--change", required=True, metavar="TREE")
-            p.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
 
-    if args.check is not None:
-        with open(args.check, encoding="utf-8") as fh:
+    if args.check:
+        with open(TRAJECTORY, encoding="utf-8") as fh:
             problems = check(json.load(fh))
         for problem in problems:
             print(f"bench_trajectory: {problem}", file=sys.stderr)
         if not problems:
-            print(f"{os.path.relpath(args.check, ROOT)}: ok")
+            print(f"{os.path.relpath(TRAJECTORY, ROOT)}: ok")
         return 1 if problems else 0
     if args.command is None:
         parser.error("give a command (run, fold) or --check")
@@ -326,10 +329,11 @@ def main(argv: List[str]) -> int:
     if args.command == "run":
         trees = {"parent": os.path.abspath(args.parent),
                  "change": os.path.abspath(args.change)}
-        run_pairs(trees, args.workload, seeds, args.seconds, args.records)
+        run_pairs(trees, args.workload, seeds,
+                  _benchmark()["run_seconds"], args.records)
     entry = fold(args.name, args.workload, args.records,
                  {"parent": args.parent_sha, "change": args.change_sha}, seeds)
-    append_entry(args.out, entry)
+    append_entry(entry)
     return 0
 
 

@@ -25,15 +25,16 @@ call; here that encoder is built once, at import, with the same
 separators, key order, ``default`` and NaN handling.  It keeps no
 circular-reference markers, so it holds no state between calls: a
 cyclic record raises ``RecursionError`` instead of ``ValueError``, and
-nothing is written.  Without the C accelerator the plain encoder's
-``encode`` is used.
+nothing is written.
 
 What an acknowledged append survives: on ``jsonl`` a killed process
 (the OS took the whole line, newline last, before the append returned,
 so it sits in the page cache; a kill mid-append leaves at most a
-fragment without its newline, which the next open cuts away), and power
-loss too with ``fsync``; on ``sqlite`` a killed process (the commit is
-in the WAL), while power loss may roll back the most recent commits.
+fragment without its newline, which the next open cuts away; a write
+that fails part-way is cut back before the error reaches the caller),
+and power loss too with ``fsync``; on ``sqlite`` a killed process (the
+commit is in the WAL), while power loss may roll back the most recent
+commits.
 """
 
 from __future__ import annotations
@@ -78,25 +79,23 @@ class Ledger:
 
 
 _plain_encoder = json.JSONEncoder(sort_keys=True)
+_iterencode = c_make_encoder(
+    None,  # no circular-reference markers: the encoder keeps no state
+    _plain_encoder.default,
+    encode_basestring_ascii,
+    None,  # indent
+    _plain_encoder.key_separator,
+    _plain_encoder.item_separator,
+    True,  # sort_keys
+    False,  # skipkeys
+    True,  # allow_nan
+)
 
-if c_make_encoder is None:
-    _encode = _plain_encoder.encode
-else:
-    _iterencode = c_make_encoder(
-        None,  # no circular-reference markers: the encoder keeps no state
-        _plain_encoder.default,
-        encode_basestring_ascii,
-        None,  # indent
-        _plain_encoder.key_separator,
-        _plain_encoder.item_separator,
-        True,  # sort_keys
-        False,  # skipkeys
-        True,  # allow_nan
-    )
 
-    def _encode(record: dict) -> str:
-        """The record encoding of every durable medium (module docstring)."""
-        return "".join(_iterencode(record, 0))
+def _encode(record: dict) -> str:
+    """The record encoding of every durable medium (module docstring)."""
+    return "".join(_iterencode(record, 0))
+
 
 #: Registry of ledger media.
 LEDGERS: "Registry[Ledger]" = Registry("ledger")
@@ -130,10 +129,10 @@ class JsonlLedger(Ledger):
 
     A record is acknowledged once its newline is written.  Everything
     after the last newline is therefore unacknowledged: :meth:`read`
-    skips it, and opening truncates it so the next append cannot weld
-    onto it.  A complete line that does not parse is corruption of an
-    acknowledged record and raises -- silently skipping it would fake
-    lost work.
+    skips it, and opening truncates it -- as does an append whose write
+    fails part-way -- so the next append cannot weld onto it.  A
+    complete line that does not parse is corruption of an acknowledged
+    record and raises -- silently skipping it would fake lost work.
     """
 
     def __init__(self, path: str, fsync: bool = False) -> None:
@@ -178,9 +177,24 @@ class JsonlLedger(Ledger):
                 raise SCANError(f"ledger {self.path!r} is closed")
             # A raw write may take fewer bytes than offered; the record is
             # acknowledged only once all of them, newline last, are taken.
-            written = fh.write(line)
-            while written < len(line):
-                written += fh.write(line[written:])
+            written = 0
+            try:
+                written = fh.write(line)
+                while written < len(line):
+                    written += fh.write(line[written:])
+            except BaseException:
+                # A raw write that raises took nothing, so the file ends
+                # in the *written* bytes taken so far: cut them off, or
+                # close the ledger if that fails, so that no later line
+                # is appended to the fragment.
+                if written:
+                    try:
+                        fd = fh.fileno()
+                        os.ftruncate(fd, os.fstat(fd).st_size - written)
+                    except OSError:
+                        fh.close()
+                        self._fh = None
+                raise
             if self.fsync:
                 os.fsync(fh.fileno())
 

@@ -8,6 +8,7 @@ cover both.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
@@ -330,6 +331,70 @@ def test_append_completes_a_line_across_short_writes(tmp_path, n):
     assert stub.calls == sum(
         -(-len(line) // n) for line in expected.splitlines(keepends=True)
     )
+
+
+class _FullDiskFile:
+    """A raw file stand-in over a real one: it takes at most *n* bytes per
+    ``write`` and raises ``ENOSPC`` on its *fail_at*-th call, once."""
+
+    def __init__(self, raw, n: int, fail_at: int) -> None:
+        self.raw = raw
+        self.n = n
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def write(self, data) -> int:
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.raw.write(bytes(data[: self.n]))
+
+    def fileno(self) -> int:
+        return self.raw.fileno()
+
+    def close(self) -> None:
+        self.raw.close()
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 4])
+def test_failed_write_leaves_no_fragment_to_weld_onto(tmp_path, fail_at):
+    path = tmp_path / "l.jsonl"
+    ledger = JsonlLedger(str(path))
+    ledger.append(RECORDS[0])
+    before = path.read_bytes()
+    ledger._fh = _FullDiskFile(ledger._fh, 3, fail_at)
+    with pytest.raises(OSError, match="No space"):
+        ledger.append(RECORDS[1])
+    assert path.read_bytes() == before
+    ledger.append(EXTRA)  # the disk has room again
+    assert ledger.read() == ([RECORDS[0], EXTRA], 0)
+    ledger.close()
+    reopened = JsonlLedger(str(path))
+    assert reopened.read() == ([RECORDS[0], EXTRA], 0)
+    reopened.close()
+
+
+def test_fragment_that_cannot_be_cut_closes_the_ledger(tmp_path, monkeypatch):
+    path = tmp_path / "l.jsonl"
+    ledger = JsonlLedger(str(path))
+    ledger.append(RECORDS[0])
+    ledger._fh = _FullDiskFile(ledger._fh, 3, 2)
+
+    def refuse(fd, length):
+        raise OSError(errno.EIO, "I/O error")
+
+    monkeypatch.setattr(ledger_module.os, "ftruncate", refuse)
+    with pytest.raises(OSError, match="No space"):
+        ledger.append(RECORDS[1])
+    with pytest.raises(SCANError, match="closed"):
+        ledger.append(EXTRA)
+    monkeypatch.undo()
+    # The fragment is unacknowledged: read skips it, reopening cuts it.
+    assert ledger.read() == ([RECORDS[0]], 1)
+    reopened = JsonlLedger(str(path))
+    reopened.append(EXTRA)
+    assert reopened.read() == ([RECORDS[0], EXTRA], 0)
+    reopened.close()
 
 
 def test_fsync_syncs_once_per_record(tmp_path, monkeypatch):

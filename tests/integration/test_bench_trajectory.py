@@ -96,3 +96,12 @@ def test_unpaired_record_is_refused(bt, tmp_path):
     (tmp_path / "service_mixed-seed2-change.json").unlink()
     with pytest.raises(SystemExit, match="unpaired"):
         bt.fold("e", "service_mixed", str(tmp_path), {})
+
+
+def test_entry_at_another_run_length_is_refused(bt, tmp_path):
+    _write(tmp_path, "service_mixed", {2: (4.0, 3.0)})
+    entry = bt.fold("e", "service_mixed", str(tmp_path), {})
+    doc = {"schema": bt.SCHEMA, "entries": [entry]}
+    assert bt.check(doc) == []
+    entry["seconds"] = 10.0
+    assert any("run length 10.0 s" in p for p in bt.check(doc))
